@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import json
 import sys
 from datetime import date as Date, timedelta
@@ -27,8 +26,9 @@ from .dataset import (
     summarize_series,
 )
 from .errors import InputError, NotConvergedError, NumericError
-from .forecast import emit_plot_series, forecast, scenario_run
+from .forecast import ForecastReport, emit_plot_series, forecast, scenario_run
 from .harness import (
+    ScoreTable,
     compare_models,
     default_grid,
     run_grid,
@@ -39,6 +39,8 @@ from .manifest import RunManifest
 from .metrics import evaluate
 from .mlp import MlpConfig
 from .models import (
+    FAMILIES,
+    FamilyConfig,
     load_model,
     original_space_eval,
     predict_scaled,
@@ -72,7 +74,7 @@ def _print_payload(document: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
-def _load_series(args: argparse.Namespace) -> CaseSeries:
+def _load_series(args: argparse.Namespace, *, impute: bool = True) -> CaseSeries:
     path = Path(args.csv)
     if not path.exists():
         raise InputError(f"input file not found: {path}")
@@ -90,7 +92,7 @@ def _load_series(args: argparse.Namespace) -> CaseSeries:
     )
     if len(series) == 0:
         return series
-    if args.impute != "none":
+    if impute and args.impute != "none":
         series = impute_missing(series, args.impute)
     return series
 
@@ -127,38 +129,68 @@ def _parse_date(text: str, flag: str) -> Date:
         raise InputError(f"{flag} must be an ISO date (YYYY-MM-DD), got {text!r}")
 
 
-def _model_config(args: argparse.Namespace):
-    if args.model == "mlp":
-        return MlpConfig(
-            hidden_layers=args.hidden_layers,
-            neurons_per_layer=args.neurons,
-            activation=args.activation,
-            optimizer=args.optimizer,
-            max_iterations=args.max_iterations,
+def _model_config(family: str, args: argparse.Namespace) -> FamilyConfig:
+    """The config the family's flags select; a rejected value is an input error."""
+    try:
+        if family == "mlp":
+            return MlpConfig(
+                hidden_layers=args.hidden_layers,
+                neurons_per_layer=args.neurons,
+                activation=args.activation,
+                optimizer=args.optimizer,
+                max_iterations=args.max_iterations,
+                seed=args.seed,
+                tolerance=args.tolerance,
+                learning_rate=args.learning_rate,
+            )
+        if family == "svr":
+            return SvrConfig(
+                kernel=KernelSpec(
+                    kind=args.kernel,
+                    gamma=args.gamma,
+                    degree=args.degree,
+                    coef0=args.coef0,
+                ),
+                c=args.c,
+                epsilon=args.epsilon,
+                max_passes=args.max_passes,
+            )
+        return LinRegConfig(
+            learning_rate=args.lr if args.lr is not None else 0.5,
+            iterations=args.iterations,
+        )
+    except ValueError as err:
+        raise InputError(str(err)) from None
+
+
+def _grid_table(
+    args: argparse.Namespace, series: CaseSeries, spec: SplitSpec
+) -> ScoreTable:
+    try:
+        slots = default_grid(
+            mlp_hidden_layers=args.mlp_hidden_layers,
+            mlp_neurons=args.mlp_neurons,
             seed=args.seed,
-            tolerance=args.tolerance,
-            learning_rate=args.learning_rate,
         )
-    if args.model == "svr":
-        return SvrConfig(
-            kernel=KernelSpec(
-                kind=args.kernel,
-                gamma=args.gamma,
-                degree=args.degree,
-                coef0=args.coef0,
-            ),
-            c=args.c,
-            epsilon=args.epsilon,
-            max_passes=args.max_passes,
-        )
-    return LinRegConfig(
-        learning_rate=args.lr if args.lr is not None else 0.5,
-        iterations=args.iterations,
-    )
+    except ValueError as err:
+        raise InputError(str(err)) from None
+    return run_grid(series, spec, slots, workers=args.workers)
+
+
+def _blank(value):
+    return "" if value is None else value
+
+
+def _write_plot_csv(
+    path: Path, history: CaseSeries, report: ForecastReport, scale: str, target: str
+) -> None:
+    header = ["date", "observed", "predicted", "scale"]
+    rows = emit_plot_series(history, report, scale, target=target)
+    _write_csv(path, header, [[_blank(r[k]) for k in header] for r in rows])
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    series = _load_series_no_impute(args)
+    series = _load_series(args, impute=False)
     manifest = _manifest(args, fingerprint(series) if len(series) else None)
     stats = summarize_series(series)
     document = {
@@ -174,29 +206,19 @@ def cmd_stats(args: argparse.Namespace) -> int:
         for stat in STAT_ROWS:
             row: list = [stat]
             for col in STAT_COLUMNS:
-                value = stats[col].as_dict()[stat]
-                row.append("" if value is None else value)
+                row.append(_blank(stats[col].as_dict()[stat]))
             rows.append(row)
         _write_csv(out / "stats.csv", ["statistic", *STAT_COLUMNS], rows)
     _print_payload(document)
     return 0
 
 
-def _load_series_no_impute(args: argparse.Namespace) -> CaseSeries:
-    impute = args.impute
-    args.impute = "none"
-    try:
-        return _load_series(args)
-    finally:
-        args.impute = impute
-
-
 def cmd_train(args: argparse.Namespace) -> int:
+    config = _model_config(args.model, args)
     series = _load_series(args)
     features = tuple(args.features.split(","))
     data = build_supervised(series, features, args.target)
     std = standardized_split(data, _split_spec(args))
-    config = _model_config(args)
     model, result = train_on_split(args.model, config, std, features, args.target)
     manifest = _manifest(args, fingerprint(series))
 
@@ -252,18 +274,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_grid(args: argparse.Namespace) -> int:
     series = _load_series(args)
-    slots = default_grid(
-        mlp_hidden_layers=args.mlp_hidden_layers,
-        mlp_neurons=args.mlp_neurons,
-        seed=args.seed,
-    )
-    table = run_grid(
-        series,
-        _split_spec(args),
-        slots,
-        workers=args.workers,
-        standardize=not args.no_standardize,
-    )
+    table = _grid_table(args, series, _split_spec(args))
     manifest = _manifest(args, fingerprint(series))
     document = dict(table.as_dict())
     document["manifest"] = manifest.finish().as_dict()
@@ -276,8 +287,8 @@ def cmd_grid(args: argparse.Namespace) -> int:
                 c.family,
                 c.slot,
                 c.target,
-                "" if c.r2 is None else c.r2,
-                "" if c.mse is None else c.mse,
+                _blank(c.r2),
+                _blank(c.mse),
                 int(c.flagged),
                 c.flag_reason or "",
             ]
@@ -326,14 +337,9 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     if args.format in ("json", "both"):
         _write_json(out / "forecast.json", document)
     if args.format in ("csv", "both"):
-        rows = [
-            [r["date"], "" if r["observed"] is None else r["observed"],
-             "" if r["predicted"] is None else r["predicted"],
-             "" if r["scale"] is None else r["scale"]]
-            for r in emit_plot_series(history, report, args.scale,
-                                      target=model.target_name)
-        ]
-        _write_csv(out / "forecast.csv", ["date", "observed", "predicted", "scale"], rows)
+        _write_plot_csv(
+            out / "forecast.csv", history, report, args.scale, model.target_name
+        )
     _print_payload(document)
     return 0
 
@@ -341,13 +347,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 def cmd_compare(args: argparse.Namespace) -> int:
     series = _load_series(args)
     spec = _split_spec(args)
-    slots = default_grid(
-        mlp_hidden_layers=args.mlp_hidden_layers,
-        mlp_neurons=args.mlp_neurons,
-        seed=args.seed,
-    )
-    table = run_grid(series, spec, slots, workers=args.workers)
-    best = {fam: select_best(table, fam) for fam in ("mlp", "svr", "linreg")}
+    table = _grid_table(args, series, spec)
+    best = {fam: select_best(table, fam) for fam in FAMILIES}
     report = compare_models(series, spec, best, args.target, args.horizon)
     manifest = _manifest(args, fingerprint(series))
     document = dict(report.as_dict())
@@ -356,40 +357,21 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.format in ("json", "both"):
         _write_json(out / "comparison.json", document)
     if args.format in ("csv", "both"):
-        rows = []
-        for i, d in enumerate(report.dates):
-            rows.append(
-                [
-                    d.isoformat(),
-                    "" if report.observed[i] is None else report.observed[i],
-                    report.predicted["mlp"][i],
-                    report.predicted["svr"][i],
-                    report.predicted["linreg"][i],
-                ]
-            )
-        _write_csv(
-            out / "comparison.csv",
-            ["date", "observed", "mlp", "svr", "linreg"],
-            rows,
-        )
+        rows = [
+            [d.isoformat(), _blank(report.observed[i])]
+            + [report.predicted[fam][i] for fam in FAMILIES]
+            for i, d in enumerate(report.dates)
+        ]
+        _write_csv(out / "comparison.csv", ["date", "observed", *FAMILIES], rows)
     _print_payload(document)
     return 0
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
+    config = _model_config("mlp", args)
     series = _load_series(args)
     window_start = _parse_date(args.window_from, "--from")
     window_end = _parse_date(args.window_to, "--to")
-    config = MlpConfig(
-        hidden_layers=args.hidden_layers,
-        neurons_per_layer=args.neurons,
-        activation=args.activation,
-        optimizer=args.optimizer,
-        max_iterations=args.max_iterations,
-        seed=args.seed,
-        tolerance=args.tolerance,
-        learning_rate=args.learning_rate,
-    )
     result = scenario_run(
         series,
         window_start,
@@ -427,16 +409,8 @@ def cmd_scenario(args: argparse.Namespace) -> int:
 
         part = window_series(series, window_start, window_end)
         for target, report in result.reports.items():
-            rows = [
-                [r["date"], "" if r["observed"] is None else r["observed"],
-                 "" if r["predicted"] is None else r["predicted"],
-                 "" if r["scale"] is None else r["scale"]]
-                for r in emit_plot_series(part, report, args.scale, target=target)
-            ]
-            _write_csv(
-                out / f"scenario_{target}.csv",
-                ["date", "observed", "predicted", "scale"],
-                rows,
+            _write_plot_csv(
+                out / f"scenario_{target}.csv", part, report, args.scale, target
             )
     _print_payload(document)
     return 0
@@ -461,6 +435,12 @@ def _add_io_flags(p: argparse.ArgumentParser, *, needs_csv: bool = True) -> None
     p.add_argument("--tests-column", dest="tests_column", default="tests")
     p.add_argument("--confirmed-column", dest="confirmed_column", default="confirmed")
     p.add_argument("--deaths-column", dest="deaths_column", default="deaths")
+
+
+def _add_grid_flags(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--workers", type=int, default=1)
+    p.add_argument("--mlp-hidden-layers", dest="mlp_hidden_layers", type=int, default=2)
+    p.add_argument("--mlp-neurons", dest="mlp_neurons", type=int, default=16)
 
 
 def _add_mlp_flags(p: argparse.ArgumentParser) -> None:
@@ -489,7 +469,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="fit one model, write it, score it")
     _add_io_flags(p)
-    p.add_argument("--model", choices=["mlp", "svr", "linreg"], required=True)
+    p.add_argument("--model", choices=list(FAMILIES), required=True)
     p.add_argument("--target", choices=list(COUNT_COLUMNS), default="confirmed")
     p.add_argument("--features", default="day_index")
     p.add_argument("--out", default=None, help="model file path")
@@ -513,15 +493,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="run the 15-slot regressor grid")
     _add_io_flags(p)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--mlp-hidden-layers", dest="mlp_hidden_layers", type=int, default=2)
-    p.add_argument("--mlp-neurons", dest="mlp_neurons", type=int, default=16)
-    p.add_argument(
-        "--no-standardize",
-        dest="no_standardize",
-        action="store_true",
-        help="fit on raw values (demonstrates divergence flagging)",
-    )
+    _add_grid_flags(p)
     p.set_defaults(func=cmd_grid)
 
     p = sub.add_parser("forecast", help="horizon forecast from a saved model")
@@ -539,9 +511,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_io_flags(p)
     p.add_argument("--target", choices=list(COUNT_COLUMNS), default="confirmed")
     p.add_argument("--horizon", type=int, default=0)
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--mlp-hidden-layers", dest="mlp_hidden_layers", type=int, default=2)
-    p.add_argument("--mlp-neurons", dest="mlp_neurons", type=int, default=16)
+    _add_grid_flags(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("scenario", help="windowed train + forecast, both targets")
@@ -564,25 +534,17 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = raw_argv
     try:
         return args.func(args)
-    except FileNotFoundError as err:
-        print(json.dumps({"error": "input", "message": str(err)}), file=sys.stderr)
-        return 2
-    except InputError as err:
-        print(
-            json.dumps({"error": "input", "message": str(err)}), file=sys.stderr
-        )
-        return 2
+    except (FileNotFoundError, InputError) as err:
+        return _fail("input", err, 2)
     except NumericError as err:
-        print(
-            json.dumps({"error": "numeric", "message": str(err)}), file=sys.stderr
-        )
-        return 3
+        return _fail("numeric", err, 3)
     except NotConvergedError as err:
-        print(
-            json.dumps({"error": "not_converged", "message": str(err)}),
-            file=sys.stderr,
-        )
-        return 4
+        return _fail("not_converged", err, 4)
+
+
+def _fail(kind: str, err: Exception, code: int) -> int:
+    print(json.dumps({"error": kind, "message": str(err)}), file=sys.stderr)
+    return code
 
 
 if __name__ == "__main__":

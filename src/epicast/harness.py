@@ -17,25 +17,17 @@ from datetime import date as Date, timedelta
 import numpy as np
 
 from .dataset import CaseSeries, fingerprint
-from .errors import EpicastError, NoValidCell
+from .errors import EpicastError, InputError, NoValidCell
 from .linear import LinRegConfig
-from .metrics import EvalResult
 from .mlp import MlpConfig
 from .models import (
     FamilyConfig,
     TrainedModel,
+    lookup_family,
     predict_raw,
     train_on_split,
 )
-from .preprocess import (
-    ScalerParams,
-    SplitSpec,
-    StandardizedSplit,
-    SupervisedSet,
-    build_supervised,
-    split as split_rows,
-    standardized_split,
-)
+from .preprocess import SplitSpec, build_supervised, standardized_split
 from .svr import KernelSpec, SvrConfig
 
 GRID_TARGETS = ("confirmed", "deaths")
@@ -154,31 +146,16 @@ def default_grid(
     return slots
 
 
-def _identity_split(data: SupervisedSet, spec: SplitSpec) -> StandardizedSplit:
-    """Split without scaling; identity scalers keep the model API uniform."""
-    train, test = split_rows(data, spec)
-    ident_x = ScalerParams(
-        mean=np.zeros(data.x.shape[1]), scale=np.ones(data.x.shape[1])
-    )
-    ident_y = ScalerParams(mean=np.zeros(1), scale=np.ones(1))
-    return StandardizedSplit(train=train, test=test, x_scaler=ident_x, y_scaler=ident_y)
-
-
 def _run_cell(
     series: CaseSeries,
     split_spec: SplitSpec,
     slot: RegressorSlot,
     target: str,
-    standardize: bool,
 ) -> GridCell:
     cfg = slot.config_dict()
     try:
         data = build_supervised(series, ("day_index",), target)
-        std = (
-            standardized_split(data, split_spec)
-            if standardize
-            else _identity_split(data, split_spec)
-        )
+        std = standardized_split(data, split_spec)
         model, result = train_on_split(
             slot.model_family, slot.config, std, ("day_index",), target
         )
@@ -213,14 +190,16 @@ def run_grid(
     *,
     targets: tuple[str, ...] = GRID_TARGETS,
     workers: int = 1,
-    standardize: bool = True,
 ) -> ScoreTable:
     """Fit and score every slot on every target.
 
     The series must be imputed (no missing values in used columns). Cells
     are independent; `workers` > 1 runs them in a thread pool, and the
     output order is fixed [(family, slot, target) ascending] either way.
+    `workers` below 1 is an InputError.
     """
+    if workers < 1:
+        raise InputError(f"workers must be at least 1, got {workers}")
     if slots is None:
         slots = default_grid(seed=split_spec.seed)
     jobs = [(slot, target) for slot in slots for target in targets]
@@ -228,18 +207,18 @@ def run_grid(
         with ThreadPoolExecutor(max_workers=workers) as pool:
             cells = list(
                 pool.map(
-                    lambda jt: _run_cell(series, split_spec, jt[0], jt[1], standardize),
+                    lambda jt: _run_cell(series, split_spec, jt[0], jt[1]),
                     jobs,
                 )
             )
     else:
-        cells = [_run_cell(series, split_spec, s, t, standardize) for s, t in jobs]
+        cells = [_run_cell(series, split_spec, s, t) for s, t in jobs]
     cells.sort(key=lambda c: (c.family, c.slot, c.target))
     metadata = {
         "split": dataclasses.asdict(split_spec),
         "seed": split_spec.seed,
         "targets": list(targets),
-        "standardized": standardize,
+        "standardized": True,  # every cell fits on standardized data
         "dataset": fingerprint(series),
         "source_label": series.source_label,
     }
@@ -265,19 +244,8 @@ def select_best(table: ScoreTable, family: str) -> RegressorSlot:
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
     best_slot = scored[0][1]
     cell = by_slot[best_slot][0]
-    return RegressorSlot(
-        slot=best_slot, model_family=family, config=_config_from_dict(family, cell.config)
-    )
-
-
-def _config_from_dict(family: str, cfg: dict) -> FamilyConfig:
-    if family == "mlp":
-        return MlpConfig(**cfg)
-    if family == "svr":
-        d = dict(cfg)
-        d["kernel"] = KernelSpec(**d["kernel"])
-        return SvrConfig(**d)
-    return LinRegConfig(**cfg)
+    config = lookup_family(family).config_from_dict(cell.config)
+    return RegressorSlot(slot=best_slot, model_family=family, config=config)
 
 
 @dataclass(frozen=True)

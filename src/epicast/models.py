@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -30,8 +30,6 @@ from .preprocess import (
 from .svr import KernelSpec, SvrConfig, SvrParams, svr_fit, svr_predict
 
 MODEL_DOC_VERSION = 1
-
-FAMILIES = ("mlp", "svr", "linreg")
 
 FamilyConfig = MlpConfig | SvrConfig | LinRegConfig
 FamilyParams = MlpParams | SvrParams | LinRegParams
@@ -53,46 +51,140 @@ class TrainedModel:
         return bool(self.train_meta.get("converged", True))
 
 
+@dataclass(frozen=True)
+class Family:
+    """Everything that differs between model families.
+
+    ``fit`` maps (config, standardized train set) to (params, train_meta);
+    ``predict`` maps (model, standardized 2-D features) to standardized
+    predictions. The dict converters read and write the "config" and
+    "params" sections of the model document.
+    """
+
+    config_type: type
+    config_from_dict: Callable[[dict], Any]
+    fit: Callable[[Any, SupervisedSet], tuple[Any, dict]]
+    predict: Callable[[TrainedModel, np.ndarray], Any]
+    params_to_dict: Callable[[Any], dict]
+    params_from_dict: Callable[[dict], Any]
+
+
+# The fit helpers call the solvers through this module's globals at call
+# time, so a caller that rebinds e.g. ``models.svr_fit`` sees every fit.
+def _fit_mlp(config: MlpConfig, train: SupervisedSet) -> tuple[MlpParams, dict]:
+    params, result = train_mlp(config, train.x, train.y)
+    return params, {
+        "status": result.status,
+        "iterations": result.iterations,
+        "final_loss": result.trace[-1],
+        "converged": result.status != "line_search_failed",
+    }
+
+
+def _fit_svr(config: SvrConfig, train: SupervisedSet) -> tuple[SvrParams, dict]:
+    params = svr_fit(train.x, train.y, config)
+    return params, {
+        "status": "converged" if params.converged else "pass_budget_exhausted",
+        "iterations": params.passes,
+        "support_vectors": int(params.support_coefs.size),
+        "converged": params.converged,
+    }
+
+
+def _fit_linreg(
+    config: LinRegConfig, train: SupervisedSet
+) -> tuple[LinRegParams, dict]:
+    params = linreg_fit(train.x, train.y, config)
+    return params, {
+        "status": "completed",
+        "iterations": config.iterations,
+        "converged": True,
+    }
+
+
+def _array(value: Any) -> np.ndarray:
+    return np.asarray(value, dtype=float)
+
+
+def _svr_params_to_dict(p: SvrParams) -> dict:
+    return {
+        "alphas": p.alphas.tolist(),
+        "bias": p.bias,
+        "support_vectors": p.support_vectors.tolist(),
+        "support_coefs": p.support_coefs.tolist(),
+        "kernel": dataclasses.asdict(p.kernel),
+        "converged": p.converged,
+        "passes": p.passes,
+    }
+
+
+def _svr_params_from_dict(p: dict) -> SvrParams:
+    sv = _array(p["support_vectors"])
+    return SvrParams(
+        alphas=_array(p["alphas"]),
+        bias=float(p["bias"]),
+        support_vectors=sv if sv.ndim == 2 else sv.reshape(0, 1),
+        support_coefs=_array(p["support_coefs"]),
+        kernel=KernelSpec(**p["kernel"]),
+        converged=bool(p["converged"]),
+        passes=int(p["passes"]),
+    )
+
+
+FAMILY_TABLE: dict[str, Family] = {
+    "mlp": Family(
+        config_type=MlpConfig,
+        config_from_dict=lambda d: MlpConfig(**d),
+        fit=_fit_mlp,
+        predict=lambda m, xs: forward(
+            m.params, ActivationKind(m.config.activation), xs
+        ),
+        params_to_dict=lambda p: {
+            "weights": [w.tolist() for w in p.weights],
+            "biases": [b.tolist() for b in p.biases],
+        },
+        params_from_dict=lambda p: MlpParams(
+            weights=tuple(_array(w) for w in p["weights"]),
+            biases=tuple(_array(b) for b in p["biases"]),
+        ),
+    ),
+    "svr": Family(
+        config_type=SvrConfig,
+        config_from_dict=lambda d: SvrConfig(
+            **{**d, "kernel": KernelSpec(**d["kernel"])}
+        ),
+        fit=_fit_svr,
+        predict=lambda m, xs: svr_predict(m.params, m.params.kernel, xs),
+        params_to_dict=_svr_params_to_dict,
+        params_from_dict=_svr_params_from_dict,
+    ),
+    "linreg": Family(
+        config_type=LinRegConfig,
+        config_from_dict=lambda d: LinRegConfig(**d),
+        fit=_fit_linreg,
+        predict=lambda m, xs: linreg_predict(m.params, xs),
+        params_to_dict=lambda p: {
+            "slope": p.slope.tolist(),
+            "intercept": p.intercept,
+        },
+        params_from_dict=lambda p: LinRegParams(
+            slope=_array(p["slope"]), intercept=float(p["intercept"])
+        ),
+    ),
+}
+
+FAMILIES = tuple(FAMILY_TABLE)
+
+
+def lookup_family(name: str) -> Family:
+    try:
+        return FAMILY_TABLE[name]
+    except (KeyError, TypeError):
+        raise InputError(f"unknown model family {name!r}; valid: {FAMILIES}") from None
+
+
 def default_config(family: str) -> FamilyConfig:
-    if family == "mlp":
-        return MlpConfig()
-    if family == "svr":
-        return SvrConfig()
-    if family == "linreg":
-        return LinRegConfig()
-    raise InputError(f"unknown model family {family!r}; valid: {FAMILIES}")
-
-
-def _fit_family(
-    family: str, config: FamilyConfig, train: SupervisedSet
-) -> tuple[FamilyParams, dict]:
-    if family == "mlp":
-        params, result = train_mlp(config, train.x, train.y)
-        meta = {
-            "status": result.status,
-            "iterations": result.iterations,
-            "final_loss": result.trace[-1],
-            "converged": result.status != "line_search_failed",
-        }
-        return params, meta
-    if family == "svr":
-        params = svr_fit(train.x, train.y, config)
-        meta = {
-            "status": "converged" if params.converged else "pass_budget_exhausted",
-            "iterations": params.passes,
-            "support_vectors": int(params.support_coefs.size),
-            "converged": params.converged,
-        }
-        return params, meta
-    if family == "linreg":
-        params = linreg_fit(train.x, train.y, config)
-        meta = {
-            "status": "completed",
-            "iterations": config.iterations,
-            "converged": True,
-        }
-        return params, meta
-    raise InputError(f"unknown model family {family!r}; valid: {FAMILIES}")
+    return lookup_family(family).config_type()
 
 
 def train_on_split(
@@ -103,7 +195,7 @@ def train_on_split(
     target_name: str,
 ) -> tuple[TrainedModel, EvalResult]:
     """Fit on the standardized train half, score R2/MSE on the test half."""
-    params, meta = _fit_family(family, config, split.train)
+    params, meta = lookup_family(family).fit(config, split.train)
     model = TrainedModel(
         family=family,
         config=config,
@@ -123,12 +215,7 @@ def predict_scaled(model: TrainedModel, x_scaled: np.ndarray) -> np.ndarray:
     xs = np.asarray(x_scaled, dtype=float)
     if xs.ndim == 1:
         xs = xs[:, None]
-    if model.family == "mlp":
-        out = forward(model.params, ActivationKind(model.config.activation), xs)
-    elif model.family == "svr":
-        out = svr_predict(model.params, model.params.kernel, xs)
-    else:
-        out = linreg_predict(model.params, xs)
+    out = lookup_family(model.family).predict(model, xs)
     return np.asarray(out, dtype=float).ravel()
 
 
@@ -153,36 +240,12 @@ def original_space_eval(model: TrainedModel, scaled: EvalResult) -> EvalResult:
     )
 
 
-def _array(value: Any) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
 def model_to_dict(model: TrainedModel) -> dict:
-    if model.family == "mlp":
-        params = {
-            "weights": [w.tolist() for w in model.params.weights],
-            "biases": [b.tolist() for b in model.params.biases],
-        }
-    elif model.family == "svr":
-        params = {
-            "alphas": model.params.alphas.tolist(),
-            "bias": model.params.bias,
-            "support_vectors": model.params.support_vectors.tolist(),
-            "support_coefs": model.params.support_coefs.tolist(),
-            "kernel": dataclasses.asdict(model.params.kernel),
-            "converged": model.params.converged,
-            "passes": model.params.passes,
-        }
-    else:
-        params = {
-            "slope": model.params.slope.tolist(),
-            "intercept": model.params.intercept,
-        }
     return {
         "version": MODEL_DOC_VERSION,
         "family": model.family,
         "config": dataclasses.asdict(model.config),
-        "params": params,
+        "params": lookup_family(model.family).params_to_dict(model.params),
         "x_scaler": {
             "mean": model.x_scaler.mean.tolist(),
             "scale": model.x_scaler.scale.tolist(),
@@ -198,53 +261,34 @@ def model_to_dict(model: TrainedModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> TrainedModel:
+    """Rebuild a model document; any malformed document raises InputError."""
+    if not isinstance(doc, dict):
+        raise InputError("model document must be a JSON object")
     if doc.get("version") != MODEL_DOC_VERSION:
         raise InputError(
             f"unsupported model document version {doc.get('version')!r}"
         )
-    family = doc.get("family")
-    cfg_d = dict(doc["config"])
-    p = doc["params"]
-    params: FamilyParams
-    config: FamilyConfig
-    if family == "mlp":
-        config = MlpConfig(**cfg_d)
-        params = MlpParams(
-            weights=tuple(_array(w) for w in p["weights"]),
-            biases=tuple(_array(b) for b in p["biases"]),
+    name = doc.get("family")
+    family = lookup_family(name)
+    try:
+        return TrainedModel(
+            family=name,
+            config=family.config_from_dict(doc["config"]),
+            params=family.params_from_dict(doc["params"]),
+            x_scaler=ScalerParams(
+                mean=_array(doc["x_scaler"]["mean"]),
+                scale=_array(doc["x_scaler"]["scale"]),
+            ),
+            y_scaler=ScalerParams(
+                mean=_array(doc["y_scaler"]["mean"]),
+                scale=_array(doc["y_scaler"]["scale"]),
+            ),
+            feature_names=tuple(doc["feature_names"]),
+            target_name=doc["target_name"],
+            train_meta=dict(doc.get("train_meta", {})),
         )
-    elif family == "svr":
-        cfg_d["kernel"] = KernelSpec(**cfg_d["kernel"])
-        config = SvrConfig(**cfg_d)
-        sv = _array(p["support_vectors"])
-        params = SvrParams(
-            alphas=_array(p["alphas"]),
-            bias=float(p["bias"]),
-            support_vectors=sv if sv.ndim == 2 else sv.reshape(0, 1),
-            support_coefs=_array(p["support_coefs"]),
-            kernel=KernelSpec(**p["kernel"]),
-            converged=bool(p["converged"]),
-            passes=int(p["passes"]),
-        )
-    elif family == "linreg":
-        config = LinRegConfig(**cfg_d)
-        params = LinRegParams(slope=_array(p["slope"]), intercept=float(p["intercept"]))
-    else:
-        raise InputError(f"unknown model family {family!r}; valid: {FAMILIES}")
-    return TrainedModel(
-        family=family,
-        config=config,
-        params=params,
-        x_scaler=ScalerParams(
-            mean=_array(doc["x_scaler"]["mean"]), scale=_array(doc["x_scaler"]["scale"])
-        ),
-        y_scaler=ScalerParams(
-            mean=_array(doc["y_scaler"]["mean"]), scale=_array(doc["y_scaler"]["scale"])
-        ),
-        feature_names=tuple(doc["feature_names"]),
-        target_name=doc["target_name"],
-        train_meta=dict(doc.get("train_meta", {})),
-    )
+    except (KeyError, TypeError, ValueError) as err:
+        raise InputError(f"malformed model document: {err!r}") from None
 
 
 def save_model(model: TrainedModel, path: str) -> None:
@@ -255,4 +299,8 @@ def save_model(model: TrainedModel, path: str) -> None:
 
 def load_model(path: str) -> TrainedModel:
     with open(path, "r", encoding="utf-8") as fh:
-        return model_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as err:
+            raise InputError(f"{path} is not a JSON model document: {err}") from None
+    return model_from_dict(doc)

@@ -251,7 +251,7 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
         t = _pair_step(max(eta, 0.0), b_lin, beta[i], beta[j], eps, t_max)
         if t <= ZERO_TOL:
             # The most violating pair cannot move: numerically stuck.
-            converged = violation <= cfg.tolerance
+            converged = bool(violation <= cfg.tolerance)
             break
         beta[i] += t
         beta[j] -= t

@@ -227,6 +227,15 @@ class TestEval:
         ])
         assert code == 2
 
+    def test_non_json_model_file_exit_2(self, series_csv_path, tmp_path, capsys):
+        bogus = tmp_path / "bogus.json"
+        bogus.write_text("model: linreg\n", encoding="utf-8")
+        code = main([
+            "eval", str(bogus), str(series_csv_path), "--out-dir", str(tmp_path),
+        ])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "input"
+
 
 class TestGrid:
     def test_report_layout_and_determinism(
@@ -309,6 +318,24 @@ class TestForecastCmd:
             "--out-dir", str(out),
         ])
         assert code == 2
+
+    def test_malformed_model_file_exit_2(self, series_csv_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        main([
+            "train", str(series_csv_path), "--model", "linreg",
+            "--out-dir", str(out),
+        ])
+        model_path = out / "model_linreg_confirmed.json"
+        doc = read_json(model_path)
+        del doc["params"]
+        model_path.write_text(json.dumps(doc), encoding="utf-8")
+        capsys.readouterr()
+        code = main([
+            "forecast", str(model_path), "--csv", str(series_csv_path),
+            "--out-dir", str(out),
+        ])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "input"
 
     def test_bad_start_date_exit_2(self, series_csv_path, tmp_path):
         out = tmp_path / "out"
@@ -407,6 +434,32 @@ class TestScenario:
             "--out-dir", str(tmp_path / "o"),
         ])
         assert code == 2
+
+
+class TestRejectedFlags:
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            ("train --model svr --c -1", "c must be positive"),
+            ("train --model mlp --neurons 0", "neurons_per_layer"),
+            ("train --model linreg --iterations 0", "iterations"),
+            ("scenario --neurons 0", "neurons_per_layer"),
+            ("grid --workers 0", "workers"),
+            ("grid --mlp-neurons 0", "neurons_per_layer"),
+            ("compare --workers -1", "workers"),
+        ],
+    )
+    def test_exit_2_with_json_error(
+        self, argv, message, series_csv_path, tmp_path, capsys
+    ):
+        command, *flags = argv.split()
+        code = main([
+            command, str(series_csv_path), *flags, "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert message in err["message"]
 
 
 class TestFormatSelection:

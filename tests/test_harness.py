@@ -128,14 +128,18 @@ class TestRunGrid:
         assert again.cells == grid_table.cells
         assert threaded.cells == grid_table.cells
 
-    def test_unscaled_linreg_diverges_without_killing_the_grid(self, series, chrono_split):
-        slots = [s for s in default_grid() if s.model_family == "linreg"][:2]
-        table = run_grid(series, chrono_split, slots, standardize=False)
+    def test_diverging_linreg_cell_does_not_kill_the_grid(self, series, chrono_split):
+        slots = [
+            RegressorSlot(1, "linreg", LinRegConfig(2.0, 2500)),  # overshoots
+            RegressorSlot(2, "linreg", LinRegConfig(0.1, 3000)),
+        ]
+        table = run_grid(series, chrono_split, slots)
         assert len(table.cells) == 4
-        hot = table.cell("linreg", 1, "confirmed")  # lr 0.5 on raw day indexes
+        hot = table.cell("linreg", 1, "confirmed")
         assert hot.flagged
         assert hot.flag_reason.startswith("DivergenceError")
         assert hot.r2 is None
+        assert not table.cell("linreg", 2, "confirmed").flagged
 
     def test_as_dict_layout(self, grid_table):
         doc = grid_table.as_dict()

@@ -150,6 +150,39 @@ class TestSerialization:
             model_from_dict(doc)
 
 
+MALFORMED = {
+    "missing config": lambda d: d.pop("config"),
+    "missing params": lambda d: d.pop("params"),
+    "missing x_scaler": lambda d: d.pop("x_scaler"),
+    "missing scaler scale": lambda d: d["y_scaler"].pop("scale"),
+    "unknown config field": lambda d: d["config"].update(momentum=0.9),
+    "ill-typed config field": lambda d: d["config"].update(iterations="many"),
+    "ill-typed params field": lambda d: d["params"].update(slope="steep"),
+    "unhashable family": lambda d: d.update(family=["linreg"]),
+}
+
+
+class TestMalformedDocuments:
+    @pytest.mark.parametrize("breakage", MALFORMED.values(), ids=MALFORMED.keys())
+    def test_raises_input_error(self, breakage, std_split):
+        model, _ = fit("linreg", LinRegConfig(), std_split)
+        doc = json.loads(json.dumps(model_to_dict(model)))
+        breakage(doc)
+        with pytest.raises(InputError):
+            model_from_dict(doc)
+
+    def test_non_object_document(self):
+        with pytest.raises(InputError):
+            model_from_dict([1, 2, 3])
+
+    @pytest.mark.parametrize("content", [b"{not json", b"\xff\xfe\x00"])
+    def test_load_rejects_non_json(self, content, tmp_path):
+        path = tmp_path / "model.json"
+        path.write_bytes(content)
+        with pytest.raises(InputError):
+            load_model(str(path))
+
+
 class TestDefaultConfig:
     def test_families(self):
         assert isinstance(default_config("mlp"), MlpConfig)

@@ -1,17 +1,24 @@
+import json
+
 import numpy as np
 import pytest
 
 from epicast import (
     KernelSpec,
+    ScalerParams,
+    StandardizedSplit,
+    SupervisedSet,
     SvrConfig,
     SvrParams,
     dual_objective,
     gram_matrix,
     kernel_eval,
+    model_to_dict,
     qp_oracle,
     resolve_gamma,
     svr_fit,
     svr_predict,
+    train_on_split,
 )
 from epicast.errors import DegenerateKernelMatrix, DimensionMismatch, LengthMismatch
 
@@ -256,6 +263,21 @@ class TestSvrFit:
         assert params.passes == 1
         out = svr_predict(params, params.kernel, x)
         assert np.all(np.isfinite(out))
+
+    def test_stuck_pair_exit_is_json_clean(self):
+        rng = np.random.default_rng(60)
+        data = SupervisedSet(
+            rng.normal(size=(80, 1)), rng.normal(size=80), ("day_index",), "confirmed"
+        )
+        ident = ScalerParams(mean=np.zeros(1), scale=np.ones(1))
+        split = StandardizedSplit(train=data, test=data, x_scaler=ident, y_scaler=ident)
+        cfg = SvrConfig(kernel=KernelSpec(kind="linear"), c=0.1)
+        model, _ = train_on_split("svr", cfg, split, ("day_index",), "confirmed")
+        # stopped by a violating pair that cannot move, not by the budget
+        assert not model.params.converged
+        assert model.params.passes < cfg.max_passes
+        assert type(model.params.converged) is bool
+        json.dumps(model_to_dict(model))
 
     def test_overflowing_kernel_rejected(self):
         spec = KernelSpec(kind="poly", gamma=1.0, degree=7)
