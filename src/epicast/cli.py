@@ -23,7 +23,9 @@ from .dataset import (
     fingerprint,
     impute_missing,
     parse_csv,
+    read_text,
     summarize_series,
+    window,
 )
 from .errors import InputError, NotConvergedError, NumericError
 from .forecast import ForecastReport, emit_plot_series, forecast, scenario_run
@@ -36,11 +38,12 @@ from .harness import (
 )
 from .linear import LinRegConfig
 from .manifest import RunManifest
-from .metrics import evaluate
+from .metrics import EvalResult, evaluate
 from .mlp import MlpConfig
 from .models import (
     FAMILIES,
     FamilyConfig,
+    TrainedModel,
     load_model,
     original_space_eval,
     predict_scaled,
@@ -74,10 +77,37 @@ def _print_payload(document: dict) -> None:
     print(json.dumps(payload, indent=2))
 
 
+Table = tuple[list[str], list[list]]
+
+
+def _emit(
+    args: argparse.Namespace,
+    fp: dict | None,
+    name: str,
+    document: dict,
+    tables: dict[str, Table],
+) -> None:
+    """Attach the run manifest, write ``<name>.json`` and the CSV tables
+    that --format selects under --out-dir, and print the payload."""
+    manifest = RunManifest.start(
+        command=args.command,
+        argv=list(args._argv),
+        config=_config_snapshot(args),
+        input_fingerprint=fp,
+        seed=getattr(args, "seed", None),
+    )
+    document["manifest"] = manifest.finish().as_dict()
+    out = Path(args.out_dir)
+    if args.format in ("json", "both"):
+        _write_json(out / f"{name}.json", document)
+    if args.format in ("csv", "both"):
+        for file, (header, rows) in tables.items():
+            _write_csv(out / file, header, rows)
+    _print_payload(document)
+
+
 def _load_series(args: argparse.Namespace, *, impute: bool = True) -> CaseSeries:
     path = Path(args.csv)
-    if not path.exists():
-        raise InputError(f"input file not found: {path}")
     schema = CsvSchema(
         date=args.date_column,
         tests=args.tests_column,
@@ -85,14 +115,12 @@ def _load_series(args: argparse.Namespace, *, impute: bool = True) -> CaseSeries
         deaths=args.deaths_column,
     )
     series = parse_csv(
-        path.read_text(encoding="utf-8"),
+        read_text(path),
         schema,
         fill_gaps=args.fill_gaps,
         source_label=path.name,
     )
-    if len(series) == 0:
-        return series
-    if impute and args.impute != "none":
+    if impute and args.impute != "none" and len(series):
         series = impute_missing(series, args.impute)
     return series
 
@@ -110,16 +138,6 @@ def _config_snapshot(args: argparse.Namespace) -> dict:
         for k, v in sorted(vars(args).items())
         if k not in skip and not callable(v)
     }
-
-
-def _manifest(args: argparse.Namespace, fp: dict | None) -> RunManifest:
-    return RunManifest.start(
-        command=args.command,
-        argv=list(args._argv),
-        config=_config_snapshot(args),
-        input_fingerprint=fp,
-        seed=getattr(args, "seed", None),
-    )
 
 
 def _parse_date(text: str, flag: str) -> Date:
@@ -181,35 +199,36 @@ def _blank(value):
     return "" if value is None else value
 
 
-def _write_plot_csv(
-    path: Path, history: CaseSeries, report: ForecastReport, scale: str, target: str
-) -> None:
+def _plot_table(
+    history: CaseSeries, report: ForecastReport, scale: str, target: str
+) -> Table:
     header = ["date", "observed", "predicted", "scale"]
     rows = emit_plot_series(history, report, scale, target=target)
-    _write_csv(path, header, [[_blank(r[k]) for k in header] for r in rows])
+    return header, [[_blank(r[k]) for k in header] for r in rows]
+
+
+def _eval_section(model: TrainedModel, result: EvalResult) -> dict:
+    return {
+        "scaled": result.as_dict(),
+        "original": original_space_eval(model, result).as_dict(),
+    }
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     series = _load_series(args, impute=False)
-    manifest = _manifest(args, fingerprint(series) if len(series) else None)
     stats = summarize_series(series)
-    document = {
-        "columns": {col: stats[col].as_dict() for col in STAT_COLUMNS},
-        "rows": len(series),
-        "manifest": manifest.finish().as_dict(),
-    }
-    out = Path(args.out_dir)
-    if args.format in ("json", "both"):
-        _write_json(out / "stats.json", document)
-    if args.format in ("csv", "both"):
-        rows = []
-        for stat in STAT_ROWS:
-            row: list = [stat]
-            for col in STAT_COLUMNS:
-                row.append(_blank(stats[col].as_dict()[stat]))
-            rows.append(row)
-        _write_csv(out / "stats.csv", ["statistic", *STAT_COLUMNS], rows)
-    _print_payload(document)
+    columns = {col: stats[col].as_dict() for col in STAT_COLUMNS}
+    rows = [
+        [stat] + [_blank(columns[col][stat]) for col in STAT_COLUMNS]
+        for stat in STAT_ROWS
+    ]
+    _emit(
+        args,
+        fingerprint(series) if len(series) else None,
+        "stats",
+        {"columns": columns, "rows": len(series)},
+        {"stats.csv": (["statistic", *STAT_COLUMNS], rows)},
+    )
     return 0
 
 
@@ -220,26 +239,22 @@ def cmd_train(args: argparse.Namespace) -> int:
     data = build_supervised(series, features, args.target)
     std = standardized_split(data, _split_spec(args))
     model, result = train_on_split(args.model, config, std, features, args.target)
-    manifest = _manifest(args, fingerprint(series))
 
-    out = Path(args.out_dir)
-    model_path = Path(args.out) if args.out else out / f"model_{args.model}_{args.target}.json"
+    model_path = (
+        Path(args.out)
+        if args.out
+        else Path(args.out_dir) / f"model_{args.model}_{args.target}.json"
+    )
     model_path.parent.mkdir(parents=True, exist_ok=True)
     save_model(model, str(model_path))
     document = {
         "model_file": str(model_path),
         "family": args.model,
         "target": args.target,
-        "eval": {
-            "scaled": result.as_dict(),
-            "original": original_space_eval(model, result).as_dict(),
-        },
+        "eval": _eval_section(model, result),
         "train_meta": model.train_meta,
-        "manifest": manifest.finish().as_dict(),
     }
-    if args.format in ("json", "both"):
-        _write_json(out / "train_eval.json", document)
-    _print_payload(document)
+    _emit(args, fingerprint(series), "train_eval", document, {})
     if args.strict and not model.converged:
         raise NotConvergedError(
             f"fit did not converge (status {model.train_meta.get('status')!r})"
@@ -254,52 +269,40 @@ def cmd_eval(args: argparse.Namespace) -> int:
     x_scaled = transform(data.x, model.x_scaler)
     y_scaled = transform(data.y, model.y_scaler)
     result = evaluate(y_scaled, predict_scaled(model, x_scaled))
-    manifest = _manifest(args, fingerprint(series))
     document = {
         "model_file": args.model_file,
         "family": model.family,
         "target": model.target_name,
         "n_rows": len(data),
-        "eval": {
-            "scaled": result.as_dict(),
-            "original": original_space_eval(model, result).as_dict(),
-        },
-        "manifest": manifest.finish().as_dict(),
+        "eval": _eval_section(model, result),
     }
-    if args.format in ("json", "both"):
-        _write_json(Path(args.out_dir) / "eval.json", document)
-    _print_payload(document)
+    _emit(args, fingerprint(series), "eval", document, {})
     return 0
 
 
 def cmd_grid(args: argparse.Namespace) -> int:
     series = _load_series(args)
     table = _grid_table(args, series, _split_spec(args))
-    manifest = _manifest(args, fingerprint(series))
-    document = dict(table.as_dict())
-    document["manifest"] = manifest.finish().as_dict()
-    out = Path(args.out_dir)
-    if args.format in ("json", "both"):
-        _write_json(out / "scoretable.json", document)
-    if args.format in ("csv", "both"):
-        rows = [
-            [
-                c.family,
-                c.slot,
-                c.target,
-                _blank(c.r2),
-                _blank(c.mse),
-                int(c.flagged),
-                c.flag_reason or "",
-            ]
-            for c in table.cells
+    header = ["family", "slot", "target", "r2", "mse", "flagged", "flag_reason"]
+    rows = [
+        [
+            c.family,
+            c.slot,
+            c.target,
+            _blank(c.r2),
+            _blank(c.mse),
+            int(c.flagged),
+            c.flag_reason or "",
         ]
-        _write_csv(
-            out / "scoretable.csv",
-            ["family", "slot", "target", "r2", "mse", "flagged", "flag_reason"],
-            rows,
-        )
-    _print_payload(document)
+        for c in table.cells
+    ]
+    _emit(
+        args,
+        fingerprint(series),
+        "scoretable",
+        table.as_dict(),
+        {"scoretable.csv": (header, rows)},
+    )
     return 0
 
 
@@ -309,19 +312,18 @@ def cmd_forecast(args: argparse.Namespace) -> int:
     fp = None
     if args.csv:
         history = _load_series(args)
+        if len(history) == 0:
+            raise InputError(f"history CSV {args.csv} has no rows")
         fp = fingerprint(history)
         last_day_index = history.last_day_index
-        start = (
-            _parse_date(args.start, "--start")
-            if args.start
-            else history.last_date + timedelta(days=1)
+        start = history.last_date + timedelta(days=1)
+    elif args.last_day_index is None or not args.start:
+        raise InputError(
+            "without --csv, both --last-day-index and --start are required"
         )
     else:
-        if args.last_day_index is None or not args.start:
-            raise InputError(
-                "without --csv, both --last-day-index and --start are required"
-            )
         last_day_index = args.last_day_index
+    if args.start:
         start = _parse_date(args.start, "--start")
     report = forecast(
         model,
@@ -330,17 +332,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         horizon=args.horizon,
         scenario_label=args.label,
     )
-    manifest = _manifest(args, fp)
-    document = dict(report.as_dict())
-    document["manifest"] = manifest.finish().as_dict()
-    out = Path(args.out_dir)
-    if args.format in ("json", "both"):
-        _write_json(out / "forecast.json", document)
-    if args.format in ("csv", "both"):
-        _write_plot_csv(
-            out / "forecast.csv", history, report, args.scale, model.target_name
-        )
-    _print_payload(document)
+    table = _plot_table(history, report, args.scale, model.target_name)
+    _emit(args, fp, "forecast", report.as_dict(), {"forecast.csv": table})
     return 0
 
 
@@ -350,20 +343,18 @@ def cmd_compare(args: argparse.Namespace) -> int:
     table = _grid_table(args, series, spec)
     best = {fam: select_best(table, fam) for fam in FAMILIES}
     report = compare_models(series, spec, best, args.target, args.horizon)
-    manifest = _manifest(args, fingerprint(series))
-    document = dict(report.as_dict())
-    document["manifest"] = manifest.finish().as_dict()
-    out = Path(args.out_dir)
-    if args.format in ("json", "both"):
-        _write_json(out / "comparison.json", document)
-    if args.format in ("csv", "both"):
-        rows = [
-            [d.isoformat(), _blank(report.observed[i])]
-            + [report.predicted[fam][i] for fam in FAMILIES]
-            for i, d in enumerate(report.dates)
-        ]
-        _write_csv(out / "comparison.csv", ["date", "observed", *FAMILIES], rows)
-    _print_payload(document)
+    rows = [
+        [d.isoformat(), _blank(report.observed[i])]
+        + [report.predicted[fam][i] for fam in FAMILIES]
+        for i, d in enumerate(report.dates)
+    ]
+    _emit(
+        args,
+        fingerprint(series),
+        "comparison",
+        report.as_dict(),
+        {"comparison.csv": (["date", "observed", *FAMILIES], rows)},
+    )
     return 0
 
 
@@ -382,7 +373,6 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         args.horizon,
         label=args.label,
     )
-    manifest = _manifest(args, fingerprint(series))
     document = {
         "label": result.label,
         "window": {
@@ -399,20 +389,13 @@ def cmd_scenario(args: argparse.Namespace) -> int:
             }
             for target in result.reports
         },
-        "manifest": manifest.finish().as_dict(),
     }
-    out = Path(args.out_dir)
-    if args.format in ("json", "both"):
-        _write_json(out / "scenario.json", document)
-    if args.format in ("csv", "both"):
-        from .dataset import window as window_series
-
-        part = window_series(series, window_start, window_end)
-        for target, report in result.reports.items():
-            _write_plot_csv(
-                out / f"scenario_{target}.csv", part, report, args.scale, target
-            )
-    _print_payload(document)
+    part = window(series, window_start, window_end)
+    tables = {
+        f"scenario_{target}.csv": _plot_table(part, report, args.scale, target)
+        for target, report in result.reports.items()
+    }
+    _emit(args, fingerprint(series), "scenario", document, tables)
     return 0
 
 
@@ -534,7 +517,7 @@ def main(argv: list[str] | None = None) -> int:
     args._argv = raw_argv
     try:
         return args.func(args)
-    except (FileNotFoundError, InputError) as err:
+    except InputError as err:
         return _fail("input", err, 2)
     except NumericError as err:
         return _fail("numeric", err, 3)

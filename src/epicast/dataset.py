@@ -15,6 +15,7 @@ import io
 import math
 from dataclasses import dataclass, field, replace
 from datetime import date as Date, timedelta
+from pathlib import Path
 
 import numpy as np
 
@@ -141,6 +142,16 @@ def _parse_count(cell: str) -> int | None:
     if not math.isfinite(value) or value < 0 or value != int(value):
         return None
     return int(value)
+
+
+def read_text(path: str | Path) -> str:
+    """A whole file as UTF-8 text; failing to open or decode it is an InputError."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except FileNotFoundError:
+        raise InputError(f"input file not found: {path}") from None
+    except (OSError, UnicodeDecodeError) as err:
+        raise InputError(f"cannot read {path}: {err}") from None
 
 
 def parse_csv(

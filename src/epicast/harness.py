@@ -27,7 +27,7 @@ from .models import (
     predict_raw,
     train_on_split,
 )
-from .preprocess import SplitSpec, build_supervised, standardized_split
+from .preprocess import SplitSpec, build_supervised, split_indices, standardized_split
 from .svr import KernelSpec, SvrConfig
 
 GRID_TARGETS = ("confirmed", "deaths")
@@ -284,17 +284,14 @@ def compare_models(
 
     All three models see the same standardized train half; predictions
     cover the test span (earliest test date to series end) plus `horizon`
-    days past the last observation.
+    days past the last observation; a negative `horizon` is an InputError.
     """
+    if horizon < 0:
+        raise InputError(f"horizon must be non-negative, got {horizon}")
     data = build_supervised(series, ("day_index",), target)
     std = standardized_split(data, split_spec)
-    n = len(data)
-    n_train = int(np.ceil(split_spec.train_fraction * n))
-    if split_spec.mode == "shuffled":
-        order = np.random.default_rng(split_spec.seed).permutation(n)
-    else:
-        order = np.arange(n)
-    first_test_index = int(np.min(order[n_train:]))
+    _, test_rows = split_indices(len(data), split_spec)
+    first_test_index = int(np.min(test_rows))
 
     span = series.records[first_test_index:]
     day_indices = [r.day_index for r in span]

@@ -16,6 +16,7 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .dataset import read_text
 from .errors import FeatureMismatch, InputError
 from .linear import LinRegConfig, LinRegParams, linreg_fit, linreg_predict
 from .metrics import EvalResult, evaluate
@@ -298,9 +299,8 @@ def save_model(model: TrainedModel, path: str) -> None:
 
 
 def load_model(path: str) -> TrainedModel:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as err:
-            raise InputError(f"{path} is not a JSON model document: {err}") from None
+    try:
+        doc = json.loads(read_text(path))
+    except ValueError as err:
+        raise InputError(f"{path} is not a JSON model document: {err}") from None
     return model_from_dict(doc)

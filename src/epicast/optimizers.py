@@ -303,22 +303,16 @@ def lbfgs_minimize(
     )
 
 
-def sgd_minimize(
+def _descend(
     obj: Objective,
     theta0: np.ndarray,
-    learning_rate: float,
+    step: Callable[[np.ndarray, int], np.ndarray],
     iterations: int,
-    *,
-    tolerance: float | None = None,
-    patience: int = 10,
+    tolerance: float | None,
+    patience: int,
 ) -> MinimizeResult:
-    """Full-batch gradient descent, theta <- theta - lr * grad.
-
-    Runs the exact iteration count unless ``tolerance`` enables the
-    loss-improvement early stop. lr = 0 is allowed and leaves theta fixed.
-    """
-    if learning_rate < 0.0:
-        raise ValueError("learning_rate must be nonnegative")
+    """The sgd/adam loop: theta <- theta - step(grad, iteration) until the
+    budget or the early stop; a non-finite loss or gradient raises."""
     theta = np.asarray(theta0, dtype=float).copy()
     f, g = obj.eval(theta)
     _check_initial(f, g)
@@ -327,7 +321,7 @@ def sgd_minimize(
     stall = 0
     it = 0
     for it in range(1, iterations + 1):
-        theta -= learning_rate * g
+        theta -= step(g, it)
         f_new, g = obj.eval(theta)
         if not (np.isfinite(f_new) and np.all(np.isfinite(g))):
             raise NonFiniteObjective(
@@ -348,6 +342,27 @@ def sgd_minimize(
         converged=False,
         status=status,
         grad_norm=float(np.max(np.abs(g))),
+    )
+
+
+def sgd_minimize(
+    obj: Objective,
+    theta0: np.ndarray,
+    learning_rate: float,
+    iterations: int,
+    *,
+    tolerance: float | None = None,
+    patience: int = 10,
+) -> MinimizeResult:
+    """Full-batch gradient descent, theta <- theta - lr * grad.
+
+    Runs the exact iteration count unless ``tolerance`` enables the
+    loss-improvement early stop. lr = 0 is allowed and leaves theta fixed.
+    """
+    if learning_rate < 0.0:
+        raise ValueError("learning_rate must be nonnegative")
+    return _descend(
+        obj, theta0, lambda g, it: learning_rate * g, iterations, tolerance, patience
     )
 
 
@@ -366,39 +381,15 @@ def adam_minimize(
     """Adam with bias-corrected first and second moment estimates."""
     if learning_rate < 0.0:
         raise ValueError("learning_rate must be nonnegative")
-    theta = np.asarray(theta0, dtype=float).copy()
-    f, g = obj.eval(theta)
-    _check_initial(f, g)
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    trace = [f]
-    status = "max_iterations"
-    stall = 0
-    it = 0
-    for it in range(1, iterations + 1):
+    m = np.zeros_like(np.asarray(theta0, dtype=float))
+    v = np.zeros_like(m)
+
+    def step(g: np.ndarray, it: int) -> np.ndarray:
+        nonlocal m, v
         m = beta1 * m + (1.0 - beta1) * g
         v = beta2 * v + (1.0 - beta2) * g * g
         m_hat = m / (1.0 - beta1**it)
         v_hat = v / (1.0 - beta2**it)
-        theta -= learning_rate * m_hat / (np.sqrt(v_hat) + eps)
-        f_new, g = obj.eval(theta)
-        if not (np.isfinite(f_new) and np.all(np.isfinite(g))):
-            raise NonFiniteObjective(
-                f"objective became non-finite at iteration {it}", iteration=it
-            )
-        trace.append(f_new)
-        improvement = f - f_new
-        f = f_new
-        if tolerance is not None:
-            stall = stall + 1 if improvement < tolerance else 0
-            if stall >= patience:
-                status = "stalled"
-                break
-    return MinimizeResult(
-        theta=theta,
-        trace=trace,
-        iterations=it if iterations > 0 else 0,
-        converged=False,
-        status=status,
-        grad_norm=float(np.max(np.abs(g))),
-    )
+        return learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+
+    return _descend(obj, theta0, step, iterations, tolerance, patience)

@@ -9,6 +9,7 @@ a caller maps predictions back through ``inverse_transform``.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -145,7 +146,13 @@ def fit_scaler(values: np.ndarray) -> ScalerParams:
     return ScalerParams(mean=mean, scale=scale)
 
 
-def _match_width(values: np.ndarray, params: ScalerParams) -> np.ndarray:
+def _columnwise(
+    values: np.ndarray,
+    params: ScalerParams,
+    op: Callable[[np.ndarray], np.ndarray],
+) -> np.ndarray:
+    """op applied to values as columns of the scaler's width; a 1-D input is
+    one column and comes back 1-D."""
     arr = np.asarray(values, dtype=float)
     squeeze = arr.ndim == 1
     if squeeze:
@@ -155,34 +162,23 @@ def _match_width(values: np.ndarray, params: ScalerParams) -> np.ndarray:
             f"data has {arr.shape[1]} columns but scaler was fit on "
             f"{params.mean.shape[0]}"
         )
-    return arr if not squeeze else arr  # width validated; caller handles squeeze
+    out = op(arr)
+    return out[:, 0] if squeeze else out
 
 
 def transform(values: np.ndarray, params: ScalerParams) -> np.ndarray:
     """(values - mean) / scale, column-wise. Shape (1-D or 2-D) is kept."""
-    arr = np.asarray(values, dtype=float)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[:, None]
-    _match_width(arr, params)
-    out = (arr - params.mean) / params.scale
-    return out[:, 0] if squeeze else out
+    return _columnwise(values, params, lambda arr: (arr - params.mean) / params.scale)
 
 
 def inverse_transform(values: np.ndarray, params: ScalerParams) -> np.ndarray:
     """values * scale + mean; exact round trip of transform up to fp error."""
-    arr = np.asarray(values, dtype=float)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[:, None]
-    _match_width(arr, params)
-    out = arr * params.scale + params.mean
-    return out[:, 0] if squeeze else out
+    return _columnwise(values, params, lambda arr: arr * params.scale + params.mean)
 
 
-def split(data: SupervisedSet, spec: SplitSpec) -> tuple[SupervisedSet, SupervisedSet]:
-    """Cut into (train, test) per `spec`; both halves must be non-empty."""
-    n = len(data)
+def split_indices(n: int, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Row indices of the (train, test) halves of n rows per `spec`; both
+    halves must be non-empty."""
     n_train = int(np.ceil(spec.train_fraction * n))
     if n_train == 0 or n_train >= n:
         raise DegenerateSplit(
@@ -193,7 +189,11 @@ def split(data: SupervisedSet, spec: SplitSpec) -> tuple[SupervisedSet, Supervis
         order = np.random.default_rng(spec.seed).permutation(n)
     else:
         order = np.arange(n)
-    tr, te = order[:n_train], order[n_train:]
+    return order[:n_train], order[n_train:]
+
+
+def split(data: SupervisedSet, spec: SplitSpec) -> tuple[SupervisedSet, SupervisedSet]:
+    """Cut into (train, test) per `spec`; both halves must be non-empty."""
 
     def take(idx: np.ndarray) -> SupervisedSet:
         return SupervisedSet(
@@ -203,7 +203,8 @@ def split(data: SupervisedSet, spec: SplitSpec) -> tuple[SupervisedSet, Supervis
             target_name=data.target_name,
         )
 
-    return take(tr), take(te)
+    train, test = split_indices(len(data), spec)
+    return take(train), take(test)
 
 
 @dataclass(frozen=True)

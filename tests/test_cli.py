@@ -6,7 +6,15 @@ import pytest
 from jsonschema import Draft202012Validator
 from referencing import Registry, Resource
 
-from epicast import load_model, predict_raw, replay_manifest, strip_timestamps
+from epicast import (
+    SyntheticSpec,
+    load_model,
+    predict_raw,
+    replay_manifest,
+    serialize_csv,
+    strip_timestamps,
+    synthetic_epidemic,
+)
 from epicast.cli import main
 
 import numpy as np
@@ -337,6 +345,24 @@ class TestForecastCmd:
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "input"
 
+    def test_header_only_history_exit_2(self, series_csv_path, tmp_path, capsys):
+        out = tmp_path / "out"
+        main([
+            "train", str(series_csv_path), "--model", "linreg",
+            "--out-dir", str(out),
+        ])
+        empty = tmp_path / "empty.csv"
+        empty.write_text("date,tests,confirmed,deaths\n", encoding="utf-8")
+        capsys.readouterr()
+        code = main([
+            "forecast", str(out / "model_linreg_confirmed.json"),
+            "--csv", str(empty), "--out-dir", str(out),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert "empty.csv" in err["message"]
+
     def test_bad_start_date_exit_2(self, series_csv_path, tmp_path):
         out = tmp_path / "out"
         main([
@@ -447,6 +473,7 @@ class TestRejectedFlags:
             ("grid --workers 0", "workers"),
             ("grid --mlp-neurons 0", "neurons_per_layer"),
             ("compare --workers -1", "workers"),
+            ("compare --horizon -1", "horizon"),
         ],
     )
     def test_exit_2_with_json_error(
@@ -462,15 +489,83 @@ class TestRejectedFlags:
         assert message in err["message"]
 
 
-class TestFormatSelection:
-    def test_json_only(self, tiny_csv, tmp_path):
-        out = tmp_path / "out"
-        main(["stats", str(tiny_csv), "--format", "json", "--out-dir", str(out)])
-        assert (out / "stats.json").exists()
-        assert not (out / "stats.csv").exists()
+# A 60-day wave keeps the grid and compare runs to about a second each.
+SHORT_WAVE = SyntheticSpec(days=60, midpoint=30.0, width=6.0)
 
-    def test_csv_only(self, tiny_csv, tmp_path):
+# command -> (arguments, JSON report, CSV tables); {csv} and {model} are
+# filled in per test.
+FORMAT_CASES = {
+    "stats": (["{csv}"], "stats.json", ["stats.csv"]),
+    "train": (["{csv}", "--model", "linreg"], "train_eval.json", []),
+    "eval": (["{model}", "{csv}"], "eval.json", []),
+    "grid": (["{csv}"], "scoretable.json", ["scoretable.csv"]),
+    "forecast": (["{model}", "--csv", "{csv}"], "forecast.json", ["forecast.csv"]),
+    "compare": (["{csv}"], "comparison.json", ["comparison.csv"]),
+    "scenario": (
+        ["{csv}", "--from", "2020-03-01", "--to", "2020-04-29"],
+        "scenario.json",
+        ["scenario_confirmed.csv", "scenario_deaths.csv"],
+    ),
+}
+
+
+@pytest.fixture(scope="module")
+def short_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("short") / "short.csv"
+    path.write_text(serialize_csv(synthetic_epidemic(SHORT_WAVE)), encoding="utf-8")
+    return path
+
+
+@pytest.fixture(scope="module")
+def short_model(short_csv, tmp_path_factory):
+    out = tmp_path_factory.mktemp("model")
+    code = main([
+        "train", str(short_csv), "--model", "linreg", "--out-dir", str(out),
+    ])
+    assert code == 0
+    return out / "model_linreg_confirmed.json"
+
+
+class TestFormatSelection:
+    def files_written(self, command, fmt, short_csv, short_model, out):
+        """Names of the files one run with --format fmt leaves in out."""
+        flags, _, _ = FORMAT_CASES[command]
+        args = [f.format(csv=short_csv, model=short_model) for f in flags]
+        assert main([command, *args, "--format", fmt, "--out-dir", str(out)]) == 0
+        return {p.name for p in out.iterdir()} if out.exists() else set()
+
+    @pytest.mark.parametrize("command", FORMAT_CASES)
+    def test_json_only(self, command, short_csv, short_model, tmp_path):
+        _, report, _ = FORMAT_CASES[command]
+        model = {"model_linreg_confirmed.json"} if command == "train" else set()
         out = tmp_path / "out"
-        main(["stats", str(tiny_csv), "--format", "csv", "--out-dir", str(out)])
-        assert (out / "stats.csv").exists()
-        assert not (out / "stats.json").exists()
+        written = self.files_written(command, "json", short_csv, short_model, out)
+        assert written == {report} | model
+
+    @pytest.mark.parametrize("command", FORMAT_CASES)
+    def test_csv_only(self, command, short_csv, short_model, tmp_path):
+        _, _, tables = FORMAT_CASES[command]
+        model = {"model_linreg_confirmed.json"} if command == "train" else set()
+        out = tmp_path / "out"
+        written = self.files_written(command, "csv", short_csv, short_model, out)
+        assert written == set(tables) | model
+
+
+# Inputs that exist but cannot be read as text; each builds argv from a
+# scratch directory holding latin1.csv and from a readable CSV.
+UNREADABLE = {
+    "csv-is-directory": lambda d, csv: ["stats", str(d)],
+    "csv-not-utf8": lambda d, csv: ["stats", str(d / "latin1.csv")],
+    "model-file-is-directory": lambda d, csv: ["eval", str(d), str(csv)],
+}
+
+
+class TestUnreadableInput:
+    @pytest.mark.parametrize("argv_of", UNREADABLE.values(), ids=UNREADABLE.keys())
+    def test_exit_2_with_json_error(self, argv_of, series_csv_path, tmp_path, capsys):
+        # A valid table whose last line holds a Latin-1 byte.
+        (tmp_path / "latin1.csv").write_bytes(TINY.encode("utf-8") + b"caf\xe9\n")
+        argv = argv_of(tmp_path, series_csv_path)
+        assert main([*argv, "--out-dir", str(tmp_path / "o")]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"

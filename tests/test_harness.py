@@ -18,7 +18,7 @@ from epicast import (
     run_grid,
     select_best,
 )
-from epicast.errors import NoValidCell
+from epicast.errors import InputError, NoValidCell
 
 
 def linear_series(days=120, slope=3, start_value=50):
@@ -263,6 +263,11 @@ class TestCompareModels:
         first = int(np.min(order[40:]))
         assert report.dates[0] == Date(2021, 1, 1) + timedelta(days=first)
         assert len(report.dates) == 50 - first
+
+    def test_negative_horizon_rejected(self, best_slots):
+        spec = SplitSpec(mode="chronological", train_fraction=0.8, seed=0)
+        with pytest.raises(InputError, match="horizon"):
+            compare_models(linear_series(days=60), spec, best_slots, "confirmed", -1)
 
     def test_metadata_lists_slots_and_configs(self, best_slots):
         series = linear_series(days=60)
