@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from contextlib import contextmanager
 from datetime import date as Date, timedelta
 from pathlib import Path
 
@@ -25,7 +26,6 @@ from .dataset import (
     parse_csv,
     read_text,
     summarize_series,
-    window,
 )
 from .errors import InputError, NotConvergedError, NumericError
 from .forecast import ForecastReport, emit_plot_series, forecast, scenario_run
@@ -57,16 +57,26 @@ STAT_ROWS = ("count", "mean", "std", "min", "25%", "50%", "75%", "max")
 STAT_COLUMNS = ("day_index",) + COUNT_COLUMNS
 
 
+@contextmanager
+def _output(path: Path):
+    """Create the directory of an output file around the block that writes
+    it; an OSError while creating, opening or writing the file is an
+    InputError that names it."""
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+        yield
+    except OSError as err:
+        raise InputError(f"cannot write {path}: {err}") from None
+
+
 def _write_json(path: Path, document: dict) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _output(path), open(path, "w", encoding="utf-8") as fh:
         json.dump(document, fh, indent=2)
         fh.write("\n")
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
+    with _output(path), open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
@@ -87,15 +97,11 @@ def _emit(
     document: dict,
     tables: dict[str, Table],
 ) -> None:
-    """Attach the run manifest, write ``<name>.json`` and the CSV tables
-    that --format selects under --out-dir, and print the payload."""
-    manifest = RunManifest.start(
-        command=args.command,
-        argv=list(args._argv),
-        config=_config_snapshot(args),
-        input_fingerprint=fp,
-        seed=getattr(args, "seed", None),
-    )
+    """Finish the run manifest that ``main`` started and attach it, write
+    ``<name>.json`` and the CSV tables that --format selects under
+    --out-dir, and print the payload."""
+    manifest = args._manifest
+    manifest.input_fingerprint = fp
     document["manifest"] = manifest.finish().as_dict()
     out = Path(args.out_dir)
     if args.format in ("json", "both"):
@@ -245,8 +251,8 @@ def cmd_train(args: argparse.Namespace) -> int:
         if args.out
         else Path(args.out_dir) / f"model_{args.model}_{args.target}.json"
     )
-    model_path.parent.mkdir(parents=True, exist_ok=True)
-    save_model(model, str(model_path))
+    with _output(model_path):
+        save_model(model, str(model_path))
     document = {
         "model_file": str(model_path),
         "family": args.model,
@@ -338,6 +344,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
 
 
 def cmd_compare(args: argparse.Namespace) -> int:
+    if args.horizon < 0:
+        raise InputError(f"horizon must be non-negative, got {args.horizon}")
     series = _load_series(args)
     spec = _split_spec(args)
     table = _grid_table(args, series, spec)
@@ -361,12 +369,10 @@ def cmd_compare(args: argparse.Namespace) -> int:
 def cmd_scenario(args: argparse.Namespace) -> int:
     config = _model_config("mlp", args)
     series = _load_series(args)
-    window_start = _parse_date(args.window_from, "--from")
-    window_end = _parse_date(args.window_to, "--to")
     result = scenario_run(
         series,
-        window_start,
-        window_end,
+        _parse_date(args.window_from, "--from"),
+        _parse_date(args.window_to, "--to"),
         "mlp",
         config,
         _split_spec(args),
@@ -390,9 +396,10 @@ def cmd_scenario(args: argparse.Namespace) -> int:
             for target in result.reports
         },
     }
-    part = window(series, window_start, window_end)
     tables = {
-        f"scenario_{target}.csv": _plot_table(part, report, args.scale, target)
+        f"scenario_{target}.csv": _plot_table(
+            result.windowed, report, args.scale, target
+        )
         for target, report in result.reports.items()
     }
     _emit(args, fingerprint(series), "scenario", document, tables)
@@ -515,6 +522,12 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(raw_argv)
     args._argv = raw_argv
+    args._manifest = RunManifest.start(
+        command=args.command,
+        argv=raw_argv,
+        config=_config_snapshot(args),
+        seed=getattr(args, "seed", None),
+    )
     try:
         return args.func(args)
     except InputError as err:

@@ -167,16 +167,21 @@ def parse_csv(
     malformed date cell raises UnparseableDate with its 1-based line number
     (the header is line 1). Calendar gaps raise GapInDates unless
     ``fill_gaps`` is set, in which case missing days are inserted with all
-    counts missing.
+    counts missing. Bytes that are not UTF-8 and text the csv module
+    cannot split into rows raise InputError.
     """
     if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    reader = csv.reader(io.StringIO(text))
+        try:
+            text = text.decode("utf-8")
+        except UnicodeDecodeError as err:
+            raise InputError(f"input is not UTF-8 text: {err}") from None
     try:
-        header = next(reader)
-    except StopIteration:
-        raise MalformedHeader("input has no header row") from None
-    header = [h.strip() for h in header]
+        table = list(csv.reader(io.StringIO(text)))
+    except csv.Error as err:
+        raise InputError(f"malformed CSV: {err}") from None
+    if not table:
+        raise MalformedHeader("input has no header row")
+    header = [h.strip() for h in table[0]]
     required = {
         "date": schema.date,
         "tests": schema.tests,
@@ -190,7 +195,7 @@ def parse_csv(
 
     rows: list[tuple[Date, int | None, int | None, int | None]] = []
     seen: set[Date] = set()
-    for line_no, row in enumerate(reader, start=2):
+    for line_no, row in enumerate(table[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
         raw_date = row[pos["date"]].strip() if pos["date"] < len(row) else ""

@@ -111,11 +111,18 @@ class ScenarioResult:
     """Per-target evaluation and forecast for one windowed scenario."""
 
     label: str
-    window_start: Date
-    window_end: Date
+    windowed: CaseSeries  # the window's records, day_index re-based to 0
     evals: dict[str, EvalResult]  # target -> scaled-space scores
     evals_original: dict[str, EvalResult]
     reports: dict[str, ForecastReport]
+
+    @property
+    def window_start(self) -> Date:
+        return self.windowed.first_date
+
+    @property
+    def window_end(self) -> Date:
+        return self.windowed.last_date
 
 
 def scenario_run(
@@ -154,8 +161,7 @@ def scenario_run(
         )
     return ScenarioResult(
         label=label,
-        window_start=part.first_date,
-        window_end=part.last_date,
+        windowed=part,
         evals=evals,
         evals_original=evals_orig,
         reports=reports,

@@ -152,35 +152,27 @@ def _run_cell(
     slot: RegressorSlot,
     target: str,
 ) -> GridCell:
-    cfg = slot.config_dict()
+    r2 = mse = None
     try:
         data = build_supervised(series, ("day_index",), target)
         std = standardized_split(data, split_spec)
         model, result = train_on_split(
             slot.model_family, slot.config, std, ("day_index",), target
         )
-        flagged = not model.converged
-        return GridCell(
-            slot=slot.slot,
-            family=slot.model_family,
-            target=target,
-            r2=result.r2,
-            mse=result.mse,
-            flagged=flagged,
-            flag_reason="not_converged" if flagged else None,
-            config=cfg,
-        )
+        r2, mse = result.r2, result.mse
+        flag_reason = None if model.converged else "not_converged"
     except EpicastError as err:
-        return GridCell(
-            slot=slot.slot,
-            family=slot.model_family,
-            target=target,
-            r2=None,
-            mse=None,
-            flagged=True,
-            flag_reason=f"{type(err).__name__}: {err}",
-            config=cfg,
-        )
+        flag_reason = f"{type(err).__name__}: {err}"
+    return GridCell(
+        slot=slot.slot,
+        family=slot.model_family,
+        target=target,
+        r2=r2,
+        mse=mse,
+        flagged=flag_reason is not None,
+        flag_reason=flag_reason,
+        config=slot.config_dict(),
+    )
 
 
 def run_grid(

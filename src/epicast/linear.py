@@ -11,7 +11,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivergenceError, LengthMismatch, SingularMatrix
+from .errors import DimensionMismatch, DivergenceError, SingularMatrix
+from .preprocess import as_design, as_xy
 
 
 @dataclass(frozen=True)
@@ -32,15 +33,6 @@ class LinRegParams:
     intercept: float
 
 
-def _as_design(x: np.ndarray) -> np.ndarray:
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"x must be 1-D or 2-D, got shape {arr.shape}")
-    return arr
-
-
 def linreg_fit(x: np.ndarray, y: np.ndarray, cfg: LinRegConfig) -> LinRegParams:
     """Gradient descent from zero parameters, exactly cfg.iterations steps.
 
@@ -49,13 +41,8 @@ def linreg_fit(x: np.ndarray, y: np.ndarray, cfg: LinRegConfig) -> LinRegParams:
     large learning rates diverge on raw count scales, and divergence is
     reported as an error rather than silent NaN parameters.
     """
-    xs = _as_design(x)
-    ys = np.asarray(y, dtype=float).ravel()
+    xs, ys = as_xy(x, y, min_rows=2)
     n = xs.shape[0]
-    if n != ys.size:
-        raise LengthMismatch(f"x has {n} rows but y has {ys.size} values")
-    if n < 2:
-        raise DimensionMismatch("need at least 2 rows to fit")
     w = np.zeros(xs.shape[1])
     b = 0.0
     # overflow here is the signal for DivergenceError, not a numpy warning
@@ -80,7 +67,7 @@ def linreg_fit(x: np.ndarray, y: np.ndarray, cfg: LinRegConfig) -> LinRegParams:
 
 
 def linreg_predict(params: LinRegParams, x: np.ndarray) -> np.ndarray:
-    xs = _as_design(x)
+    xs = as_design(x)
     if xs.shape[1] != params.slope.shape[0]:
         raise DimensionMismatch(
             f"x has {xs.shape[1]} features but the fit used {params.slope.shape[0]}"
@@ -90,10 +77,7 @@ def linreg_predict(params: LinRegParams, x: np.ndarray) -> np.ndarray:
 
 def ols_closed_form(x: np.ndarray, y: np.ndarray) -> LinRegParams:
     """Normal-equations solution; testing oracle and convergence reference."""
-    xs = _as_design(x)
-    ys = np.asarray(y, dtype=float).ravel()
-    if xs.shape[0] != ys.size:
-        raise LengthMismatch(f"x has {xs.shape[0]} rows but y has {ys.size} values")
+    xs, ys = as_xy(x, y)
     design = np.column_stack([xs, np.ones(xs.shape[0])])
     gram = design.T @ design
     if np.linalg.matrix_rank(gram) < gram.shape[0]:

@@ -34,16 +34,16 @@ class RunManifest:
         argv: list[str],
         config: dict,
         *,
-        input_fingerprint: dict | None = None,
         seed: int | None = None,
     ) -> "RunManifest":
+        """A manifest started now; input_fingerprint is set once the input
+        has been read."""
         from . import __version__
 
         return cls(
             command=command,
             argv=list(argv),
             config=config,
-            input_fingerprint=input_fingerprint,
             seed=seed,
             tool_version=__version__,
             timestamps={"started": _now()},

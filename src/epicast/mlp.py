@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, LengthMismatch, NonFiniteLoss
+from .errors import DimensionMismatch, NonFiniteLoss
 from .optimizers import (
     FunctionObjective,
     LbfgsConfig,
@@ -23,6 +23,7 @@ from .optimizers import (
     lbfgs_minimize,
     sgd_minimize,
 )
+from .preprocess import as_xy
 
 ACTIVATIONS = ("tanh", "relu", "logistic")
 OPTIMIZERS = ("lbfgs", "sgd", "adam")
@@ -186,13 +187,8 @@ def loss_and_gradient(
     The gradient comes back in parameter shape: a MlpParams whose entries
     are d(loss)/d(entry).
     """
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    ys = np.asarray(y, dtype=float).ravel()
+    xs, ys = as_xy(x, y)
     n = xs.shape[0]
-    if n != ys.size:
-        raise LengthMismatch(f"x has {n} rows but y has {ys.size} values")
     yhat, pre, post = _forward_batch(params, act, xs)
     resid = yhat - ys
     loss = float(resid @ resid) / n
@@ -222,15 +218,7 @@ def train_mlp(
     over 10 consecutive steps; the returned MinimizeResult carries the
     loss trace and stop status.
     """
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    ys = np.asarray(y, dtype=float).ravel()
-    if xs.shape[0] < 2:
-        raise DimensionMismatch("need at least 2 training rows")
-    if xs.shape[0] != ys.size:
-        raise LengthMismatch(f"x has {xs.shape[0]} rows but y has {ys.size} values")
-
+    xs, ys = as_xy(x, y, min_rows=2)
     act = ActivationKind(cfg.activation)
     shapes = MlpParams.shapes(cfg, xs.shape[1])
     theta0 = init_params(cfg, xs.shape[1]).flatten()

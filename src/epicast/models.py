@@ -25,6 +25,7 @@ from .preprocess import (
     ScalerParams,
     StandardizedSplit,
     SupervisedSet,
+    as_design,
     inverse_transform,
     transform,
 )
@@ -213,18 +214,14 @@ def train_on_split(
 
 def predict_scaled(model: TrainedModel, x_scaled: np.ndarray) -> np.ndarray:
     """Predictions in standardized target units from standardized features."""
-    xs = np.asarray(x_scaled, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
+    xs = as_design(x_scaled)
     out = lookup_family(model.family).predict(model, xs)
     return np.asarray(out, dtype=float).ravel()
 
 
 def predict_raw(model: TrainedModel, x_raw: np.ndarray) -> np.ndarray:
     """Raw features in, original-unit (real-valued) predictions out."""
-    xs = np.asarray(x_raw, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
+    xs = as_design(x_raw)
     if xs.shape[1] != len(model.feature_names):
         raise FeatureMismatch(
             f"model expects features {model.feature_names}, got {xs.shape[1]} columns"
@@ -288,7 +285,7 @@ def model_from_dict(doc: dict) -> TrainedModel:
             target_name=doc["target_name"],
             train_meta=dict(doc.get("train_meta", {})),
         )
-    except (KeyError, TypeError, ValueError) as err:
+    except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise InputError(f"malformed model document: {err!r}") from None
 
 

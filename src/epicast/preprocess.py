@@ -1,4 +1,6 @@
-"""Supervised-set construction, standard scaling and train/test splitting.
+"""Supervised-set construction, the array-shape rule every fit and
+predict shares (``as_design``, ``as_xy``), standard scaling and
+train/test splitting.
 
 Models see standardized features AND standardized targets: both sides are
 centered on the training mean and divided by the training population std
@@ -44,10 +46,7 @@ class SupervisedSet:
             raise DimensionMismatch(f"x must be 2-D, got shape {self.x.shape}")
         if self.y.ndim != 1:
             raise DimensionMismatch(f"y must be 1-D, got shape {self.y.shape}")
-        if self.x.shape[0] != self.y.shape[0]:
-            raise LengthMismatch(
-                f"x has {self.x.shape[0]} rows but y has {self.y.shape[0]}"
-            )
+        as_xy(self.x, self.y)  # row counts must agree
         if self.x.shape[1] != len(self.feature_names):
             raise DimensionMismatch(
                 f"x has {self.x.shape[1]} columns but "
@@ -56,6 +55,31 @@ class SupervisedSet:
 
     def __len__(self) -> int:
         return self.y.shape[0]
+
+
+def as_design(values: np.ndarray) -> np.ndarray:
+    """A float design matrix (n, d); a 1-D input is one column."""
+    arr = np.asarray(values, dtype=float)
+    if arr.ndim == 1:
+        arr = arr[:, None]
+    if arr.ndim != 2:
+        raise DimensionMismatch(f"expected 1-D or 2-D input, got shape {arr.shape}")
+    return arr
+
+
+def as_xy(
+    x: np.ndarray, y: np.ndarray, min_rows: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """``as_design(x)`` and ``y`` flattened to floats, with one value of y
+    per row of x and at least ``min_rows`` rows."""
+    xs = as_design(x)
+    ys = np.asarray(y, dtype=float).ravel()
+    n = xs.shape[0]
+    if n != ys.size:
+        raise LengthMismatch(f"x has {n} rows but y has {ys.size} values")
+    if n < min_rows:
+        raise DimensionMismatch(f"need at least {min_rows} rows to fit, got {n}")
+    return xs, ys
 
 
 @dataclass(frozen=True)
@@ -133,11 +157,7 @@ def fit_scaler(values: np.ndarray) -> ScalerParams:
     A 1-D array is treated as a single column. Constant columns get the
     floor scale so transform is defined (and maps them to exactly 0).
     """
-    arr = np.asarray(values, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
-    if arr.ndim != 2:
-        raise DimensionMismatch(f"expected 1-D or 2-D input, got shape {arr.shape}")
+    arr = as_design(values)
     if arr.shape[0] == 0:
         raise EmptyInput("cannot fit a scaler on zero rows")
     mean = arr.mean(axis=0)
@@ -153,10 +173,8 @@ def _columnwise(
 ) -> np.ndarray:
     """op applied to values as columns of the scaler's width; a 1-D input is
     one column and comes back 1-D."""
-    arr = np.asarray(values, dtype=float)
-    squeeze = arr.ndim == 1
-    if squeeze:
-        arr = arr[:, None]
+    squeeze = np.ndim(values) == 1
+    arr = as_design(values)
     if arr.shape[1] != params.mean.shape[0]:
         raise DimensionMismatch(
             f"data has {arr.shape[1]} columns but scaler was fit on "

@@ -17,7 +17,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DegenerateKernelMatrix, DimensionMismatch, LengthMismatch
+from .errors import DegenerateKernelMatrix, DimensionMismatch
+from .preprocess import as_design, as_xy
 
 # Dual coefficients below this are treated as exactly zero (not a support
 # vector); also the minimum pair step worth applying.
@@ -101,12 +102,8 @@ def kernel_eval(k: KernelSpec, u: np.ndarray, v: np.ndarray) -> float:
 
 def gram_matrix(k: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     """Kernel matrix K[i, j] = k(xa[i], xb[j]) for 2-D row collections."""
-    a = np.asarray(xa, dtype=float)
-    b = np.asarray(xb, dtype=float)
-    if a.ndim == 1:
-        a = a[:, None]
-    if b.ndim == 1:
-        b = b[:, None]
+    a = as_design(xa)
+    b = as_design(xb)
     if a.shape[1] != b.shape[1]:
         raise DimensionMismatch(
             f"row width mismatch: {a.shape[1]} versus {b.shape[1]}"
@@ -129,9 +126,7 @@ def resolve_gamma(k: KernelSpec, x: np.ndarray) -> KernelSpec:
     """Fill gamma = 1 / (n_features * var(x)) when left unset."""
     if k.kind == "linear" or k.gamma is not None:
         return k
-    arr = np.asarray(x, dtype=float)
-    if arr.ndim == 1:
-        arr = arr[:, None]
+    arr = as_design(x)
     var = float(arr.var())
     if var <= 0.0:
         var = 1.0
@@ -201,15 +196,8 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
     The equality constraint holds exactly throughout because every update
     moves a pair in opposite directions by the same amount.
     """
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    ys = np.asarray(y, dtype=float).ravel()
+    xs, ys = as_xy(x, y, min_rows=2)
     n = xs.shape[0]
-    if n != ys.size:
-        raise LengthMismatch(f"x has {n} rows but y has {ys.size} values")
-    if n < 2:
-        raise DimensionMismatch("need at least 2 rows to fit")
 
     kernel = resolve_gamma(cfg.kernel, xs)
     # overflow here is the signal for DegenerateKernelMatrix, not a warning
@@ -319,10 +307,7 @@ def qp_oracle(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> float:
     last), then repeatedly shrinks the grid window around the best point.
     Independent of the solver: no KKT conditions, no pair logic.
     """
-    xs = np.asarray(x, dtype=float)
-    if xs.ndim == 1:
-        xs = xs[:, None]
-    ys = np.asarray(y, dtype=float).ravel()
+    xs, ys = as_xy(x, y)
     n = xs.shape[0]
     if n > 5:
         raise ValueError("oracle is exhaustive; use n <= 5")

@@ -1,5 +1,7 @@
 import csv
 import json
+import time
+from datetime import datetime
 from pathlib import Path
 
 import pytest
@@ -15,6 +17,7 @@ from epicast import (
     strip_timestamps,
     synthetic_epidemic,
 )
+from epicast import cli
 from epicast.cli import main
 
 import numpy as np
@@ -128,6 +131,23 @@ class TestStats:
         ])
         assert code == 0
         assert read_json(out / "stats.json")["columns"]["confirmed"]["count"] == 2
+
+    def test_manifest_started_when_the_command_starts(
+        self, tiny_csv, tmp_path, monkeypatch
+    ):
+        summarize = cli.summarize_series
+
+        def slow_summarize(series):
+            time.sleep(0.06)
+            return summarize(series)
+
+        monkeypatch.setattr(cli, "summarize_series", slow_summarize)
+        out = tmp_path / "out"
+        assert main(["stats", str(tiny_csv), "--out-dir", str(out)]) == 0
+        stamps = read_json(out / "stats.json")["manifest"]["timestamps"]
+        started = datetime.fromisoformat(stamps["started"])
+        finished = datetime.fromisoformat(stamps["finished"])
+        assert (finished - started).total_seconds() >= 0.05
 
 
 class TestTrain:
@@ -428,6 +448,20 @@ class TestCompare:
         assert table[0] == ["date", "observed", "mlp", "svr", "linreg"]
         assert len(table) == 1 + 104 + 10
 
+    def test_negative_horizon_rejected_before_the_grid(
+        self, series_csv_path, tmp_path, capsys, monkeypatch
+    ):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(cli, "run_grid", no_grid)
+        code = main([
+            "compare", str(series_csv_path), "--horizon", "-1",
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert "horizon" in json.loads(capsys.readouterr().err)["message"]
+
 
 class TestScenario:
     def test_windowed_run_emits_both_targets(
@@ -569,3 +603,28 @@ class TestUnreadableInput:
         assert main([*argv, "--out-dir", str(tmp_path / "o")]) == 2
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "input"
+
+
+# Output locations that cannot be created: each builds argv from a readable
+# CSV named in.csv, a regular file standing where a directory must go.
+UNWRITABLE = {
+    "out-dir-is-a-file": lambda f: ["stats", str(f), "--out-dir", str(f)],
+    "csv-table-out-dir-is-a-file": lambda f: [
+        "stats", str(f), "--format", "csv", "--out-dir", str(f),
+    ],
+    "model-out-under-a-file": lambda f: [
+        "train", str(f), "--model", "linreg", "--out", str(f / "m.json"),
+        "--out-dir", str(f.parent / "o"),
+    ],
+}
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv_of", UNWRITABLE.values(), ids=UNWRITABLE.keys())
+    def test_exit_2_with_json_error(self, argv_of, short_csv, tmp_path, capsys):
+        path = tmp_path / "in.csv"
+        path.write_bytes(short_csv.read_bytes())
+        assert main(argv_of(path)) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert "in.csv" in err["message"]

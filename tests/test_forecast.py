@@ -19,6 +19,7 @@ from epicast import (
     init_params,
     parse_csv,
     scenario_run,
+    window,
 )
 from epicast.errors import FeatureMismatch, InputError
 
@@ -195,6 +196,15 @@ class TestScenarioRun:
         assert result.window_end == end
         report = result.reports["confirmed"]
         assert report.predictions[0][0] == end + timedelta(days=1)
+
+    def test_result_carries_the_windowed_series(self, series, chrono_split):
+        start = series.first_date + timedelta(days=100)
+        end = series.first_date + timedelta(days=199)
+        result = scenario_run(
+            series, start, end, "linreg", LinRegConfig(), chrono_split, horizon=3,
+        )
+        assert result.windowed == window(series, start, end)
+        assert result.windowed.records[0].day_index == 0
 
     def test_degenerate_window_raises_input_error(self, series, chrono_split):
         with pytest.raises(InputError):
