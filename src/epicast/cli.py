@@ -24,6 +24,7 @@ from .dataset import (
     fingerprint,
     impute_missing,
     parse_csv,
+    parse_date,
     read_text,
     summarize_series,
 )
@@ -140,15 +141,13 @@ def _split_spec(args: argparse.Namespace) -> SplitSpec:
 def _config_snapshot(args: argparse.Namespace) -> dict:
     skip = {"func", "command"}
     return {
-        k: (v if not isinstance(v, Path) else str(v))
-        for k, v in sorted(vars(args).items())
-        if k not in skip and not callable(v)
+        k: v for k, v in sorted(vars(args).items()) if k not in skip and not callable(v)
     }
 
 
 def _parse_date(text: str, flag: str) -> Date:
     try:
-        return Date.fromisoformat(text)
+        return parse_date(text)
     except ValueError:
         raise InputError(f"{flag} must be an ISO date (YYYY-MM-DD), got {text!r}")
 
@@ -521,7 +520,6 @@ def main(argv: list[str] | None = None) -> int:
     raw_argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = build_parser()
     args = parser.parse_args(raw_argv)
-    args._argv = raw_argv
     args._manifest = RunManifest.start(
         command=args.command,
         argv=raw_argv,

@@ -144,6 +144,14 @@ def _parse_count(cell: str) -> int | None:
     return int(value)
 
 
+def parse_date(text: str) -> Date:
+    """A date written strictly as YYYY-MM-DD; any other form is a ValueError."""
+    day = Date.fromisoformat(text)
+    if day.isoformat() != text:
+        raise ValueError(f"not a YYYY-MM-DD date: {text!r}")
+    return day
+
+
 def read_text(path: str | Path) -> str:
     """A whole file as UTF-8 text; failing to open or decode it is an InputError."""
     try:
@@ -200,7 +208,7 @@ def parse_csv(
             continue
         raw_date = row[pos["date"]].strip() if pos["date"] < len(row) else ""
         try:
-            day = Date.fromisoformat(raw_date)
+            day = parse_date(raw_date)
         except ValueError:
             raise UnparseableDate(
                 f"line {line_no}: cannot parse date {raw_date!r}", line=line_no

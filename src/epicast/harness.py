@@ -10,6 +10,7 @@ only change wall time because results are joined in a fixed order.
 from __future__ import annotations
 
 import dataclasses
+import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
@@ -27,7 +28,13 @@ from .models import (
     predict_raw,
     train_on_split,
 )
-from .preprocess import SplitSpec, build_supervised, split_indices, standardized_split
+from .preprocess import (
+    SplitSpec,
+    StandardizedSplit,
+    build_supervised,
+    split_indices,
+    standardized_split,
+)
 from .svr import KernelSpec, SvrConfig
 
 GRID_TARGETS = ("confirmed", "deaths")
@@ -146,23 +153,31 @@ def default_grid(
     return slots
 
 
-def _run_cell(
-    series: CaseSeries,
-    split_spec: SplitSpec,
-    slot: RegressorSlot,
-    target: str,
-) -> GridCell:
-    r2 = mse = None
+def _prepare(
+    series: CaseSeries, split_spec: SplitSpec, target: str
+) -> StandardizedSplit | str:
+    """The target's standardized split, or the flag reason of its failure."""
     try:
         data = build_supervised(series, ("day_index",), target)
-        std = standardized_split(data, split_spec)
-        model, result = train_on_split(
-            slot.model_family, slot.config, std, ("day_index",), target
-        )
-        r2, mse = result.r2, result.mse
-        flag_reason = None if model.converged else "not_converged"
+        return standardized_split(data, split_spec)
     except EpicastError as err:
-        flag_reason = f"{type(err).__name__}: {err}"
+        return f"{type(err).__name__}: {err}"
+
+
+def _run_cell(
+    std: StandardizedSplit | str, slot: RegressorSlot, target: str
+) -> GridCell:
+    r2 = mse = None
+    flag_reason = std if isinstance(std, str) else None
+    if flag_reason is None:
+        try:
+            model, result = train_on_split(
+                slot.model_family, slot.config, std, ("day_index",), target
+            )
+            r2, mse = result.r2, result.mse
+            flag_reason = None if model.converged else "not_converged"
+        except EpicastError as err:
+            flag_reason = f"{type(err).__name__}: {err}"
     return GridCell(
         slot=slot.slot,
         family=slot.model_family,
@@ -180,36 +195,34 @@ def run_grid(
     split_spec: SplitSpec,
     slots: list[RegressorSlot] | None = None,
     *,
-    targets: tuple[str, ...] = GRID_TARGETS,
     workers: int = 1,
 ) -> ScoreTable:
-    """Fit and score every slot on every target.
+    """Fit and score every slot on every target in GRID_TARGETS.
 
-    The series must be imputed (no missing values in used columns). Cells
-    are independent; `workers` > 1 runs them in a thread pool, and the
-    output order is fixed [(family, slot, target) ascending] either way.
-    `workers` below 1 is an InputError.
+    The series must be imputed (no missing values in used columns). Each
+    target's split is built once; if that fails, every cell of the target
+    is flagged. Up to `workers` threads, at most one per CPU and cell, run
+    the cells, and the output order is fixed [(family, slot, target)
+    ascending] either way. `workers` below 1 is an InputError.
     """
     if workers < 1:
         raise InputError(f"workers must be at least 1, got {workers}")
     if slots is None:
         slots = default_grid(seed=split_spec.seed)
-    jobs = [(slot, target) for slot in slots for target in targets]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            cells = list(
-                pool.map(
-                    lambda jt: _run_cell(series, split_spec, jt[0], jt[1]),
-                    jobs,
-                )
-            )
+    prepared = {t: _prepare(series, split_spec, t) for t in GRID_TARGETS}
+    jobs = [(prepared[t], slot, t) for slot in slots for t in GRID_TARGETS]
+    threads = min(workers, os.cpu_count() or 1, len(jobs))
+    if threads > 1:
+        # Serial grids stop at once on Ctrl-C; a pool first runs its queue.
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            cells = list(pool.map(lambda job: _run_cell(*job), jobs))
     else:
-        cells = [_run_cell(series, split_spec, s, t) for s, t in jobs]
+        cells = [_run_cell(*job) for job in jobs]
     cells.sort(key=lambda c: (c.family, c.slot, c.target))
     metadata = {
         "split": dataclasses.asdict(split_spec),
         "seed": split_spec.seed,
-        "targets": list(targets),
+        "targets": list(GRID_TARGETS),
         "standardized": True,  # every cell fits on standardized data
         "dataset": fingerprint(series),
         "source_label": series.source_label,

@@ -12,7 +12,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass
-from typing import Any, Callable
+from typing import Any, Callable, NoReturn
 
 import numpy as np
 
@@ -295,9 +295,14 @@ def save_model(model: TrainedModel, path: str) -> None:
         fh.write("\n")
 
 
+def _reject_constant(name: str) -> NoReturn:
+    raise ValueError(f"{name} is not a finite number")
+
+
 def load_model(path: str) -> TrainedModel:
+    """The model document at path; NaN and Infinity literals are input errors."""
     try:
-        doc = json.loads(read_text(path))
+        doc = json.loads(read_text(path), parse_constant=_reject_constant)
     except ValueError as err:
         raise InputError(f"{path} is not a JSON model document: {err}") from None
     return model_from_dict(doc)

@@ -72,7 +72,8 @@ class SvrParams:
     support_vectors / support_coefs keep only the rows with nonzero dual
     coefficient, which is all prediction needs. kernel is the resolved
     spec (gamma filled in). converged False flags a fit stopped by the
-    pass budget; its best iterate is still usable.
+    pass budget or by a violating pair that cannot move; its best iterate
+    is still usable.
     """
 
     alphas: np.ndarray
@@ -142,10 +143,9 @@ def _pair_step(
     g(t) = eta t^2 / 2 + b_lin t + eps(|beta_i + t| - |beta_i|)
                                  + eps(|beta_j - t| - |beta_j|)
     Piecewise quadratic with kinks where either coefficient crosses zero;
-    each piece is checked in closed form.
+    each piece is checked in closed form. The caller only moves a pair in
+    which beta_i can rise and beta_j can fall, so t_max > ZERO_TOL.
     """
-    if t_max <= 0.0:
-        return 0.0
 
     def g(t: float) -> float:
         return (
@@ -188,13 +188,34 @@ def dual_objective(
     )
 
 
+def _working_pair(
+    beta: np.ndarray, resid: np.ndarray, c: float, eps: float
+) -> tuple[int, float, int, float]:
+    """The maximal KKT-violating pair (i, lo, j, hi); it violates by hi - lo.
+
+    Directional derivatives of the minimized dual: d_up for raising beta_i,
+    d_down for lowering it, where resid = K beta - y. Signs of the eps term
+    follow the one-sided derivative of |beta_i|. lo = d_up[i] is the least
+    over the coefficients that can rise (+inf if none can), hi = d_down[j]
+    the greatest over those that can fall (-inf if none can).
+    """
+    can_up = beta < c - ZERO_TOL
+    can_down = beta > -c + ZERO_TOL
+    d_up = np.where(can_up, resid + np.where(beta >= 0.0, eps, -eps), np.inf)
+    d_down = np.where(can_down, resid + np.where(beta > 0.0, eps, -eps), -np.inf)
+    i = int(np.argmin(d_up))
+    j = int(np.argmax(d_down))
+    return i, float(d_up[i]), j, float(d_down[j])
+
+
 def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
     """Solve the dual by maximal-violating-pair coordinate updates.
 
     Terminates when no pair violates the KKT conditions beyond
-    cfg.tolerance, or flags converged=False after cfg.max_passes updates.
-    The equality constraint holds exactly throughout because every update
-    moves a pair in opposite directions by the same amount.
+    cfg.tolerance, or flags converged=False after cfg.max_passes updates
+    or when the most violating pair cannot move. The equality constraint
+    holds exactly throughout because every update moves a pair in
+    opposite directions by the same amount.
     """
     xs, ys = as_xy(x, y, min_rows=2)
     n = xs.shape[0]
@@ -216,20 +237,8 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
     passes = 0
 
     for passes in range(1, cfg.max_passes + 1):
-        resid = q - ys
-        # Directional derivatives of the minimized dual: d_up for raising
-        # beta_i, d_down for lowering it. Signs of the eps term follow the
-        # one-sided derivative of |beta_i|.
-        d_up = resid + np.where(beta >= 0.0, eps, -eps)
-        d_down = resid + np.where(beta > 0.0, eps, -eps)
-        can_up = beta < c - ZERO_TOL
-        can_down = beta > -c + ZERO_TOL
-        if not (np.any(can_up) and np.any(can_down)):
-            converged = True
-            break
-        i = int(np.argmin(np.where(can_up, d_up, np.inf)))
-        j = int(np.argmax(np.where(can_down, d_down, -np.inf)))
-        violation = d_down[j] - d_up[i]
+        i, lo, j, hi = _working_pair(beta, q - ys, c, eps)
+        violation = hi - lo  # -inf when one side is empty: nothing can move
         if violation <= cfg.tolerance:
             converged = True
             break
@@ -238,31 +247,17 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
         t_max = min(c - beta[i], beta[j] + c)
         t = _pair_step(max(eta, 0.0), b_lin, beta[i], beta[j], eps, t_max)
         if t <= ZERO_TOL:
-            # The most violating pair cannot move: numerically stuck.
-            converged = bool(violation <= cfg.tolerance)
-            break
+            break  # the most violating pair cannot move: numerically stuck
         beta[i] += t
         beta[j] -= t
         q += t * (k_matrix[:, i] - k_matrix[:, j])
-    else:
-        passes = cfg.max_passes
 
-    resid = q - ys
-    d_up = resid + np.where(beta >= 0.0, eps, -eps)
-    d_down = resid + np.where(beta > 0.0, eps, -eps)
-    can_up = beta < c - ZERO_TOL
-    can_down = beta > -c + ZERO_TOL
-    lo = float(np.min(np.where(can_up, d_up, np.inf))) if np.any(can_up) else np.nan
-    hi = (
-        float(np.max(np.where(can_down, d_down, -np.inf)))
-        if np.any(can_down)
-        else np.nan
-    )
-    if np.isnan(lo) and np.isnan(hi):
+    _, lo, _, hi = _working_pair(beta, q - ys, c, eps)
+    if np.isinf(lo) and np.isinf(hi):
         bias = float(np.mean(ys - q))
-    elif np.isnan(lo):
+    elif np.isinf(lo):
         bias = -hi
-    elif np.isnan(hi):
+    elif np.isinf(hi):
         bias = -lo
     else:
         bias = -0.5 * (lo + hi)

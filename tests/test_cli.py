@@ -73,6 +73,17 @@ def payload(doc):
     return {k: v for k, v in doc.items() if k != "manifest"}
 
 
+def linreg_model_with_intercept(csv_path, tmp_path, value):
+    """A trained linreg model file whose intercept is float(value)."""
+    out = tmp_path / "model"
+    main(["train", str(csv_path), "--model", "linreg", "--out-dir", str(out)])
+    model_path = out / "model_linreg_confirmed.json"
+    doc = read_json(model_path)
+    doc["params"]["intercept"] = float(value)
+    model_path.write_text(json.dumps(doc), encoding="utf-8")
+    return model_path
+
+
 class TestStats:
     def test_hand_checkable_summary(self, tiny_csv, tmp_path, check, registry):
         out = tmp_path / "out"
@@ -116,6 +127,13 @@ class TestStats:
         doc = json.loads(capsys.readouterr().out)
         assert "manifest" not in doc
         assert doc["rows"] == 4
+
+    def test_manifest_config_holds_only_flags(self, tiny_csv, tmp_path):
+        out = tmp_path / "out"
+        assert main(["stats", str(tiny_csv), "--out-dir", str(out)]) == 0
+        config = read_json(out / "stats.json")["manifest"]["config"]
+        assert "_argv" not in config
+        assert config["csv"] == str(tiny_csv)
 
     def test_custom_column_names(self, tmp_path):
         path = tmp_path / "renamed.csv"
@@ -255,6 +273,15 @@ class TestEval:
         ])
         assert code == 2
 
+    def test_nan_in_model_file_exit_2(self, series_csv_path, tmp_path, capsys):
+        model_path = linreg_model_with_intercept(series_csv_path, tmp_path, "nan")
+        capsys.readouterr()
+        code = main([
+            "eval", str(model_path), str(series_csv_path), "--out-dir", str(tmp_path),
+        ])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "input"
+
     def test_non_json_model_file_exit_2(self, series_csv_path, tmp_path, capsys):
         bogus = tmp_path / "bogus.json"
         bogus.write_text("model: linreg\n", encoding="utf-8")
@@ -361,6 +388,16 @@ class TestForecastCmd:
         code = main([
             "forecast", str(model_path), "--csv", str(series_csv_path),
             "--out-dir", str(out),
+        ])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+    def test_infinity_in_model_file_exit_2(self, series_csv_path, tmp_path, capsys):
+        model_path = linreg_model_with_intercept(series_csv_path, tmp_path, "inf")
+        capsys.readouterr()
+        code = main([
+            "forecast", str(model_path), "--csv", str(series_csv_path),
+            "--out-dir", str(tmp_path / "out"),
         ])
         assert code == 2
         assert json.loads(capsys.readouterr().err)["error"] == "input"
@@ -508,6 +545,8 @@ class TestRejectedFlags:
             ("grid --mlp-neurons 0", "neurons_per_layer"),
             ("compare --workers -1", "workers"),
             ("compare --horizon -1", "horizon"),
+            ("scenario --from 20210615", "YYYY-MM-DD"),
+            ("scenario --to 2021-W32-5", "YYYY-MM-DD"),
         ],
     )
     def test_exit_2_with_json_error(

@@ -110,6 +110,14 @@ class TestParseCsv:
         assert exc.value.line == 3
         assert "line 3" in str(exc.value)
 
+    @pytest.mark.parametrize("cell", ["20210102", "2021-W01-5"])
+    def test_only_yyyy_mm_dd_dates(self, cell):
+        text = f"date,tests,confirmed,deaths\n2021-01-01,1,1,1\n{cell},2,2,2\n"
+        with pytest.raises(UnparseableDate) as exc:
+            parse_csv(text)
+        assert exc.value.line == 3
+        assert "line 3" in str(exc.value)
+
     def test_gap_rejected_without_fill(self):
         text = "date,tests,confirmed,deaths\n2021-01-01,1,1,1\n2021-01-03,2,2,2\n"
         with pytest.raises(GapInDates):

@@ -1,3 +1,5 @@
+import dataclasses
+import os
 from datetime import date as Date, timedelta
 
 import numpy as np
@@ -12,12 +14,15 @@ from epicast import (
     ScoreTable,
     SplitSpec,
     SvrConfig,
+    SyntheticSpec,
     compare_models,
     default_grid,
     parse_csv,
     run_grid,
     select_best,
+    synthetic_epidemic,
 )
+from epicast import harness
 from epicast.errors import InputError, NoValidCell
 
 
@@ -29,6 +34,12 @@ def linear_series(days=120, slope=3, start_value=50):
             f"{(d0 + timedelta(days=i)).isoformat()},100,{start_value + slope * i},1"
         )
     return parse_csv("\n".join(lines) + "\n")
+
+
+@pytest.fixture(scope="module")
+def short_series():
+    # A 60-day wave keeps a full grid to about a second.
+    return synthetic_epidemic(SyntheticSpec(days=60, midpoint=30.0, width=6.0))
 
 
 def cell_stub(family, slot, target, r2, *, flagged=False, reason=None):
@@ -127,6 +138,50 @@ class TestRunGrid:
         threaded = run_grid(series, chrono_split, workers=4)
         assert again.cells == grid_table.cells
         assert threaded.cells == grid_table.cells
+
+    def test_each_target_is_prepared_once(
+        self, short_series, chrono_split, monkeypatch
+    ):
+        calls = []
+        build = harness.build_supervised
+
+        def counting(*args, **kwargs):
+            calls.append(args[2])
+            return build(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "build_supervised", counting)
+        table = run_grid(short_series, chrono_split)
+        assert len(table.cells) == 30
+        assert sorted(calls) == ["confirmed", "deaths"]
+
+    def test_threads_capped_at_cpu_count(self, short_series, chrono_split, monkeypatch):
+        sizes = []
+        pool = harness.ThreadPoolExecutor
+
+        def spy(max_workers):
+            sizes.append(max_workers)
+            return pool(max_workers=max_workers)
+
+        monkeypatch.setattr(harness, "ThreadPoolExecutor", spy)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        slots = [RegressorSlot(i, "linreg", LinRegConfig(0.1, 300)) for i in (1, 2)]
+        run_grid(short_series, chrono_split, slots, workers=4)
+        assert sizes == [2]
+
+    def test_failed_preparation_flags_the_targets_cells(
+        self, short_series, chrono_split
+    ):
+        records = tuple(dataclasses.replace(r, deaths=0) for r in short_series.records)
+        flat = dataclasses.replace(short_series, records=records)
+        slots = [
+            RegressorSlot(1, "svr", SvrConfig()),
+            RegressorSlot(1, "linreg", LinRegConfig(0.1, 3000)),
+        ]
+        table = run_grid(flat, chrono_split, slots)
+        for c in table.cells:
+            constant = (c.flag_reason or "").startswith("ConstantTarget: ")
+            assert constant == (c.target == "deaths")
+            assert (c.r2 is None) == constant
 
     def test_diverging_linreg_cell_does_not_kill_the_grid(self, series, chrono_split):
         slots = [

@@ -279,6 +279,16 @@ class TestSvrFit:
         assert type(model.params.converged) is bool
         json.dumps(model_to_dict(model))
 
+    def test_box_below_zero_tol_leaves_every_coefficient_at_zero(self, rng):
+        x = rng.normal(size=(20, 1))
+        y = rng.normal(size=20)
+        params = svr_fit(x, y, SvrConfig(c=1e-12))
+        # no coefficient can rise or fall, so the first pass ends the run
+        assert params.converged is True
+        assert params.passes == 1
+        assert not np.any(params.alphas)
+        assert params.bias == float(np.mean(y))
+
     def test_overflowing_kernel_rejected(self):
         spec = KernelSpec(kind="poly", gamma=1.0, degree=7)
         x = np.array([[1e60], [2e60], [3e60]])
