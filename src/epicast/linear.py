@@ -21,8 +21,8 @@ class LinRegConfig:
     iterations: int = 2500
 
     def __post_init__(self) -> None:
-        if self.learning_rate <= 0.0:
-            raise ValueError("learning_rate must be positive")
+        if not 0.0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.iterations < 1:
             raise ValueError("iterations must be at least 1")
 

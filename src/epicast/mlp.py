@@ -83,6 +83,10 @@ class MlpConfig:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if self.optimizer not in OPTIMIZERS:
             raise ValueError(f"optimizer must be one of {OPTIMIZERS}")
+        if not np.isfinite(self.tolerance):
+            raise ValueError("tolerance must be finite")
+        if not 0.0 <= self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be nonnegative and finite")
 
 
 @dataclass(frozen=True)

@@ -79,7 +79,7 @@ def _fit_mlp(config: MlpConfig, train: SupervisedSet) -> tuple[MlpParams, dict]:
         "status": result.status,
         "iterations": result.iterations,
         "final_loss": result.trace[-1],
-        "converged": result.status != "line_search_failed",
+        "converged": result.status in ("converged", "stalled"),
     }
 
 

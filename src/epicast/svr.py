@@ -6,9 +6,11 @@ The dual is solved in the combined variable beta_i = alpha_i - alpha_i*
     minimize  f(beta) = 1/2 beta' K beta - y' beta + eps * ||beta||_1
 
 Pairwise coordinate updates keep the equality constraint exact: each step
-picks the maximally KKT-violating (increase, decrease) pair and solves the
-one-dimensional piecewise-quadratic subproblem in closed form. A small
-brute-force grid oracle (qp_oracle) certifies optimality in tests.
+picks the maximally KKT-violating (increase, decrease) pair and moves it to
+the minimum of the pair objective or to the first box bound or zero
+crossing, whichever comes first. Stopping at zero keeps the objective
+smooth along every step, as in the (alpha, alpha*) form of the dual. A
+small brute-force grid oracle (qp_oracle) certifies optimality in tests.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .errors import DegenerateKernelMatrix, DimensionMismatch
 from .preprocess import as_design, as_xy
 
 # Dual coefficients below this are treated as exactly zero (not a support
-# vector); also the minimum pair step worth applying.
+# vector), and a coefficient this close to +-C cannot move further out.
 ZERO_TOL = 1e-12
 
 
@@ -41,8 +43,10 @@ class KernelSpec:
     def __post_init__(self) -> None:
         if self.kind not in ("linear", "rbf", "poly"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.gamma is not None and self.gamma <= 0.0:
-            raise ValueError("gamma must be positive")
+        if self.gamma is not None and not 0.0 < self.gamma < np.inf:
+            raise ValueError("gamma must be positive and finite")
+        if not np.isfinite(self.coef0):
+            raise ValueError("coef0 must be finite")
         if self.degree < 1:
             raise ValueError("degree must be at least 1")
 
@@ -56,10 +60,10 @@ class SvrConfig:
     max_passes: int = 10000  # one pass = one pairwise update
 
     def __post_init__(self) -> None:
-        if self.c <= 0.0:
-            raise ValueError("c must be positive")
-        if self.epsilon < 0.0:
-            raise ValueError("epsilon must be nonnegative")
+        if not 0.0 < self.c < np.inf:
+            raise ValueError("c must be positive and finite")
+        if not 0.0 <= self.epsilon < np.inf:
+            raise ValueError("epsilon must be nonnegative and finite")
         if self.max_passes < 1:
             raise ValueError("max_passes must be at least 1")
 
@@ -72,8 +76,7 @@ class SvrParams:
     support_vectors / support_coefs keep only the rows with nonzero dual
     coefficient, which is all prediction needs. kernel is the resolved
     spec (gamma filled in). converged False flags a fit stopped by the
-    pass budget or by a violating pair that cannot move; its best iterate
-    is still usable.
+    pass budget; its last iterate is still usable.
     """
 
     alphas: np.ndarray
@@ -134,49 +137,6 @@ def resolve_gamma(k: KernelSpec, x: np.ndarray) -> KernelSpec:
     return replace(k, gamma=1.0 / (arr.shape[1] * var))
 
 
-def _pair_step(
-    eta: float, b_lin: float, beta_i: float, beta_j: float, eps: float, t_max: float
-) -> float:
-    """Minimize the 1-D move g(t), t in [0, t_max], where beta_i gains t
-    and beta_j loses t.
-
-    g(t) = eta t^2 / 2 + b_lin t + eps(|beta_i + t| - |beta_i|)
-                                 + eps(|beta_j - t| - |beta_j|)
-    Piecewise quadratic with kinks where either coefficient crosses zero;
-    each piece is checked in closed form. The caller only moves a pair in
-    which beta_i can rise and beta_j can fall, so t_max > ZERO_TOL.
-    """
-
-    def g(t: float) -> float:
-        return (
-            0.5 * eta * t * t
-            + b_lin * t
-            + eps * (abs(beta_i + t) - abs(beta_i))
-            + eps * (abs(beta_j - t) - abs(beta_j))
-        )
-
-    points = {0.0, t_max}
-    for kink in (-beta_i, beta_j):
-        if 0.0 < kink < t_max:
-            points.add(kink)
-    knots = sorted(points)
-    for lo, hi in zip(knots, knots[1:]):
-        mid = 0.5 * (lo + hi)
-        s_i = 1.0 if beta_i + mid >= 0.0 else -1.0
-        s_j = 1.0 if beta_j - mid >= 0.0 else -1.0
-        slope0 = b_lin + eps * (s_i - s_j)  # g'(t) at t=0 on this piece
-        if eta > 0.0:
-            t_star = -slope0 / eta
-            if lo < t_star < hi:
-                points.add(t_star)
-    best_t, best_val = 0.0, 0.0
-    for t in points:
-        val = g(t)
-        if val < best_val:
-            best_t, best_val = t, val
-    return best_t
-
-
 def dual_objective(
     k_matrix: np.ndarray, y: np.ndarray, beta: np.ndarray, eps: float
 ) -> float:
@@ -212,10 +172,9 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
     """Solve the dual by maximal-violating-pair coordinate updates.
 
     Terminates when no pair violates the KKT conditions beyond
-    cfg.tolerance, or flags converged=False after cfg.max_passes updates
-    or when the most violating pair cannot move. The equality constraint
-    holds exactly throughout because every update moves a pair in
-    opposite directions by the same amount.
+    cfg.tolerance, or flags converged=False after cfg.max_passes updates.
+    The equality constraint holds exactly throughout because every update
+    moves a pair in opposite directions by the same amount.
     """
     xs, ys = as_xy(x, y, min_rows=2)
     n = xs.shape[0]
@@ -243,11 +202,14 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
             converged = True
             break
         eta = float(k_matrix[i, i] + k_matrix[j, j] - 2.0 * k_matrix[i, j])
-        b_lin = float(q[i] - q[j] - (ys[i] - ys[j]))
-        t_max = min(c - beta[i], beta[j] + c)
-        t = _pair_step(max(eta, 0.0), b_lin, beta[i], beta[j], eps, t_max)
-        if t <= ZERO_TOL:
-            break  # the most violating pair cannot move: numerically stuck
+        # Up to the first box bound or zero crossing neither sign changes,
+        # so the move is 1/2 eta t^2 - violation t there: a clipped Newton
+        # step. t_max > 0 because i can rise and j can fall.
+        t_max = min(
+            c - beta[i] if beta[i] >= 0.0 else -beta[i],
+            beta[j] + c if beta[j] <= 0.0 else beta[j],
+        )
+        t = min(t_max, violation / eta) if eta > 0.0 else t_max
         beta[i] += t
         beta[j] -= t
         q += t * (k_matrix[:, i] - k_matrix[:, j])

@@ -245,6 +245,19 @@ class TestTrain:
         assert main(args + ["--strict"]) == 4
         assert json.loads(capsys.readouterr().err)["error"] == "not_converged"
 
+    @pytest.mark.parametrize("optimizer", ["sgd", "adam"])
+    def test_strict_flags_mlp_at_its_iteration_budget(
+        self, optimizer, series_csv_path, tmp_path, capsys
+    ):
+        code = main([
+            "train", str(series_csv_path), "--model", "mlp",
+            "--optimizer", optimizer, "--strict", "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == 4
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "not_converged"
+        assert "max_iterations" in err["message"]
+
 
 class TestEval:
     def test_scores_saved_model_on_full_file(
@@ -547,6 +560,17 @@ class TestRejectedFlags:
             ("compare --horizon -1", "horizon"),
             ("scenario --from 20210615", "YYYY-MM-DD"),
             ("scenario --to 2021-W32-5", "YYYY-MM-DD"),
+            ("train --model svr --c nan", "c must be positive and finite"),
+            ("train --model svr --epsilon inf", "epsilon"),
+            ("train --model svr --gamma nan", "gamma"),
+            ("train --model svr --kernel poly --coef0 nan", "coef0"),
+            ("train --model mlp --tolerance nan", "tolerance"),
+            ("train --model mlp --learning-rate inf", "learning_rate"),
+            ("train --model mlp --optimizer sgd --learning-rate -1", "learning_rate"),
+            ("train --model mlp --optimizer adam --learning-rate -1", "learning_rate"),
+            ("scenario --optimizer adam --learning-rate -1", "learning_rate"),
+            ("train --model linreg --lr nan", "learning_rate"),
+            ("train --model linreg --lr inf", "learning_rate"),
         ],
     )
     def test_exit_2_with_json_error(

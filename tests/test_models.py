@@ -57,7 +57,17 @@ class TestTrainOnSplit:
     def test_mlp_meta_fields(self, std_split):
         model, _ = fit("mlp", FAST_CONFIGS["mlp"], std_split)
         assert set(model.train_meta) >= {"status", "iterations", "final_loss", "converged"}
-        assert model.converged == (model.train_meta["status"] != "line_search_failed")
+        assert model.converged == (
+            model.train_meta["status"] in ("converged", "stalled")
+        )
+
+    def test_mlp_at_its_iteration_budget_is_not_converged(self, std_split):
+        config = MlpConfig(
+            hidden_layers=1, neurons_per_layer=4, optimizer="sgd", max_iterations=5
+        )
+        model, _ = fit("mlp", config, std_split)
+        assert model.train_meta["status"] == "max_iterations"
+        assert model.converged is False
 
     def test_svr_meta_counts_support_vectors(self, std_split):
         model, _ = fit("svr", FAST_CONFIGS["svr"], std_split)

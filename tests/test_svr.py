@@ -265,6 +265,8 @@ class TestSvrFit:
         assert np.all(np.isfinite(out))
 
     def test_stuck_pair_exit_is_json_clean(self):
+        # Every violating pair can move, so the fit ends by the tolerance,
+        # not by the budget or any other exit.
         rng = np.random.default_rng(60)
         data = SupervisedSet(
             rng.normal(size=(80, 1)), rng.normal(size=80), ("day_index",), "confirmed"
@@ -273,11 +275,26 @@ class TestSvrFit:
         split = StandardizedSplit(train=data, test=data, x_scaler=ident, y_scaler=ident)
         cfg = SvrConfig(kernel=KernelSpec(kind="linear"), c=0.1)
         model, _ = train_on_split("svr", cfg, split, ("day_index",), "confirmed")
-        # stopped by a violating pair that cannot move, not by the budget
-        assert not model.params.converged
+        assert model.params.converged is True
         assert model.params.passes < cfg.max_passes
-        assert type(model.params.converged) is bool
         json.dumps(model_to_dict(model))
+
+    def test_each_pass_stops_at_zero(self):
+        # A pass may bring a coefficient to zero but never across it, and a
+        # run the budget stops reports every pass it made.
+        rng = np.random.default_rng(7)
+        for case in range(24):
+            n = int(rng.integers(5, 16))
+            x = rng.normal(size=(n, 1))
+            y = rng.normal(size=n)
+            kernel = KernelSpec(kind=("linear", "rbf", "poly")[case % 3], degree=3)
+            previous = np.zeros(n)
+            for k in range(1, 31):
+                cfg = SvrConfig(kernel=kernel, tolerance=1e-8, max_passes=k)
+                params = svr_fit(x, y, cfg)
+                assert not np.any(previous * params.alphas < 0.0), (case, k)
+                assert params.converged or params.passes == k
+                previous = params.alphas
 
     def test_box_below_zero_tol_leaves_every_coefficient_at_zero(self, rng):
         x = rng.normal(size=(20, 1))
