@@ -11,6 +11,12 @@ the minimum of the pair objective or to the first box bound or zero
 crossing, whichever comes first. Stopping at zero keeps the objective
 smooth along every step, as in the (alpha, alpha*) form of the dual. A
 small brute-force grid oracle (qp_oracle) certifies optimality in tests.
+
+Each pass reads two contiguous rows of the exactly symmetric Gram to
+update K beta. The eps shift that each coefficient adds to its KKT
+derivatives (_eps_shift) is kept in two arrays, and a pass recomputes only
+the two entries it moved. gram_matrix builds the n x n matrix in place,
+peaking at two n x n arrays for rbf and one for poly and linear.
 """
 
 from __future__ import annotations
@@ -105,7 +111,14 @@ def kernel_eval(k: KernelSpec, u: np.ndarray, v: np.ndarray) -> float:
 
 
 def gram_matrix(k: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
-    """Kernel matrix K[i, j] = k(xa[i], xb[j]) for 2-D row collections."""
+    """Kernel matrix K[i, j] = k(xa[i], xb[j]) for 2-D row collections.
+
+    rbf is exp(-gamma * max((|a|^2 + |b|^2) - 2 a.b, 0)) and poly is
+    (gamma a.b + coef0)^degree, built in place in that order: the build
+    holds at most two result-sized arrays for rbf and one for poly.
+    Passing one array as both xa and xb gives an exactly symmetric matrix,
+    since numpy forms x @ x.T from one triangle.
+    """
     a = as_design(xa)
     b = as_design(xb)
     if a.shape[1] != b.shape[1]:
@@ -116,14 +129,18 @@ def gram_matrix(k: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
         return a @ b.T
     if k.gamma is None:
         raise ValueError("gamma unresolved; fit resolves it or pass a value")
-    if k.kind == "rbf":
-        sq = (
-            np.sum(a * a, axis=1)[:, None]
-            + np.sum(b * b, axis=1)[None, :]
-            - 2.0 * (a @ b.T)
-        )
-        return np.exp(-k.gamma * np.maximum(sq, 0.0))
-    return (k.gamma * (a @ b.T) + k.coef0) ** k.degree
+    ab = a @ b.T
+    if k.kind == "poly":
+        ab *= k.gamma
+        ab += k.coef0
+        ab **= k.degree
+        return ab
+    ab *= 2.0
+    sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+    sq -= ab
+    np.maximum(sq, 0.0, out=sq)
+    sq *= -k.gamma
+    return np.exp(sq, out=sq)
 
 
 def resolve_gamma(k: KernelSpec, x: np.ndarray) -> KernelSpec:
@@ -148,21 +165,32 @@ def dual_objective(
     )
 
 
+def _eps_shift(b: float, c: float, eps: float) -> tuple[float, float]:
+    """What coefficient b adds to its resid in d_up and in d_down.
+
+    Directional derivatives of the minimized dual: d_up = resid + up for
+    raising a coefficient, d_down = resid + down for lowering it, where
+    resid = K beta - y. Signs of the eps term follow the one-sided
+    derivative of |b|. up is +inf when b cannot rise, down -inf when it
+    cannot fall. The shift depends on b alone, so the solver keeps one
+    array of each and recomputes the two entries a pass moves.
+    """
+    up = (eps if b >= 0.0 else -eps) if b < c - ZERO_TOL else np.inf
+    down = (eps if b > 0.0 else -eps) if b > -c + ZERO_TOL else -np.inf
+    return up, down
+
+
 def _working_pair(
-    beta: np.ndarray, resid: np.ndarray, c: float, eps: float
+    resid: np.ndarray, up: np.ndarray, down: np.ndarray
 ) -> tuple[int, float, int, float]:
     """The maximal KKT-violating pair (i, lo, j, hi); it violates by hi - lo.
 
-    Directional derivatives of the minimized dual: d_up for raising beta_i,
-    d_down for lowering it, where resid = K beta - y. Signs of the eps term
-    follow the one-sided derivative of |beta_i|. lo = d_up[i] is the least
-    over the coefficients that can rise (+inf if none can), hi = d_down[j]
-    the greatest over those that can fall (-inf if none can).
+    lo = d_up[i] is the least over the coefficients that can rise (+inf if
+    none can), hi = d_down[j] the greatest over those that can fall (-inf
+    if none can); up and down hold _eps_shift of every coefficient.
     """
-    can_up = beta < c - ZERO_TOL
-    can_down = beta > -c + ZERO_TOL
-    d_up = np.where(can_up, resid + np.where(beta >= 0.0, eps, -eps), np.inf)
-    d_down = np.where(can_down, resid + np.where(beta > 0.0, eps, -eps), -np.inf)
+    d_up = resid + up
+    d_down = resid + down
     i = int(np.argmin(d_up))
     j = int(np.argmax(d_down))
     return i, float(d_up[i]), j, float(d_down[j])
@@ -175,6 +203,9 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
     cfg.tolerance, or flags converged=False after cfg.max_passes updates.
     The equality constraint holds exactly throughout because every update
     moves a pair in opposite directions by the same amount.
+
+    Each pass reads rows i and j of the Gram in place of its columns, which
+    relies on gram_matrix(kernel, xs, xs) being exactly symmetric.
     """
     xs, ys = as_xy(x, y, min_rows=2)
     n = xs.shape[0]
@@ -192,11 +223,13 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
     beta = np.zeros(n)
     q = np.zeros(n)  # cache of K beta
     c, eps = cfg.c, cfg.epsilon
+    up0, down0 = _eps_shift(0.0, c, eps)  # every coefficient starts at zero
+    up, down = np.full(n, up0), np.full(n, down0)
     converged = False
     passes = 0
 
     for passes in range(1, cfg.max_passes + 1):
-        i, lo, j, hi = _working_pair(beta, q - ys, c, eps)
+        i, lo, j, hi = _working_pair(q - ys, up, down)
         violation = hi - lo  # -inf when one side is empty: nothing can move
         if violation <= cfg.tolerance:
             converged = True
@@ -212,9 +245,11 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
         t = min(t_max, violation / eta) if eta > 0.0 else t_max
         beta[i] += t
         beta[j] -= t
-        q += t * (k_matrix[:, i] - k_matrix[:, j])
+        q += t * (k_matrix[i] - k_matrix[j])
+        up[i], down[i] = _eps_shift(beta[i], c, eps)
+        up[j], down[j] = _eps_shift(beta[j], c, eps)
 
-    _, lo, _, hi = _working_pair(beta, q - ys, c, eps)
+    _, lo, _, hi = _working_pair(q - ys, up, down)
     if np.isinf(lo) and np.isinf(hi):
         bias = float(np.mean(ys - q))
     elif np.isinf(lo):

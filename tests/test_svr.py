@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,6 +22,7 @@ from epicast import (
     train_on_split,
 )
 from epicast.errors import DegenerateKernelMatrix, DimensionMismatch, LengthMismatch
+from epicast.svr import ZERO_TOL
 
 
 def kkt_report(x, y, cfg, params):
@@ -33,6 +35,46 @@ def kkt_report(x, y, cfg, params):
         "box_excess": float(np.max(np.abs(beta)) - cfg.c),
         "resid": pred - np.asarray(y, dtype=float),
     }
+
+
+def reference_fit(x, y, cfg):
+    """The solver loop written plainly: Gram columns, and the KKT masks and
+    eps shifts rebuilt from beta on every pass. Returns (beta, bias,
+    passes, converged)."""
+    kernel = resolve_gamma(cfg.kernel, x)
+    k_matrix = gram_matrix(kernel, x, x)
+    c, eps = cfg.c, cfg.epsilon
+    beta, q = np.zeros(len(y)), np.zeros(len(y))
+
+    def working_pair():
+        resid = q - y
+        d_up = np.where(beta < c - ZERO_TOL, resid + np.where(beta >= 0.0, eps, -eps), np.inf)
+        d_down = np.where(beta > -c + ZERO_TOL, resid + np.where(beta > 0.0, eps, -eps), -np.inf)
+        i, j = int(np.argmin(d_up)), int(np.argmax(d_down))
+        return i, float(d_up[i]), j, float(d_down[j])
+
+    converged, passes = False, 0
+    for passes in range(1, cfg.max_passes + 1):
+        i, lo, j, hi = working_pair()
+        violation = hi - lo
+        if violation <= cfg.tolerance:
+            converged = True
+            break
+        eta = float(k_matrix[i, i] + k_matrix[j, j] - 2.0 * k_matrix[i, j])
+        t_max = min(
+            c - beta[i] if beta[i] >= 0.0 else -beta[i],
+            beta[j] + c if beta[j] <= 0.0 else beta[j],
+        )
+        t = min(t_max, violation / eta) if eta > 0.0 else t_max
+        beta[i] += t
+        beta[j] -= t
+        q += t * (k_matrix[:, i] - k_matrix[:, j])
+    _, lo, _, hi = working_pair()
+    if np.isinf(lo) and np.isinf(hi):
+        bias = float(np.mean(y - q))
+    else:
+        bias = -hi if np.isinf(lo) else -lo if np.isinf(hi) else -0.5 * (lo + hi)
+    return beta, bias, passes, converged
 
 
 class TestKernelEval:
@@ -103,6 +145,60 @@ class TestGramMatrix:
     def test_width_mismatch(self):
         with pytest.raises(DimensionMismatch):
             gram_matrix(KernelSpec(kind="linear"), np.zeros((2, 2)), np.zeros((2, 3)))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            KernelSpec(kind="linear"),
+            KernelSpec(kind="rbf", gamma=0.1),
+            KernelSpec(kind="poly", gamma=0.1, degree=3),
+        ],
+    )
+    @pytest.mark.parametrize("n, d", [(301, 5), (257, 17)])
+    def test_one_array_gives_exactly_symmetric_matrix(self, spec, n, d):
+        # svr_fit reads Gram rows in place of columns, which needs K == K.T
+        x = np.random.default_rng(n).normal(size=(n, d))
+        gram = gram_matrix(spec, x, x)
+        assert np.array_equal(gram, gram.T)
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            KernelSpec(kind="rbf", gamma=0.3),
+            KernelSpec(kind="poly", gamma=0.5, degree=2),
+            KernelSpec(kind="poly", gamma=0.5, degree=7, coef0=0.5),
+        ],
+    )
+    def test_in_place_build_matches_plain_formula(self, spec, rng):
+        xa = rng.normal(size=(40, 3))
+        xb = rng.normal(size=(30, 3))
+        ab = xa @ xb.T
+        if spec.kind == "rbf":
+            sq = np.sum(xa * xa, axis=1)[:, None] + np.sum(xb * xb, axis=1)[None, :] - 2.0 * ab
+            plain = np.exp(-spec.gamma * np.maximum(sq, 0.0))
+        else:
+            plain = (spec.gamma * ab + spec.coef0) ** spec.degree
+        assert gram_matrix(spec, xa, xb).tobytes() == plain.tobytes()
+
+    @pytest.mark.parametrize(
+        "spec, bound",
+        [
+            (KernelSpec(kind="rbf", gamma=0.5), 2.1),
+            (KernelSpec(kind="poly", gamma=0.5, degree=5), 1.1),
+            (KernelSpec(kind="linear"), 1.1),
+        ],
+    )
+    def test_build_peak_memory(self, spec, bound, rng):
+        # tracemalloc sees numpy buffers: the result plus any n x n temporary
+        x = rng.normal(size=(1000, 1))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            gram = gram_matrix(spec, x, x)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= bound * gram.nbytes
 
     def test_one_dimensional_inputs_promoted(self):
         gram = gram_matrix(KernelSpec(kind="linear"), np.array([1.0, 2.0]), np.array([3.0]))
@@ -305,6 +401,35 @@ class TestSvrFit:
         assert params.passes == 1
         assert not np.any(params.alphas)
         assert params.bias == float(np.mean(y))
+
+    def test_matches_reference_loop(self):
+        rng = np.random.default_rng(17)
+        kernels = [
+            KernelSpec(kind="rbf"),
+            KernelSpec(kind="linear"),
+            KernelSpec(kind="poly", degree=3),
+            KernelSpec(kind="poly", degree=7),
+        ]
+        outcomes = set()
+        for case in range(24):
+            n = int(rng.integers(5, 40))
+            x = rng.normal(size=(n, (1, 3)[case % 2]))
+            y = rng.normal(size=n)
+            cfg = SvrConfig(
+                kernel=kernels[case // 2 % 4],
+                c=(1e-12, 0.1, 1.0)[case % 3],
+                epsilon=float(rng.uniform(0.0, 0.3)),
+                tolerance=1e-8,
+                max_passes=(40, 400)[case // 8 % 2],
+            )
+            params = svr_fit(x, y, cfg)
+            beta, bias, passes, converged = reference_fit(x, y, cfg)
+            assert params.alphas.tobytes() == beta.tobytes(), case
+            assert (params.bias, params.passes, params.converged) == (
+                bias, passes, converged
+            ), case
+            outcomes.add(converged)
+        assert outcomes == {True, False}  # both exits are compared
 
     def test_overflowing_kernel_rejected(self):
         spec = KernelSpec(kind="poly", gamma=1.0, degree=7)
