@@ -189,6 +189,8 @@ def _model_config(family: str, args: argparse.Namespace) -> FamilyConfig:
 def _grid_table(
     args: argparse.Namespace, series: CaseSeries, spec: SplitSpec
 ) -> ScoreTable:
+    if args.workers < 1:
+        raise InputError(f"workers must be at least 1, got {args.workers}")
     try:
         slots = default_grid(
             mlp_hidden_layers=args.mlp_hidden_layers,
@@ -197,7 +199,7 @@ def _grid_table(
         )
     except ValueError as err:
         raise InputError(str(err)) from None
-    return run_grid(series, spec, slots, workers=args.workers)
+    return run_grid(series, spec, slots)
 
 
 def _blank(value):
@@ -427,7 +429,9 @@ def _add_io_flags(p: argparse.ArgumentParser, *, needs_csv: bool = True) -> None
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--workers", type=int, default=1)
+    p.add_argument(
+        "--workers", type=int, default=1, help="ignored: cells always run serially"
+    )
     p.add_argument("--mlp-hidden-layers", dest="mlp_hidden_layers", type=int, default=2)
     p.add_argument("--mlp-neurons", dest="mlp_neurons", type=int, default=16)
 

@@ -3,15 +3,12 @@ selection, and cross-family comparison series.
 
 Grid cells are isolated jobs: a diverging or non-converging fit becomes a
 flagged cell in the table instead of aborting the run, so the grid is
-always total. Identical seed and data give an identical table; workers
-only change wall time because results are joined in a fixed order.
+always total. Identical seed and data give an identical table.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from datetime import date as Date, timedelta
 
@@ -194,30 +191,18 @@ def run_grid(
     series: CaseSeries,
     split_spec: SplitSpec,
     slots: list[RegressorSlot] | None = None,
-    *,
-    workers: int = 1,
 ) -> ScoreTable:
     """Fit and score every slot on every target in GRID_TARGETS.
 
     The series must be imputed (no missing values in used columns). Each
     target's split is built once; if that fails, every cell of the target
-    is flagged. Up to `workers` threads, at most one per CPU and cell, run
-    the cells, and the output order is fixed [(family, slot, target)
-    ascending] either way. `workers` below 1 is an InputError.
+    is flagged. The cells run in order on the calling thread, one fit at a
+    time, and the output is sorted by (family, slot, target).
     """
-    if workers < 1:
-        raise InputError(f"workers must be at least 1, got {workers}")
     if slots is None:
         slots = default_grid(seed=split_spec.seed)
     prepared = {t: _prepare(series, split_spec, t) for t in GRID_TARGETS}
-    jobs = [(prepared[t], slot, t) for slot in slots for t in GRID_TARGETS]
-    threads = min(workers, os.cpu_count() or 1, len(jobs))
-    if threads > 1:
-        # Serial grids stop at once on Ctrl-C; a pool first runs its queue.
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            cells = list(pool.map(lambda job: _run_cell(*job), jobs))
-    else:
-        cells = [_run_cell(*job) for job in jobs]
+    cells = [_run_cell(prepared[t], slot, t) for slot in slots for t in GRID_TARGETS]
     cells.sort(key=lambda c: (c.family, c.slot, c.target))
     metadata = {
         "split": dataclasses.asdict(split_spec),

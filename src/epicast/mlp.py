@@ -79,6 +79,8 @@ class MlpConfig:
             raise ValueError("neurons_per_layer must be at least 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.activation not in ACTIVATIONS:
             raise ValueError(f"activation must be one of {ACTIVATIONS}")
         if self.optimizer not in OPTIMIZERS:

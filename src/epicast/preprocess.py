@@ -117,6 +117,8 @@ class SplitSpec:
             raise DegenerateSplit(
                 f"train_fraction must lie in (0, 1), got {self.train_fraction}"
             )
+        if self.seed < 0:
+            raise DegenerateSplit(f"seed must be non-negative, got {self.seed}")
 
 
 def build_supervised(

@@ -1,5 +1,7 @@
 import csv
 import json
+import os
+import threading
 import time
 from datetime import datetime
 from pathlib import Path
@@ -17,7 +19,7 @@ from epicast import (
     strip_timestamps,
     synthetic_epidemic,
 )
-from epicast import cli
+from epicast import cli, harness
 from epicast.cli import main
 
 import numpy as np
@@ -338,6 +340,31 @@ class TestGrid:
         assert "timestamps" in doc["manifest"]  # original untouched
         assert stripped["cells"] == doc["cells"]
 
+    def test_cells_run_on_the_calling_thread(self, short_csv, tmp_path, monkeypatch):
+        threads = []
+        fit = harness.train_on_split
+
+        def spy(*args):
+            threads.append(threading.get_ident())
+            return fit(*args)
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        monkeypatch.setattr(harness, "train_on_split", spy)
+        assert main([
+            "grid", str(short_csv), "--workers", "4", "--out-dir", str(tmp_path),
+        ]) == 0
+        assert threads == [threading.get_ident()] * 30
+
+    def test_negative_seed_fails_before_any_fit(
+        self, short_csv, tmp_path, monkeypatch
+    ):
+        fits = []
+        monkeypatch.setattr(harness, "train_on_split", lambda *a: fits.append(a))
+        assert main([
+            "grid", str(short_csv), "--seed", "-1", "--out-dir", str(tmp_path),
+        ]) == 2
+        assert fits == []
+
 
 class TestForecastCmd:
     def test_csv_anchored_run(self, series_csv_path, tmp_path, check, registry):
@@ -571,6 +598,14 @@ class TestRejectedFlags:
             ("scenario --optimizer adam --learning-rate -1", "learning_rate"),
             ("train --model linreg --lr nan", "learning_rate"),
             ("train --model linreg --lr inf", "learning_rate"),
+            ("train --model mlp --seed -1", "seed must be non-negative"),
+            (
+                "train --model linreg --split-mode shuffled --seed -1",
+                "seed must be non-negative",
+            ),
+            ("grid --seed -1", "seed must be non-negative"),
+            ("compare --seed -1", "seed must be non-negative"),
+            ("scenario --seed -1", "seed must be non-negative"),
         ],
     )
     def test_exit_2_with_json_error(

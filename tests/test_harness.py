@@ -1,5 +1,4 @@
 import dataclasses
-import os
 from datetime import date as Date, timedelta
 
 import numpy as np
@@ -133,11 +132,9 @@ class TestRunGrid:
         assert md["source_label"] == series.source_label
         assert "rows" in md["dataset"]
 
-    def test_deterministic_and_worker_invariant(self, grid_table, series, chrono_split):
+    def test_deterministic(self, grid_table, series, chrono_split):
         again = run_grid(series, chrono_split)
-        threaded = run_grid(series, chrono_split, workers=4)
         assert again.cells == grid_table.cells
-        assert threaded.cells == grid_table.cells
 
     def test_each_target_is_prepared_once(
         self, short_series, chrono_split, monkeypatch
@@ -153,20 +150,6 @@ class TestRunGrid:
         table = run_grid(short_series, chrono_split)
         assert len(table.cells) == 30
         assert sorted(calls) == ["confirmed", "deaths"]
-
-    def test_threads_capped_at_cpu_count(self, short_series, chrono_split, monkeypatch):
-        sizes = []
-        pool = harness.ThreadPoolExecutor
-
-        def spy(max_workers):
-            sizes.append(max_workers)
-            return pool(max_workers=max_workers)
-
-        monkeypatch.setattr(harness, "ThreadPoolExecutor", spy)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        slots = [RegressorSlot(i, "linreg", LinRegConfig(0.1, 300)) for i in (1, 2)]
-        run_grid(short_series, chrono_split, slots, workers=4)
-        assert sizes == [2]
 
     def test_failed_preparation_flags_the_targets_cells(
         self, short_series, chrono_split
