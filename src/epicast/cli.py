@@ -14,7 +14,7 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from datetime import date as Date, timedelta
+from datetime import date as Date
 from pathlib import Path
 
 from .dataset import (
@@ -22,6 +22,7 @@ from .dataset import (
     CaseSeries,
     CsvSchema,
     fingerprint,
+    horizon_dates,
     impute_missing,
     parse_csv,
     parse_date,
@@ -31,6 +32,7 @@ from .dataset import (
 from .errors import InputError, NotConvergedError, NumericError
 from .forecast import ForecastReport, emit_plot_series, forecast, scenario_run
 from .harness import (
+    GRID_TARGETS,
     ScoreTable,
     compare_models,
     default_grid,
@@ -314,6 +316,10 @@ def cmd_grid(args: argparse.Namespace) -> int:
 
 
 def cmd_forecast(args: argparse.Namespace) -> int:
+    if args.csv and args.last_day_index is not None:
+        raise InputError(
+            "--last-day-index cannot be combined with --csv, whose history sets it"
+        )
     model = load_model(args.model_file)
     history = CaseSeries(records=())
     fp = None
@@ -323,7 +329,6 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             raise InputError(f"history CSV {args.csv} has no rows")
         fp = fingerprint(history)
         last_day_index = history.last_day_index
-        start = history.last_date + timedelta(days=1)
     elif args.last_day_index is None or not args.start:
         raise InputError(
             "without --csv, both --last-day-index and --start are required"
@@ -332,6 +337,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         last_day_index = args.last_day_index
     if args.start:
         start = _parse_date(args.start, "--start")
+    else:
+        start = horizon_dates(history.last_date, 1)[0]
     report = forecast(
         model,
         last_day_index=last_day_index,
@@ -348,10 +355,11 @@ def cmd_compare(args: argparse.Namespace) -> int:
     if args.horizon < 0:
         raise InputError(f"horizon must be non-negative, got {args.horizon}")
     series = _load_series(args)
-    spec = _split_spec(args)
-    table = _grid_table(args, series, spec)
+    if len(series):
+        horizon_dates(series.last_date, args.horizon)  # fail before the grid
+    table = _grid_table(args, series, _split_spec(args))
     best = {fam: select_best(table, fam) for fam in FAMILIES}
-    report = compare_models(series, spec, best, args.target, args.horizon)
+    report = compare_models(series, table, best, args.target, args.horizon)
     rows = [
         [d.isoformat(), _blank(report.observed[i])]
         + [report.predicted[fam][i] for fam in FAMILIES]
@@ -407,9 +415,26 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     return 0
 
 
-def _add_io_flags(p: argparse.ArgumentParser, *, needs_csv: bool = True) -> None:
+def _add_io_flags(
+    p: argparse.ArgumentParser, *, needs_csv: bool = True, impute: bool = True
+) -> None:
     if needs_csv:
         p.add_argument("csv", help="input CSV (date,tests,confirmed,deaths)")
+    if impute:
+        p.add_argument(
+            "--impute", choices=["mean", "forward-fill", "none"], default="mean"
+        )
+    p.add_argument("--out-dir", dest="out_dir", default=".")
+    p.add_argument("--format", choices=["json", "csv", "both"], default="both")
+    p.add_argument("--fill-gaps", dest="fill_gaps", action="store_true")
+    p.add_argument("--date-column", dest="date_column", default="date")
+    p.add_argument("--tests-column", dest="tests_column", default="tests")
+    p.add_argument("--confirmed-column", dest="confirmed_column", default="confirmed")
+    p.add_argument("--deaths-column", dest="deaths_column", default="deaths")
+
+
+def _add_split_flags(p: argparse.ArgumentParser) -> None:
+    """The flags of the commands that fit: seed and train/test split."""
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--split-fraction", dest="split_fraction", type=float, default=0.8)
     p.add_argument(
@@ -418,14 +443,6 @@ def _add_io_flags(p: argparse.ArgumentParser, *, needs_csv: bool = True) -> None
         choices=["chronological", "shuffled"],
         default="chronological",
     )
-    p.add_argument("--impute", choices=["mean", "forward-fill", "none"], default="mean")
-    p.add_argument("--out-dir", dest="out_dir", default=".")
-    p.add_argument("--format", choices=["json", "csv", "both"], default="both")
-    p.add_argument("--fill-gaps", dest="fill_gaps", action="store_true")
-    p.add_argument("--date-column", dest="date_column", default="date")
-    p.add_argument("--tests-column", dest="tests_column", default="tests")
-    p.add_argument("--confirmed-column", dest="confirmed_column", default="confirmed")
-    p.add_argument("--deaths-column", dest="deaths_column", default="deaths")
 
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
@@ -457,11 +474,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("stats", help="describe-style summary per column")
-    _add_io_flags(p)
+    _add_io_flags(p, impute=False)
     p.set_defaults(func=cmd_stats)
 
     p = sub.add_parser("train", help="fit one model, write it, score it")
     _add_io_flags(p)
+    _add_split_flags(p)
     p.add_argument("--model", choices=list(FAMILIES), required=True)
     p.add_argument("--target", choices=list(COUNT_COLUMNS), default="confirmed")
     p.add_argument("--features", default="day_index")
@@ -486,6 +504,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("grid", help="run the 15-slot regressor grid")
     _add_io_flags(p)
+    _add_split_flags(p)
     _add_grid_flags(p)
     p.set_defaults(func=cmd_grid)
 
@@ -502,13 +521,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compare", help="best slot per family on one axis")
     _add_io_flags(p)
-    p.add_argument("--target", choices=list(COUNT_COLUMNS), default="confirmed")
+    _add_split_flags(p)
+    p.add_argument("--target", choices=list(GRID_TARGETS), default="confirmed")
     p.add_argument("--horizon", type=int, default=0)
     _add_grid_flags(p)
     p.set_defaults(func=cmd_compare)
 
     p = sub.add_parser("scenario", help="windowed train + forecast, both targets")
     _add_io_flags(p)
+    _add_split_flags(p)
     p.add_argument("--from", dest="window_from", default="2021-06-15")
     p.add_argument("--to", dest="window_to", default="2021-08-10")
     p.add_argument("--horizon", type=int, default=30)

@@ -152,6 +152,21 @@ def parse_date(text: str) -> Date:
     return day
 
 
+def horizon_dates(last: Date, horizon: int) -> list[Date]:
+    """The ``horizon`` dates that follow ``last`` (none when horizon < 1);
+    a horizon that runs past 9999-12-31 is an InputError."""
+    if horizon < 1:
+        return []
+    try:
+        last + timedelta(days=horizon)
+    except OverflowError:
+        raise InputError(
+            f"a horizon of {horizon} days after {last.isoformat()} runs past "
+            f"{Date.max.isoformat()}"
+        ) from None
+    return [last + timedelta(days=h) for h in range(1, horizon + 1)]
+
+
 def read_text(path: str | Path) -> str:
     """A whole file as UTF-8 text; failing to open or decode it is an InputError."""
     try:

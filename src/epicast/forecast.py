@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from datetime import date as Date, timedelta
+from datetime import date as Date
 
 import numpy as np
 
-from .dataset import CaseSeries, window
+from .dataset import CaseSeries, horizon_dates, window
 from .errors import FeatureMismatch, InputError
 from .metrics import EvalResult, evaluate
 from .models import (
@@ -87,14 +87,14 @@ def forecast(
     """Per-day integer forecast report; clamp at zero, then round.
 
     Day h of the horizon (1-based) is predicted from day_index
-    last_day_index + h and dated start_date + (h - 1).
+    last_day_index + h and dated start_date + (h - 1); a date past
+    9999-12-31 is an InputError, raised before anything is predicted.
     """
+    dates = [start_date, *horizon_dates(start_date, horizon - 1)]
     raw = forecast_raw(model, last_day_index, horizon)
     clamped = np.maximum(raw, 0.0)
     counts = [int(math.floor(v + 0.5)) for v in clamped]
-    predictions = tuple(
-        (start_date + timedelta(days=h), counts[h]) for h in range(horizon)
-    )
+    predictions = tuple(zip(dates, counts))
     return ForecastReport(
         start_date=start_date,
         horizon_days=horizon,
@@ -140,9 +140,13 @@ def scenario_run(
 
     The same family/config is fit once per target (confirmed, deaths) on
     the windowed data with indices re-based to the window start. The
-    forecast begins the day after the window ends.
+    forecast begins the day after the window ends; a horizon below 1 or
+    one that runs past 9999-12-31 is an InputError, raised before any fit.
     """
     part = window(series, window_start, window_end)
+    if horizon < 1:
+        raise InputError("horizon must be at least 1")
+    start_date = horizon_dates(part.last_date, horizon)[0]
     evals: dict[str, EvalResult] = {}
     evals_orig: dict[str, EvalResult] = {}
     reports: dict[str, ForecastReport] = {}
@@ -155,7 +159,7 @@ def scenario_run(
         reports[target] = forecast(
             model,
             last_day_index=part.last_day_index,
-            start_date=part.last_date + timedelta(days=1),
+            start_date=start_date,
             horizon=horizon,
             scenario_label=label,
         )

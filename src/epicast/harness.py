@@ -9,12 +9,12 @@ always total. Identical seed and data give an identical table.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
-from datetime import date as Date, timedelta
+from dataclasses import dataclass, field
+from datetime import date as Date
 
 import numpy as np
 
-from .dataset import CaseSeries, fingerprint
+from .dataset import CaseSeries, fingerprint, horizon_dates
 from .errors import EpicastError, InputError, NoValidCell
 from .linear import LinRegConfig
 from .mlp import MlpConfig
@@ -82,8 +82,14 @@ class GridCell:
 
 @dataclass(frozen=True)
 class ScoreTable:
+    """``fits`` maps (family, slot, target) to the model the cell scored or
+    the error that flagged it; reports leave it out."""
+
     cells: tuple[GridCell, ...]
     metadata: dict
+    fits: dict[tuple[str, int, str], TrainedModel | EpicastError] = field(
+        default_factory=dict, compare=False, repr=False
+    )
 
     def cell(self, family: str, slot: int, target: str) -> GridCell:
         for c in self.cells:
@@ -152,30 +158,35 @@ def default_grid(
 
 def _prepare(
     series: CaseSeries, split_spec: SplitSpec, target: str
-) -> StandardizedSplit | str:
-    """The target's standardized split, or the flag reason of its failure."""
+) -> StandardizedSplit | EpicastError:
+    """The target's standardized split, or the error that prevented it."""
     try:
         data = build_supervised(series, ("day_index",), target)
         return standardized_split(data, split_spec)
     except EpicastError as err:
-        return f"{type(err).__name__}: {err}"
+        return err.with_traceback(None)
 
 
 def _run_cell(
-    std: StandardizedSplit | str, slot: RegressorSlot, target: str
-) -> GridCell:
+    std: StandardizedSplit | EpicastError, slot: RegressorSlot, target: str
+) -> tuple[GridCell, TrainedModel | EpicastError]:
     r2 = mse = None
-    flag_reason = std if isinstance(std, str) else None
-    if flag_reason is None:
+    fit = std
+    if not isinstance(std, EpicastError):
         try:
-            model, result = train_on_split(
+            fit, result = train_on_split(
                 slot.model_family, slot.config, std, ("day_index",), target
             )
             r2, mse = result.r2, result.mse
-            flag_reason = None if model.converged else "not_converged"
         except EpicastError as err:
-            flag_reason = f"{type(err).__name__}: {err}"
-    return GridCell(
+            # The table outlives the fit; a kept traceback would keep the
+            # failed fit's frames, and a Gram matrix with them, alive too.
+            fit = err.with_traceback(None)
+    if isinstance(fit, EpicastError):
+        flag_reason = f"{type(fit).__name__}: {fit}"
+    else:
+        flag_reason = None if fit.converged else "not_converged"
+    cell = GridCell(
         slot=slot.slot,
         family=slot.model_family,
         target=target,
@@ -185,6 +196,7 @@ def _run_cell(
         flag_reason=flag_reason,
         config=slot.config_dict(),
     )
+    return cell, fit
 
 
 def run_grid(
@@ -197,13 +209,14 @@ def run_grid(
     The series must be imputed (no missing values in used columns). Each
     target's split is built once; if that fails, every cell of the target
     is flagged. The cells run in order on the calling thread, one fit at a
-    time, and the output is sorted by (family, slot, target).
+    time, and the output is sorted by (family, slot, target). The table
+    keeps every cell's fit for ``compare_models``.
     """
     if slots is None:
         slots = default_grid(seed=split_spec.seed)
     prepared = {t: _prepare(series, split_spec, t) for t in GRID_TARGETS}
-    cells = [_run_cell(prepared[t], slot, t) for slot in slots for t in GRID_TARGETS]
-    cells.sort(key=lambda c: (c.family, c.slot, c.target))
+    runs = [_run_cell(prepared[t], slot, t) for slot in slots for t in GRID_TARGETS]
+    cells = sorted((c for c, _ in runs), key=lambda c: (c.family, c.slot, c.target))
     metadata = {
         "split": dataclasses.asdict(split_spec),
         "seed": split_spec.seed,
@@ -212,7 +225,8 @@ def run_grid(
         "dataset": fingerprint(series),
         "source_label": series.source_label,
     }
-    return ScoreTable(cells=tuple(cells), metadata=metadata)
+    fits = {(c.family, c.slot, c.target): fit for c, fit in runs}
+    return ScoreTable(cells=tuple(cells), metadata=metadata, fits=fits)
 
 
 def select_best(table: ScoreTable, family: str) -> RegressorSlot:
@@ -265,49 +279,47 @@ class ComparisonReport:
 
 def compare_models(
     series: CaseSeries,
-    split_spec: SplitSpec,
+    table: ScoreTable,
     best_slots: dict[str, RegressorSlot],
     target: str,
     horizon: int = 0,
 ) -> ComparisonReport:
-    """Train each family's best slot on identical rows and predict together.
+    """Predict with each family's best-slot fit from the grid on one axis.
 
-    All three models see the same standardized train half; predictions
-    cover the test span (earliest test date to series end) plus `horizon`
-    days past the last observation; a negative `horizon` is an InputError.
+    ``table`` is the grid ``run_grid`` fitted on ``series``; every family's
+    model is the one its cell on ``target`` scored, trained on the same
+    standardized train half. A cell whose split or fit failed re-raises
+    that error. Predictions cover the test span (earliest test date to
+    series end) plus `horizon` days past the last observation; a negative
+    `horizon`, or one that runs past 9999-12-31, is an InputError.
     """
     if horizon < 0:
         raise InputError(f"horizon must be non-negative, got {horizon}")
-    data = build_supervised(series, ("day_index",), target)
-    std = standardized_split(data, split_spec)
-    _, test_rows = split_indices(len(data), split_spec)
-    first_test_index = int(np.min(test_rows))
-
-    span = series.records[first_test_index:]
-    day_indices = [r.day_index for r in span]
-    dates = [r.date for r in span]
-    observed: list[int | None] = [r.get(target) for r in span]
-    last_index = series.last_day_index
-    last_date = series.last_date
-    for h in range(1, horizon + 1):
-        day_indices.append(last_index + h)
-        dates.append(last_date + timedelta(days=h))
-        observed.append(None)
+    models = {}
+    for family, slot in best_slots.items():
+        models[family] = table.fits[(family, slot.slot, target)]
+        if isinstance(models[family], EpicastError):
+            raise models[family]
+    split_spec = SplitSpec(**table.metadata["split"])
+    _, test_rows = split_indices(len(series), split_spec)
+    span = series.records[int(np.min(test_rows)):]
+    dates = [r.date for r in span] + horizon_dates(series.last_date, horizon)
+    observed: list[int | None] = [r.get(target) for r in span] + [None] * horizon
+    day_indices = [r.day_index for r in span] + [
+        series.last_day_index + h for h in range(1, horizon + 1)
+    ]
 
     x_future = np.asarray(day_indices, dtype=float)[:, None]
-    predicted: dict[str, tuple[float, ...]] = {}
-    models: dict[str, TrainedModel] = {}
-    for family, slot in best_slots.items():
-        model, _ = train_on_split(family, slot.config, std, ("day_index",), target)
-        models[family] = model
-        predicted[family] = tuple(float(v) for v in predict_raw(model, x_future))
-
+    predicted = {
+        family: tuple(float(v) for v in predict_raw(model, x_future))
+        for family, model in models.items()
+    }
     metadata = {
-        "split": dataclasses.asdict(split_spec),
+        "split": table.metadata["split"],
         "horizon": horizon,
         "slots": {f: s.slot for f, s in best_slots.items()},
         "configs": {f: s.config_dict() for f, s in best_slots.items()},
-        "dataset": fingerprint(series),
+        "dataset": table.metadata["dataset"],
         "reference_best_r2": REFERENCE_BEST_R2,
     }
     return ComparisonReport(

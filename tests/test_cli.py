@@ -133,9 +133,12 @@ class TestStats:
     def test_manifest_config_holds_only_flags(self, tiny_csv, tmp_path):
         out = tmp_path / "out"
         assert main(["stats", str(tiny_csv), "--out-dir", str(out)]) == 0
-        config = read_json(out / "stats.json")["manifest"]["config"]
+        manifest = read_json(out / "stats.json")["manifest"]
+        config = manifest["config"]
         assert "_argv" not in config
         assert config["csv"] == str(tiny_csv)
+        assert not {"seed", "split_fraction", "split_mode", "impute"} & set(config)
+        assert manifest["seed"] is None
 
     def test_custom_column_names(self, tmp_path):
         path = tmp_path / "renamed.csv"
@@ -460,6 +463,41 @@ class TestForecastCmd:
         assert err["error"] == "input"
         assert "empty.csv" in err["message"]
 
+    def test_last_day_index_with_csv_exit_2(self, short_csv, short_model, tmp_path, capsys):
+        code = main([
+            "forecast", str(short_model), "--csv", str(short_csv),
+            "--last-day-index", "5", "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert "--last-day-index" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ["--csv", "{csv}", "--horizon", "3000000"],
+            ["--start", "9999-12-31", "--last-day-index", "5", "--horizon", "2"],
+            ["--csv", "{last_csv}"],
+        ],
+        ids=["huge-horizon", "start-at-the-last-date", "history-ends-at-the-last-date"],
+    )
+    def test_dates_past_9999_exit_2(self, flags, short_csv, short_model, tmp_path, capsys):
+        last_csv = tmp_path / "last.csv"
+        last_csv.write_text(
+            "date,tests,confirmed,deaths\n9999-12-30,10,2,0\n9999-12-31,12,3,0\n",
+            encoding="utf-8",
+        )
+        args = [f.format(csv=short_csv, last_csv=last_csv) for f in flags]
+        code = main([
+            "forecast", str(short_model), *args, "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert "9999-12-31" in err["message"]
+
     def test_bad_start_date_exit_2(self, series_csv_path, tmp_path):
         out = tmp_path / "out"
         main([
@@ -539,6 +577,60 @@ class TestCompare:
         assert code == 2
         assert "horizon" in json.loads(capsys.readouterr().err)["message"]
 
+    def test_horizon_past_9999_rejected_before_the_grid(
+        self, short_csv, tmp_path, capsys, monkeypatch
+    ):
+        def no_grid(*args, **kwargs):
+            raise AssertionError("the grid ran")
+
+        monkeypatch.setattr(cli, "run_grid", no_grid)
+        code = main([
+            "compare", str(short_csv), "--horizon", "3000000",
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == 2
+        assert "9999-12-31" in json.loads(capsys.readouterr().err)["message"]
+
+    def test_fits_only_the_grids_cells(self, short_csv, tmp_path, monkeypatch):
+        fits = []
+        fit = harness.train_on_split
+
+        def spy(*args):
+            fits.append(args[0])
+            return fit(*args)
+
+        monkeypatch.setattr(harness, "train_on_split", spy)
+        assert main(["compare", str(short_csv), "--out-dir", str(tmp_path)]) == 0
+        assert len(fits) == 30
+
+    def test_constant_deaths_exit_2_only_for_deaths(self, short_csv, tmp_path, capsys):
+        rows = read_csv(short_csv)
+        flat = tmp_path / "flat_deaths.csv"
+        with open(flat, "w", encoding="utf-8", newline="") as fh:
+            csv.writer(fh, lineterminator="\n").writerows(
+                [rows[0]] + [r[:3] + ["2"] for r in rows[1:]]
+            )
+        code = main([
+            "compare", str(flat), "--target", "deaths", "--out-dir", str(tmp_path / "d"),
+        ])
+        assert code == 2
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "input",
+            "message": "target 'deaths' is constant on the training rows",
+        }
+        assert main([
+            "compare", str(flat), "--target", "confirmed",
+            "--out-dir", str(tmp_path / "c"),
+        ]) == 0
+
+    def test_tests_is_not_a_target(self, short_csv, tmp_path):
+        with pytest.raises(SystemExit) as exit_info:
+            main([
+                "compare", str(short_csv), "--target", "tests",
+                "--out-dir", str(tmp_path),
+            ])
+        assert exit_info.value.code == 2
+
 
 class TestScenario:
     def test_windowed_run_emits_both_targets(
@@ -586,6 +678,7 @@ class TestRejectedFlags:
             ("compare --workers -1", "workers"),
             ("compare --horizon -1", "horizon"),
             ("scenario --from 20210615", "YYYY-MM-DD"),
+            ("scenario --horizon 3000000", "9999-12-31"),
             ("scenario --to 2021-W32-5", "YYYY-MM-DD"),
             ("train --model svr --c nan", "c must be positive and finite"),
             ("train --model svr --epsilon inf", "epsilon"),
@@ -681,6 +774,26 @@ class TestFormatSelection:
         out = tmp_path / "out"
         written = self.files_written(command, "csv", short_csv, short_model, out)
         assert written == set(tables) | model
+
+
+class TestRemovedFlags:
+    """stats, eval and forecast fit nothing, and stats does not impute."""
+
+    @pytest.mark.parametrize(
+        "command, flag",
+        [
+            (command, flag)
+            for command in ("stats", "eval", "forecast")
+            for flag in ("--seed 1", "--split-fraction 0.5", "--split-mode shuffled")
+        ]
+        + [("stats", "--impute mean")],
+    )
+    def test_usage_error(self, command, flag, short_csv, short_model, tmp_path):
+        flags, _, _ = FORMAT_CASES[command]
+        args = [f.format(csv=short_csv, model=short_model) for f in flags]
+        with pytest.raises(SystemExit) as exit_info:
+            main([command, *args, *flag.split(), "--out-dir", str(tmp_path)])
+        assert exit_info.value.code == 2
 
 
 # Inputs that exist but cannot be read as text; each builds argv from a

@@ -1,3 +1,4 @@
+import importlib
 from datetime import date as Date, timedelta
 
 import numpy as np
@@ -217,6 +218,21 @@ class TestScenarioRun:
                 chrono_split,
                 horizon=3,
             )
+
+    @pytest.mark.parametrize("horizon", [0, 3_000_000])
+    def test_bad_horizon_rejected_before_any_fit(
+        self, series, chrono_split, monkeypatch, horizon
+    ):
+        # epicast.forecast, the attribute, is the function; patch the module.
+        module = importlib.import_module("epicast.forecast")
+        fits = []
+        monkeypatch.setattr(module, "train_on_split", lambda *args: fits.append(args))
+        with pytest.raises(InputError, match="horizon"):
+            scenario_run(
+                series, series.first_date, series.last_date, "linreg",
+                LinRegConfig(), chrono_split, horizon=horizon,
+            )
+        assert fits == []
 
     def test_mlp_scenario_scores_reported(self, series):
         spec = SplitSpec(mode="chronological", train_fraction=0.8, seed=0)

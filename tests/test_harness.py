@@ -23,6 +23,8 @@ from epicast import (
 )
 from epicast import harness
 from epicast.errors import InputError, NoValidCell
+from epicast.models import predict_raw, train_on_split
+from epicast.preprocess import build_supervised, split_indices, standardized_split
 
 
 def linear_series(days=120, slope=3, start_value=50):
@@ -260,11 +262,17 @@ def best_slots():
     }
 
 
+def compare(series, spec, best_slots, target="confirmed", horizon=0):
+    """compare_models over a grid of just the given best slots."""
+    table = run_grid(series, spec, list(best_slots.values()))
+    return compare_models(series, table, best_slots, target, horizon)
+
+
 class TestCompareModels:
     def test_axis_covers_test_span(self, best_slots):
         series = linear_series()
         spec = SplitSpec(mode="chronological", train_fraction=0.8, seed=0)
-        report = compare_models(series, spec, best_slots, "confirmed")
+        report = compare(series, spec, best_slots)
         assert len(report.dates) == 24  # 120 rows, test fifth
         assert report.dates[0] == Date(2021, 1, 1) + timedelta(days=96)
         assert report.dates[-1] == series.last_date
@@ -277,7 +285,7 @@ class TestCompareModels:
     def test_horizon_extends_axis_with_null_observed(self, best_slots):
         series = linear_series()
         spec = SplitSpec(mode="chronological", train_fraction=0.8, seed=0)
-        report = compare_models(series, spec, best_slots, "confirmed", horizon=30)
+        report = compare(series, spec, best_slots, horizon=30)
         assert len(report.dates) == 24 + 30
         assert report.dates[-1] == series.last_date + timedelta(days=30)
         assert all(v is None for v in report.observed[24:])
@@ -286,7 +294,7 @@ class TestCompareModels:
     def test_families_recover_linear_truth_on_shuffled_split(self, best_slots):
         series = linear_series()
         spec = SplitSpec(mode="shuffled", train_fraction=0.8, seed=3)
-        report = compare_models(series, spec, best_slots, "confirmed")
+        report = compare(series, spec, best_slots)
         obs = np.asarray(report.observed, dtype=float)
         denom = float(np.sum((obs - obs.mean()) ** 2))
         for family, values in report.predicted.items():
@@ -296,7 +304,7 @@ class TestCompareModels:
     def test_shuffled_axis_starts_at_earliest_test_row(self, best_slots):
         series = linear_series(days=50)
         spec = SplitSpec(mode="shuffled", train_fraction=0.8, seed=3)
-        report = compare_models(series, spec, best_slots, "confirmed")
+        report = compare(series, spec, best_slots)
         order = np.random.default_rng(3).permutation(50)
         first = int(np.min(order[40:]))
         assert report.dates[0] == Date(2021, 1, 1) + timedelta(days=first)
@@ -305,20 +313,37 @@ class TestCompareModels:
     def test_negative_horizon_rejected(self, best_slots):
         spec = SplitSpec(mode="chronological", train_fraction=0.8, seed=0)
         with pytest.raises(InputError, match="horizon"):
-            compare_models(linear_series(days=60), spec, best_slots, "confirmed", -1)
+            compare(linear_series(days=60), spec, best_slots, horizon=-1)
 
     def test_metadata_lists_slots_and_configs(self, best_slots):
         series = linear_series(days=60)
         spec = SplitSpec(mode="chronological", train_fraction=0.8, seed=0)
-        report = compare_models(series, spec, best_slots, "confirmed")
+        report = compare(series, spec, best_slots)
         assert report.metadata["slots"] == {"mlp": 1, "svr": 1, "linreg": 1}
         assert report.metadata["configs"]["svr"]["kernel"]["kind"] == "rbf"
         assert report.metadata["horizon"] == 0
 
+    @pytest.mark.parametrize("target", ["confirmed", "deaths"])
+    def test_predictions_equal_a_fresh_refit_of_the_best_slot(
+        self, grid_table, series, chrono_split, target
+    ):
+        best = {f: select_best(grid_table, f) for f in ("mlp", "svr", "linreg")}
+        report = compare_models(series, grid_table, best, target)
+        data = build_supervised(series, ("day_index",), target)
+        std = standardized_split(data, chrono_split)
+        _, test_rows = split_indices(len(data), chrono_split)
+        x = np.asarray(
+            [r.day_index for r in series.records[int(np.min(test_rows)):]], dtype=float
+        )[:, None]
+        for family, slot in best.items():
+            model, _ = train_on_split(family, slot.config, std, ("day_index",), target)
+            refit = tuple(float(v) for v in predict_raw(model, x))
+            assert report.predicted[family] == refit, family
+
     def test_as_dict_round_trip_types(self, best_slots):
         series = linear_series(days=60)
         spec = SplitSpec(mode="chronological", train_fraction=0.8, seed=0)
-        doc = compare_models(series, spec, best_slots, "confirmed", horizon=2).as_dict()
+        doc = compare(series, spec, best_slots, horizon=2).as_dict()
         assert doc["target"] == "confirmed"
         assert isinstance(doc["dates"][0], str)
         assert doc["observed"][-1] is None
