@@ -28,7 +28,6 @@ from .errors import (
 from .forecast import (
     ForecastReport,
     ScenarioResult,
-    backtest,
     emit_plot_series,
     forecast,
     forecast_raw,
@@ -58,7 +57,6 @@ from .mlp import (
 )
 from .models import (
     TrainedModel,
-    default_config,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -95,7 +93,6 @@ from .svr import (
     SvrParams,
     dual_objective,
     gram_matrix,
-    kernel_eval,
     qp_oracle,
     resolve_gamma,
     svr_fit,

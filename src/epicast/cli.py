@@ -47,6 +47,7 @@ from .models import (
     FAMILIES,
     FamilyConfig,
     TrainedModel,
+    json_text,
     load_model,
     original_space_eval,
     predict_scaled,
@@ -72,10 +73,9 @@ def _output(path: Path):
         raise InputError(f"cannot write {path}: {err}") from None
 
 
-def _write_json(path: Path, document: dict) -> None:
+def _write_text(path: Path, text: str) -> None:
     with _output(path), open(path, "w", encoding="utf-8") as fh:
-        json.dump(document, fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
@@ -102,13 +102,15 @@ def _emit(
 ) -> None:
     """Finish the run manifest that ``main`` started and attach it, write
     ``<name>.json`` and the CSV tables that --format selects under
-    --out-dir, and print the payload."""
+    --out-dir, and print the payload. A document holding a non-finite
+    number raises NumericError before anything is written."""
     manifest = args._manifest
     manifest.input_fingerprint = fp
     document["manifest"] = manifest.finish().as_dict()
+    text = json_text(document)
     out = Path(args.out_dir)
     if args.format in ("json", "both"):
-        _write_json(out / f"{name}.json", document)
+        _write_text(out / f"{name}.json", text)
     if args.format in ("csv", "both"):
         for file, (header, rows) in tables.items():
             _write_csv(out / file, header, rows)
@@ -465,8 +467,17 @@ def _add_mlp_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--learning-rate", dest="learning_rate", type=float, default=1e-3)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose usage errors raise InputError, so they exit 2
+    with a JSON error like every other bad input; the subcommand parsers
+    inherit the class."""
+
+    def error(self, message: str):
+        raise InputError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="epicast",
         description="Regression and forecasting toolkit for daily epidemic "
         "case-count series",
@@ -543,15 +554,14 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     raw_argv = list(sys.argv[1:]) if argv is None else list(argv)
-    parser = build_parser()
-    args = parser.parse_args(raw_argv)
-    args._manifest = RunManifest.start(
-        command=args.command,
-        argv=raw_argv,
-        config=_config_snapshot(args),
-        seed=getattr(args, "seed", None),
-    )
     try:
+        args = build_parser().parse_args(raw_argv)
+        args._manifest = RunManifest.start(
+            command=args.command,
+            argv=raw_argv,
+            config=_config_snapshot(args),
+            seed=getattr(args, "seed", None),
+        )
         return args.func(args)
     except InputError as err:
         return _fail("input", err, 2)

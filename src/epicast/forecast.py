@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataset import CaseSeries, horizon_dates, window
 from .errors import FeatureMismatch, InputError
-from .metrics import EvalResult, evaluate
+from .metrics import EvalResult
 from .models import (
     FamilyConfig,
     TrainedModel,
@@ -217,36 +217,3 @@ def emit_plot_series(
         )
     return rows
 
-
-def backtest(model: TrainedModel, series: CaseSeries) -> dict:
-    """Score a trained model against observed days of a series.
-
-    Original-unit comparison over every day whose target is present. No
-    pass/fail threshold is applied; the caller reads the numbers.
-    """
-    target = model.target_name
-    days = [
-        (r.day_index, r.get(target))
-        for r in series.records
-        if r.get(target) is not None
-    ]
-    if not days:
-        raise InputError(f"series has no observed {target!r} values")
-    idx = np.asarray([d for d, _ in days], dtype=float)
-    observed = np.asarray([v for _, v in days], dtype=float)
-    predicted = predict_raw(model, idx[:, None])
-    scores = evaluate(observed, predicted, space="original")
-    return {
-        "target": target,
-        "n_days": len(days),
-        "mse": scores.mse,
-        "r2": scores.r2,
-        "rows": [
-            {
-                "day_index": int(i),
-                "observed": float(o),
-                "predicted": float(p),
-            }
-            for i, o, p in zip(idx, observed, predicted)
-        ],
-    }

@@ -58,5 +58,8 @@ class EvalResult:
 
 
 def evaluate(y_true: np.ndarray, y_pred: np.ndarray, space: str = "scaled") -> EvalResult:
+    """Scores of y_pred against y_true; an overflow gives an infinite score,
+    which the report writer rejects, rather than a warning."""
     t, p = _paired(y_true, y_pred)
-    return EvalResult(mse=mse(t, p), r2=r2_score(t, p), n=t.size, space=space)
+    with np.errstate(over="ignore"):
+        return EvalResult(mse=mse(t, p), r2=r2_score(t, p), n=t.size, space=space)

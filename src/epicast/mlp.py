@@ -23,7 +23,7 @@ from .optimizers import (
     lbfgs_minimize,
     sgd_minimize,
 )
-from .preprocess import as_xy
+from .preprocess import as_design, as_xy
 
 ACTIVATIONS = ("tanh", "relu", "logistic")
 OPTIMIZERS = ("lbfgs", "sgd", "adam")
@@ -175,14 +175,10 @@ def _forward_batch(
     return out[:, 0], pre, post
 
 
-def forward(params: MlpParams, act: ActivationKind, x: np.ndarray) -> float | np.ndarray:
-    """Network output: a float for a single feature vector, else one per row."""
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
-    yhat, _, _ = _forward_batch(params, act, arr)
-    return float(yhat[0]) if single else yhat
+def forward(params: MlpParams, act: ActivationKind, x: np.ndarray) -> np.ndarray:
+    """Network output, one value per row of ``as_design(x)``."""
+    yhat, _, _ = _forward_batch(params, act, as_design(x))
+    return yhat
 
 
 def loss_and_gradient(
@@ -222,46 +218,41 @@ def train_mlp(
     Standardized inputs are strongly recommended. Training stops at
     max_iterations or when the loss improves by less than cfg.tolerance
     over 10 consecutive steps; the returned MinimizeResult carries the
-    loss trace and stop status.
+    loss trace and stop status. Overflow while training is not a warning:
+    a non-finite loss raises NonFiniteLoss or NonFiniteObjective.
     """
     xs, ys = as_xy(x, y, min_rows=2)
     act = ActivationKind(cfg.activation)
     shapes = MlpParams.shapes(cfg, xs.shape[1])
     theta0 = init_params(cfg, xs.shape[1]).flatten()
-    evals = [0]
 
     def eval_flat(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        evals[0] += 1
-        try:
-            loss, grad = loss_and_gradient(
-                MlpParams.unflatten(theta, shapes), act, xs, ys
-            )
-        except NonFiniteLoss as err:
-            raise NonFiniteLoss(str(err), iteration=evals[0]) from None
+        loss, grad = loss_and_gradient(MlpParams.unflatten(theta, shapes), act, xs, ys)
         return loss, grad.flatten()
 
     obj = FunctionObjective(dim=theta0.size, fn=eval_flat)
-    if cfg.optimizer == "lbfgs":
-        result = lbfgs_minimize(
-            obj,
-            theta0,
-            LbfgsConfig(max_iterations=cfg.max_iterations),
-            tolerance=cfg.tolerance,
-        )
-    elif cfg.optimizer == "sgd":
-        result = sgd_minimize(
-            obj,
-            theta0,
-            learning_rate=cfg.learning_rate,
-            iterations=cfg.max_iterations,
-            tolerance=cfg.tolerance,
-        )
-    else:
-        result = adam_minimize(
-            obj,
-            theta0,
-            learning_rate=cfg.learning_rate,
-            iterations=cfg.max_iterations,
-            tolerance=cfg.tolerance,
-        )
+    with np.errstate(over="ignore", invalid="ignore"):
+        if cfg.optimizer == "lbfgs":
+            result = lbfgs_minimize(
+                obj,
+                theta0,
+                LbfgsConfig(max_iterations=cfg.max_iterations),
+                tolerance=cfg.tolerance,
+            )
+        elif cfg.optimizer == "sgd":
+            result = sgd_minimize(
+                obj,
+                theta0,
+                learning_rate=cfg.learning_rate,
+                iterations=cfg.max_iterations,
+                tolerance=cfg.tolerance,
+            )
+        else:
+            result = adam_minimize(
+                obj,
+                theta0,
+                learning_rate=cfg.learning_rate,
+                iterations=cfg.max_iterations,
+                tolerance=cfg.tolerance,
+            )
     return MlpParams.unflatten(result.theta, shapes), result

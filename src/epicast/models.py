@@ -17,7 +17,7 @@ from typing import Any, Callable, NoReturn
 import numpy as np
 
 from .dataset import read_text
-from .errors import FeatureMismatch, InputError
+from .errors import FeatureMismatch, InputError, NumericError
 from .linear import LinRegConfig, LinRegParams, linreg_fit, linreg_predict
 from .metrics import EvalResult, evaluate
 from .mlp import ActivationKind, MlpConfig, MlpParams, forward, train_mlp
@@ -60,15 +60,16 @@ class Family:
     ``fit`` maps (config, standardized train set) to (params, train_meta);
     ``predict`` maps (model, standardized 2-D features) to standardized
     predictions. The dict converters read and write the "config" and
-    "params" sections of the model document.
+    "params" sections of the model document; ``params_from_dict`` also
+    takes the number of features and raises ValueError unless the arrays
+    fit a design that wide.
     """
 
-    config_type: type
     config_from_dict: Callable[[dict], Any]
     fit: Callable[[Any, SupervisedSet], tuple[Any, dict]]
-    predict: Callable[[TrainedModel, np.ndarray], Any]
+    predict: Callable[[TrainedModel, np.ndarray], np.ndarray]
     params_to_dict: Callable[[Any], dict]
-    params_from_dict: Callable[[dict], Any]
+    params_from_dict: Callable[[dict, int], Any]
 
 
 # The fit helpers call the solvers through this module's globals at call
@@ -120,22 +121,59 @@ def _svr_params_to_dict(p: SvrParams) -> dict:
     }
 
 
-def _svr_params_from_dict(p: dict) -> SvrParams:
+def _mlp_params_from_dict(p: dict, width: int) -> MlpParams:
+    params = MlpParams(
+        weights=tuple(_array(w) for w in p["weights"]),
+        biases=tuple(_array(b) for b in p["biases"]),
+    )
+    broken = ValueError(f"MLP layers do not chain {width} input columns to one output")
+    rows = width
+    for w, b in zip(params.weights, params.biases):
+        if w.ndim != 2 or w.shape[1] != rows or b.shape != w.shape[:1]:
+            raise broken
+        rows = w.shape[0]
+    if not params.weights or len(params.biases) != len(params.weights) or rows != 1:
+        raise broken
+    return params
+
+
+def _svr_params_from_dict(p: dict, width: int) -> SvrParams:
     sv = _array(p["support_vectors"])
-    return SvrParams(
+    params = SvrParams(
         alphas=_array(p["alphas"]),
         bias=float(p["bias"]),
-        support_vectors=sv if sv.ndim == 2 else sv.reshape(0, 1),
+        support_vectors=sv if sv.ndim == 2 else sv.reshape(0, width),
         support_coefs=_array(p["support_coefs"]),
         kernel=KernelSpec(**p["kernel"]),
         converged=bool(p["converged"]),
         passes=int(p["passes"]),
     )
+    rows, columns = params.support_vectors.shape
+    if columns != width or params.support_coefs.shape != (rows,):
+        raise ValueError(
+            f"support vectors need {width} columns and one support coef per row"
+        )
+    if params.kernel.kind != "linear" and params.kernel.gamma is None:
+        raise ValueError("the kernel's gamma is unresolved")
+    return params
+
+
+def _linreg_params_from_dict(p: dict, width: int) -> LinRegParams:
+    params = LinRegParams(slope=_array(p["slope"]), intercept=float(p["intercept"]))
+    if params.slope.shape != (width,):
+        raise ValueError(f"slope needs {width} entries")
+    return params
+
+
+def _scaler_from_dict(d: dict, width: int) -> ScalerParams:
+    scaler = ScalerParams(mean=_array(d["mean"]), scale=_array(d["scale"]))
+    if scaler.mean.shape != (width,) or not np.all(scaler.scale > 0.0):
+        raise ValueError(f"scaler needs {width} columns, each of positive scale")
+    return scaler
 
 
 FAMILY_TABLE: dict[str, Family] = {
     "mlp": Family(
-        config_type=MlpConfig,
         config_from_dict=lambda d: MlpConfig(**d),
         fit=_fit_mlp,
         predict=lambda m, xs: forward(
@@ -145,13 +183,9 @@ FAMILY_TABLE: dict[str, Family] = {
             "weights": [w.tolist() for w in p.weights],
             "biases": [b.tolist() for b in p.biases],
         },
-        params_from_dict=lambda p: MlpParams(
-            weights=tuple(_array(w) for w in p["weights"]),
-            biases=tuple(_array(b) for b in p["biases"]),
-        ),
+        params_from_dict=_mlp_params_from_dict,
     ),
     "svr": Family(
-        config_type=SvrConfig,
         config_from_dict=lambda d: SvrConfig(
             **{**d, "kernel": KernelSpec(**d["kernel"])}
         ),
@@ -161,7 +195,6 @@ FAMILY_TABLE: dict[str, Family] = {
         params_from_dict=_svr_params_from_dict,
     ),
     "linreg": Family(
-        config_type=LinRegConfig,
         config_from_dict=lambda d: LinRegConfig(**d),
         fit=_fit_linreg,
         predict=lambda m, xs: linreg_predict(m.params, xs),
@@ -169,9 +202,7 @@ FAMILY_TABLE: dict[str, Family] = {
             "slope": p.slope.tolist(),
             "intercept": p.intercept,
         },
-        params_from_dict=lambda p: LinRegParams(
-            slope=_array(p["slope"]), intercept=float(p["intercept"])
-        ),
+        params_from_dict=_linreg_params_from_dict,
     ),
 }
 
@@ -183,10 +214,6 @@ def lookup_family(name: str) -> Family:
         return FAMILY_TABLE[name]
     except (KeyError, TypeError):
         raise InputError(f"unknown model family {name!r}; valid: {FAMILIES}") from None
-
-
-def default_config(family: str) -> FamilyConfig:
-    return lookup_family(family).config_type()
 
 
 def train_on_split(
@@ -212,22 +239,31 @@ def train_on_split(
     return model, result
 
 
+def _finite(predictions: np.ndarray) -> np.ndarray:
+    if not np.all(np.isfinite(predictions)):
+        raise NumericError("the model's predictions are not finite")
+    return predictions
+
+
 def predict_scaled(model: TrainedModel, x_scaled: np.ndarray) -> np.ndarray:
-    """Predictions in standardized target units from standardized features."""
+    """Predictions in standardized target units from standardized features;
+    a non-finite prediction raises NumericError."""
     xs = as_design(x_scaled)
-    out = lookup_family(model.family).predict(model, xs)
-    return np.asarray(out, dtype=float).ravel()
+    with np.errstate(over="ignore", invalid="ignore"):
+        return _finite(lookup_family(model.family).predict(model, xs))
 
 
 def predict_raw(model: TrainedModel, x_raw: np.ndarray) -> np.ndarray:
-    """Raw features in, original-unit (real-valued) predictions out."""
+    """Raw features in, original-unit (real-valued) predictions out; a
+    non-finite prediction raises NumericError."""
     xs = as_design(x_raw)
     if xs.shape[1] != len(model.feature_names):
         raise FeatureMismatch(
             f"model expects features {model.feature_names}, got {xs.shape[1]} columns"
         )
-    scaled = transform(xs, model.x_scaler)
-    return inverse_transform(predict_scaled(model, scaled), model.y_scaler)
+    with np.errstate(over="ignore", invalid="ignore"):
+        scaled = predict_scaled(model, transform(xs, model.x_scaler))
+        return _finite(inverse_transform(scaled, model.y_scaler))
 
 
 def original_space_eval(model: TrainedModel, scaled: EvalResult) -> EvalResult:
@@ -259,7 +295,9 @@ def model_to_dict(model: TrainedModel) -> dict:
 
 
 def model_from_dict(doc: dict) -> TrainedModel:
-    """Rebuild a model document; any malformed document raises InputError."""
+    """Rebuild a model document; any malformed document raises InputError,
+    and so do arrays that do not fit together: scalers and params must fit
+    one column per feature name, and the y scaler one column."""
     if not isinstance(doc, dict):
         raise InputError("model document must be a JSON object")
     if doc.get("version") != MODEL_DOC_VERSION:
@@ -269,19 +307,15 @@ def model_from_dict(doc: dict) -> TrainedModel:
     name = doc.get("family")
     family = lookup_family(name)
     try:
+        feature_names = tuple(doc["feature_names"])
+        width = len(feature_names)
         return TrainedModel(
             family=name,
             config=family.config_from_dict(doc["config"]),
-            params=family.params_from_dict(doc["params"]),
-            x_scaler=ScalerParams(
-                mean=_array(doc["x_scaler"]["mean"]),
-                scale=_array(doc["x_scaler"]["scale"]),
-            ),
-            y_scaler=ScalerParams(
-                mean=_array(doc["y_scaler"]["mean"]),
-                scale=_array(doc["y_scaler"]["scale"]),
-            ),
-            feature_names=tuple(doc["feature_names"]),
+            params=family.params_from_dict(doc["params"], width),
+            x_scaler=_scaler_from_dict(doc["x_scaler"], width),
+            y_scaler=_scaler_from_dict(doc["y_scaler"], 1),
+            feature_names=feature_names,
             target_name=doc["target_name"],
             train_meta=dict(doc.get("train_meta", {})),
         )
@@ -289,10 +323,19 @@ def model_from_dict(doc: dict) -> TrainedModel:
         raise InputError(f"malformed model document: {err!r}") from None
 
 
+def json_text(document: dict) -> str:
+    """Indented JSON with a final newline; a NaN or infinite number in the
+    document raises NumericError, before any file is opened for it."""
+    try:
+        return json.dumps(document, indent=2, allow_nan=False) + "\n"
+    except ValueError as err:
+        raise NumericError(f"cannot write a non-finite number as JSON: {err}") from None
+
+
 def save_model(model: TrainedModel, path: str) -> None:
+    text = json_text(model_to_dict(model))
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)
 
 
 def _reject_constant(name: str) -> NoReturn:

@@ -1,16 +1,16 @@
 """Unconstrained minimizers over flattened parameter vectors.
 
 Three methods: L-BFGS with a strong-Wolfe line search, full-batch gradient
-descent (sgd), and Adam. All operate on an Objective exposing ``dim`` and
-``eval(theta) -> (value, gradient)`` and are deterministic: identical
-inputs give identical traces.
+descent (sgd), and Adam. All operate on a FunctionObjective, whose
+``eval(theta)`` returns (value, gradient), and are deterministic:
+identical inputs give identical traces.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Callable, Protocol, runtime_checkable
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -19,18 +19,23 @@ from .errors import NonFiniteObjective
 # (s, y) pairs this flat are dropped to keep the implicit Hessian positive
 # definite in the two-loop recursion.
 CURVATURE_SKIP = 1e-10
-
-
-@runtime_checkable
-class Objective(Protocol):
-    dim: int
-
-    def eval(self, theta: np.ndarray) -> tuple[float, np.ndarray]: ...
+# (s, y) pairs the two-loop recursion keeps.
+MEMORY = 10
+# Strong-Wolfe constants: sufficient decrease and curvature.
+WOLFE_C1 = 1e-4
+WOLFE_C2 = 0.9
+# Function-evaluation budget for one line search, bracket plus zoom.
+MAX_EVALS_PER_SEARCH = 25
+# Consecutive steps below the improvement tolerance before an early stop.
+PATIENCE = 10
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 
 
 @dataclass
 class FunctionObjective:
-    """Adapts a plain (value, gradient) function to the Objective protocol."""
+    """A plain (value, gradient) function over vectors of length ``dim``."""
 
     dim: int
     fn: Callable[[np.ndarray], tuple[float, np.ndarray]]
@@ -42,30 +47,8 @@ class FunctionObjective:
 
 @dataclass(frozen=True)
 class LbfgsConfig:
-    memory: int = 10
     max_iterations: int = 500
     grad_tolerance: float = 1e-6
-    wolfe_c1: float = 1e-4
-    wolfe_c2: float = 0.9
-    # Function-evaluation budget for one line search, bracket plus zoom.
-    max_evals_per_search: int = 25
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.wolfe_c1 < self.wolfe_c2 < 1.0:
-            raise ValueError("need 0 < c1 < c2 < 1")
-        if self.memory < 1:
-            raise ValueError("memory must be at least 1")
-
-
-@dataclass(frozen=True)
-class StepRecord:
-    """One accepted line-search step, enough to re-check the Wolfe conditions."""
-
-    alpha: float
-    f_before: float
-    f_after: float
-    dphi0: float
-    dphi_after: float
 
 
 @dataclass
@@ -73,10 +56,8 @@ class MinimizeResult:
     theta: np.ndarray
     trace: list[float]
     iterations: int
-    converged: bool
     status: str  # converged | stalled | max_iterations | line_search_failed
     grad_norm: float
-    steps: list[StepRecord] = field(default_factory=list)
 
 
 def _check_initial(value: float, grad: np.ndarray) -> None:
@@ -143,14 +124,13 @@ class _LineSearch:
 
     def __init__(
         self,
-        obj: Objective,
+        obj: FunctionObjective,
         x: np.ndarray,
         d: np.ndarray,
         f0: float,
         dphi0: float,
-        cfg: LbfgsConfig,
     ):
-        self.obj, self.x, self.d, self.cfg = obj, x, d, cfg
+        self.obj, self.x, self.d = obj, x, d
         self.f0, self.dphi0 = f0, dphi0
         self.evals = 0
 
@@ -162,18 +142,17 @@ class _LineSearch:
         return (f if ok else np.inf), g, dphi
 
     def _sufficient(self, alpha: float, f: float) -> bool:
-        return f <= self.f0 + self.cfg.wolfe_c1 * alpha * self.dphi0
+        return f <= self.f0 + WOLFE_C1 * alpha * self.dphi0
 
     def run(self, alpha0: float) -> tuple[float, float, np.ndarray] | None:
-        cfg = self.cfg
         a_prev, f_prev, dphi_prev = 0.0, self.f0, self.dphi0
         alpha = alpha0
         first = True
-        while self.evals < cfg.max_evals_per_search:
+        while self.evals < MAX_EVALS_PER_SEARCH:
             f, g, dphi = self._phi(alpha)
             if not self._sufficient(alpha, f) or (not first and f >= f_prev):
                 return self._zoom(a_prev, f_prev, dphi_prev, alpha, f, dphi)
-            if abs(dphi) <= -cfg.wolfe_c2 * self.dphi0:
+            if abs(dphi) <= -WOLFE_C2 * self.dphi0:
                 return alpha, f, g
             if dphi >= 0.0:
                 return self._zoom(alpha, f, dphi, a_prev, f_prev, dphi_prev)
@@ -187,8 +166,7 @@ class _LineSearch:
         a_lo: float, f_lo: float, dphi_lo: float,
         a_hi: float, f_hi: float, dphi_hi: float,
     ) -> tuple[float, float, np.ndarray] | None:
-        cfg = self.cfg
-        while self.evals < cfg.max_evals_per_search:
+        while self.evals < MAX_EVALS_PER_SEARCH:
             lo, hi = (a_lo, a_hi) if a_lo < a_hi else (a_hi, a_lo)
             width = hi - lo
             if width <= 1e-16 * max(1.0, abs(hi)):
@@ -201,7 +179,7 @@ class _LineSearch:
             if not self._sufficient(alpha, f) or f >= f_lo:
                 a_hi, f_hi, dphi_hi = alpha, f, dphi
             else:
-                if abs(dphi) <= -cfg.wolfe_c2 * self.dphi0:
+                if abs(dphi) <= -WOLFE_C2 * self.dphi0:
                     return alpha, f, g
                 if dphi * (a_hi - a_lo) >= 0.0:
                     a_hi, f_hi, dphi_hi = a_lo, f_lo, dphi_lo
@@ -210,19 +188,17 @@ class _LineSearch:
 
 
 def lbfgs_minimize(
-    obj: Objective,
+    obj: FunctionObjective,
     theta0: np.ndarray,
     cfg: LbfgsConfig = LbfgsConfig(),
     *,
     tolerance: float | None = None,
-    patience: int = 10,
-    collect_steps: bool = False,
 ) -> MinimizeResult:
     """L-BFGS with a strong-Wolfe line search.
 
     Stops when the gradient inf-norm drops below cfg.grad_tolerance, the
     iteration budget runs out, or (when ``tolerance`` is given) the loss
-    fails to improve by at least that amount over ``patience`` consecutive
+    fails to improve by at least that amount over PATIENCE consecutive
     accepted steps. A failed line search falls back to the steepest-descent
     direction once; if that also fails, the best point so far is returned
     flagged with status "line_search_failed". The trace of accepted losses
@@ -232,9 +208,8 @@ def lbfgs_minimize(
     f, g = obj.eval(theta)
     _check_initial(f, g)
     trace = [f]
-    steps: list[StepRecord] = []
-    s_pairs: deque[np.ndarray] = deque(maxlen=cfg.memory)
-    y_pairs: deque[np.ndarray] = deque(maxlen=cfg.memory)
+    s_pairs: deque[np.ndarray] = deque(maxlen=MEMORY)
+    y_pairs: deque[np.ndarray] = deque(maxlen=MEMORY)
     status = "max_iterations"
     stall = 0
     iterations = 0
@@ -250,12 +225,12 @@ def lbfgs_minimize(
             dphi0 = float(g @ d)
         # Gradient-sized first trial step before any curvature is known.
         alpha0 = min(1.0, 1.0 / float(np.sum(np.abs(g)))) if not s_pairs else 1.0
-        search = _LineSearch(obj, theta, d, f, dphi0, cfg)
+        search = _LineSearch(obj, theta, d, f, dphi0)
         hit = search.run(alpha0)
         if hit is None:
             d = -g
             dphi0 = float(g @ d)
-            search = _LineSearch(obj, theta, d, f, dphi0, cfg)
+            search = _LineSearch(obj, theta, d, f, dphi0)
             hit = search.run(min(1.0, 1.0 / float(np.sum(np.abs(g)))))
             if hit is None:
                 status = "line_search_failed"
@@ -268,16 +243,6 @@ def lbfgs_minimize(
         ):
             s_pairs.append(s)
             y_pairs.append(y)
-        if collect_steps:
-            steps.append(
-                StepRecord(
-                    alpha=alpha,
-                    f_before=f,
-                    f_after=f_new,
-                    dphi0=dphi0,
-                    dphi_after=float(g_new @ d),
-                )
-            )
         theta = theta + s
         improvement = f - f_new
         f, g = f_new, g_new
@@ -285,7 +250,7 @@ def lbfgs_minimize(
         iterations += 1
         if tolerance is not None:
             stall = stall + 1 if improvement < tolerance else 0
-            if stall >= patience:
+            if stall >= PATIENCE:
                 status = "stalled"
                 break
     else:
@@ -296,20 +261,17 @@ def lbfgs_minimize(
         theta=theta,
         trace=trace,
         iterations=iterations,
-        converged=status == "converged",
         status=status,
         grad_norm=float(np.max(np.abs(g))),
-        steps=steps,
     )
 
 
 def _descend(
-    obj: Objective,
+    obj: FunctionObjective,
     theta0: np.ndarray,
     step: Callable[[np.ndarray, int], np.ndarray],
     iterations: int,
     tolerance: float | None,
-    patience: int,
 ) -> MinimizeResult:
     """The sgd/adam loop: theta <- theta - step(grad, iteration) until the
     budget or the early stop; a non-finite loss or gradient raises."""
@@ -332,27 +294,25 @@ def _descend(
         f = f_new
         if tolerance is not None:
             stall = stall + 1 if improvement < tolerance else 0
-            if stall >= patience:
+            if stall >= PATIENCE:
                 status = "stalled"
                 break
     return MinimizeResult(
         theta=theta,
         trace=trace,
         iterations=it if iterations > 0 else 0,
-        converged=False,
         status=status,
         grad_norm=float(np.max(np.abs(g))),
     )
 
 
 def sgd_minimize(
-    obj: Objective,
+    obj: FunctionObjective,
     theta0: np.ndarray,
     learning_rate: float,
     iterations: int,
     *,
     tolerance: float | None = None,
-    patience: int = 10,
 ) -> MinimizeResult:
     """Full-batch gradient descent, theta <- theta - lr * grad.
 
@@ -362,21 +322,17 @@ def sgd_minimize(
     if learning_rate < 0.0:
         raise ValueError("learning_rate must be nonnegative")
     return _descend(
-        obj, theta0, lambda g, it: learning_rate * g, iterations, tolerance, patience
+        obj, theta0, lambda g, it: learning_rate * g, iterations, tolerance
     )
 
 
 def adam_minimize(
-    obj: Objective,
+    obj: FunctionObjective,
     theta0: np.ndarray,
     learning_rate: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
     iterations: int = 1000,
     *,
     tolerance: float | None = None,
-    patience: int = 10,
 ) -> MinimizeResult:
     """Adam with bias-corrected first and second moment estimates."""
     if learning_rate < 0.0:
@@ -386,10 +342,10 @@ def adam_minimize(
 
     def step(g: np.ndarray, it: int) -> np.ndarray:
         nonlocal m, v
-        m = beta1 * m + (1.0 - beta1) * g
-        v = beta2 * v + (1.0 - beta2) * g * g
-        m_hat = m / (1.0 - beta1**it)
-        v_hat = v / (1.0 - beta2**it)
-        return learning_rate * m_hat / (np.sqrt(v_hat) + eps)
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g * g
+        m_hat = m / (1.0 - ADAM_BETA1**it)
+        v_hat = v / (1.0 - ADAM_BETA2**it)
+        return learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
 
-    return _descend(obj, theta0, step, iterations, tolerance, patience)
+    return _descend(obj, theta0, step, iterations, tolerance)

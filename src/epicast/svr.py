@@ -31,6 +31,7 @@ from .preprocess import as_design, as_xy
 # Dual coefficients below this are treated as exactly zero (not a support
 # vector), and a coefficient this close to +-C cannot move further out.
 ZERO_TOL = 1e-12
+FLOAT_MAX = float(np.finfo(float).max)
 
 
 @dataclass(frozen=True)
@@ -47,14 +48,16 @@ class KernelSpec:
     coef0: float = 1.0
 
     def __post_init__(self) -> None:
+        # Bounded by FLOAT_MAX rather than inf, so that an integer too large
+        # for a float is rejected here and not by the kernel arithmetic.
         if self.kind not in ("linear", "rbf", "poly"):
             raise ValueError(f"unknown kernel kind {self.kind!r}")
-        if self.gamma is not None and not 0.0 < self.gamma < np.inf:
+        if self.gamma is not None and not 0.0 < self.gamma <= FLOAT_MAX:
             raise ValueError("gamma must be positive and finite")
         if not np.isfinite(self.coef0):
             raise ValueError("coef0 must be finite")
-        if self.degree < 1:
-            raise ValueError("degree must be at least 1")
+        if not 1 <= self.degree <= FLOAT_MAX:
+            raise ValueError("degree must be at least 1 and finite")
 
 
 @dataclass(frozen=True)
@@ -92,22 +95,6 @@ class SvrParams:
     kernel: KernelSpec
     converged: bool = True
     passes: int = 0
-
-
-def kernel_eval(k: KernelSpec, u: np.ndarray, v: np.ndarray) -> float:
-    """Kernel value for a single pair of equal-length vectors."""
-    a = np.asarray(u, dtype=float).ravel()
-    b = np.asarray(v, dtype=float).ravel()
-    if a.size != b.size:
-        raise DimensionMismatch(f"u has {a.size} entries, v has {b.size}")
-    if k.kind == "linear":
-        return float(a @ b)
-    if k.gamma is None:
-        raise ValueError("gamma unresolved; fit resolves it or pass a value")
-    if k.kind == "rbf":
-        d = a - b
-        return float(np.exp(-k.gamma * float(d @ d)))
-    return float((k.gamma * float(a @ b) + k.coef0) ** k.degree)
 
 
 def gram_matrix(k: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
@@ -271,25 +258,19 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
     )
 
 
-def svr_predict(
-    params: SvrParams, k: KernelSpec, x: np.ndarray
-) -> float | np.ndarray:
-    """Sum of coef * k(support_vector, x) + bias; float for a single vector."""
-    arr = np.asarray(x, dtype=float)
-    single = arr.ndim == 1
-    if single:
-        arr = arr[None, :]
+def svr_predict(params: SvrParams, k: KernelSpec, x: np.ndarray) -> np.ndarray:
+    """Sum of coef * k(support_vector, row) + bias for each row of
+    ``as_design(x)``."""
+    arr = as_design(x)
     if params.support_vectors.shape[0] == 0:
-        out = np.full(arr.shape[0], params.bias)
-        return float(out[0]) if single else out
+        return np.full(arr.shape[0], params.bias)
     if arr.shape[1] != params.support_vectors.shape[1]:
         raise DimensionMismatch(
             f"x has {arr.shape[1]} features, support vectors have "
             f"{params.support_vectors.shape[1]}"
         )
     k_cross = gram_matrix(k, arr, params.support_vectors)
-    out = k_cross @ params.support_coefs + params.bias
-    return float(out[0]) if single else out
+    return k_cross @ params.support_coefs + params.bias
 
 
 def qp_oracle(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> float:

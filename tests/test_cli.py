@@ -1,3 +1,4 @@
+import copy
 import csv
 import json
 import os
@@ -623,13 +624,15 @@ class TestCompare:
             "--out-dir", str(tmp_path / "c"),
         ]) == 0
 
-    def test_tests_is_not_a_target(self, short_csv, tmp_path):
-        with pytest.raises(SystemExit) as exit_info:
-            main([
-                "compare", str(short_csv), "--target", "tests",
-                "--out-dir", str(tmp_path),
-            ])
-        assert exit_info.value.code == 2
+    def test_tests_is_not_a_target(self, short_csv, tmp_path, capsys):
+        code = main([
+            "compare", str(short_csv), "--target", "tests",
+            "--out-dir", str(tmp_path),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert "--target" in err["message"]
 
 
 class TestScenario:
@@ -674,6 +677,7 @@ class TestRejectedFlags:
             ("train --model linreg --iterations 0", "iterations"),
             ("scenario --neurons 0", "neurons_per_layer"),
             ("grid --workers 0", "workers"),
+            ("grid --workers x", "invalid int value"),
             ("grid --mlp-neurons 0", "neurons_per_layer"),
             ("compare --workers -1", "workers"),
             ("compare --horizon -1", "horizon"),
@@ -684,6 +688,7 @@ class TestRejectedFlags:
             ("train --model svr --epsilon inf", "epsilon"),
             ("train --model svr --gamma nan", "gamma"),
             ("train --model svr --kernel poly --coef0 nan", "coef0"),
+            (f"train --model svr --kernel poly --degree {10**400}", "degree"),
             ("train --model mlp --tolerance nan", "tolerance"),
             ("train --model mlp --learning-rate inf", "learning_rate"),
             ("train --model mlp --optimizer sgd --learning-rate -1", "learning_rate"),
@@ -788,12 +793,24 @@ class TestRemovedFlags:
         ]
         + [("stats", "--impute mean")],
     )
-    def test_usage_error(self, command, flag, short_csv, short_model, tmp_path):
+    def test_usage_error(self, command, flag, short_csv, short_model, tmp_path, capsys):
         flags, _, _ = FORMAT_CASES[command]
         args = [f.format(csv=short_csv, model=short_model) for f in flags]
+        assert main([command, *args, *flag.split(), "--out-dir", str(tmp_path)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert flag.split()[0] in err["message"]
+
+    @pytest.mark.parametrize("argv", [[], ["forest"], ["stats"]])
+    def test_missing_or_unknown_command(self, argv, capsys):
+        assert main(argv) == 2
+        assert json.loads(capsys.readouterr().err)["error"] == "input"
+
+    def test_help_still_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
-            main([command, *args, *flag.split(), "--out-dir", str(tmp_path)])
-        assert exit_info.value.code == 2
+            main(["stats", "--help"])
+        assert exit_info.value.code == 0
+        assert "usage: epicast stats" in capsys.readouterr().out
 
 
 # Inputs that exist but cannot be read as text; each builds argv from a
@@ -839,3 +856,100 @@ class TestUnwritableOutput:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "input"
         assert "in.csv" in err["message"]
+
+
+@pytest.fixture(scope="module")
+def short_model_docs(short_csv, tmp_path_factory):
+    """family -> the model document train writes for it on short.csv."""
+    out = tmp_path_factory.mktemp("models")
+    docs = {}
+    for family in ("mlp", "svr"):
+        path = out / f"{family}.json"
+        argv = ["train", str(short_csv), "--model", family, "--out", str(path)]
+        assert main([*argv, "--out-dir", str(out)]) == 0
+        docs[family] = read_json(path)
+    return docs
+
+
+def _drop_weight_row(doc):
+    doc["params"]["weights"][1].pop()
+
+
+def _drop_support_coef(doc):
+    doc["params"]["support_coefs"].pop()
+
+
+def _huge_last_layer(doc):
+    last = doc["params"]["weights"][-1]
+    doc["params"]["weights"][-1] = [[1e308] * len(last[0])]
+
+
+# Commands that read a model file; {model} and {csv} are filled in per test.
+MODEL_COMMANDS = {
+    "eval": ["eval", "{model}", "{csv}"],
+    "forecast": ["forecast", "{model}", "--csv", "{csv}"],
+}
+
+
+def _run_on_model(doc, command, short_csv, tmp_path, *flags):
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = [a.format(model=path, csv=short_csv) for a in MODEL_COMMANDS[command]]
+    return main([*argv, *flags, "--out-dir", str(tmp_path / "o")])
+
+
+class TestInconsistentModelFile:
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    @pytest.mark.parametrize(
+        "family, breakage",
+        [("mlp", _drop_weight_row), ("svr", _drop_support_coef)],
+        ids=["mlp-weight-row-dropped", "svr-support-coef-dropped"],
+    )
+    def test_exit_2_with_json_error(
+        self, family, breakage, command, short_model_docs, short_csv, tmp_path, capsys
+    ):
+        doc = copy.deepcopy(short_model_docs[family])
+        breakage(doc)
+        assert _run_on_model(doc, command, short_csv, tmp_path) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert "malformed model document" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+
+class TestNonFiniteNumbers:
+    @pytest.mark.parametrize("fmt", ["json", "csv", "both"])
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_overflowing_model_exit_3_and_writes_nothing(
+        self, command, fmt, short_model_docs, short_csv, tmp_path, capsys
+    ):
+        doc = copy.deepcopy(short_model_docs["mlp"])
+        _huge_last_layer(doc)
+        code = _run_on_model(doc, command, short_csv, tmp_path, "--format", fmt)
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+        assert not (tmp_path / "o").exists()
+
+    def test_infinite_score_exit_3_and_writes_nothing(
+        self, short_model_docs, short_csv, tmp_path, capsys
+    ):
+        # Finite predictions whose squared errors overflow: the report
+        # would carry "mse": Infinity.
+        doc = copy.deepcopy(short_model_docs["mlp"])
+        last = doc["params"]["weights"][-1]
+        doc["params"]["weights"][-1] = [[1e200] * len(last[0])]
+        code = _run_on_model(doc, "eval", short_csv, tmp_path, "--format", "csv")
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numeric"
+        assert "non-finite" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_sgd_fit_warns_nothing(self, short_csv, tmp_path, capsys):
+        code = main([
+            "train", str(short_csv), "--model", "mlp", "--optimizer", "sgd",
+            "--learning-rate", "1e300", "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err)["error"] == "numeric"

@@ -13,7 +13,6 @@ from epicast import (
     ScalerParams,
     SplitSpec,
     TrainedModel,
-    backtest,
     emit_plot_series,
     forecast,
     forecast_raw,
@@ -299,27 +298,3 @@ class TestEmitPlotSeries:
         with pytest.raises(InputError):
             emit_plot_series(history, report, scale="sqrt")
 
-
-class TestBacktest:
-    def test_perfect_linear_history(self):
-        series = tiny_series([3, 5, 7, 9, 11])  # 2 i + 3 on day_index i
-        result = backtest(linear_model(2.0, 3.0), series)
-        assert result["target"] == "confirmed"
-        assert result["n_days"] == 5
-        assert result["mse"] == pytest.approx(0.0, abs=1e-18)
-        assert result["r2"] == pytest.approx(1.0)
-        assert len(result["rows"]) == 5
-        assert result["rows"][2] == {
-            "day_index": 2, "observed": 7.0, "predicted": pytest.approx(7.0)
-        }
-
-    def test_skips_missing_days(self):
-        series = tiny_series([3, 5, 7])
-        # knock out the middle observation via deaths target being absent
-        result = backtest(linear_model(2.0, 3.0), series)
-        assert result["n_days"] == 3
-
-    def test_all_missing_target_rejected(self):
-        series = tiny_series([1, 2])  # no deaths recorded
-        with pytest.raises(InputError):
-            backtest(linear_model(1.0, 0.0, target="deaths"), series)

@@ -123,8 +123,8 @@ class TestForward:
             weights=tuple(np.zeros_like(w) for w in p.weights),
             biases=tuple(np.zeros_like(b) for b in p.biases),
         )
-        for _ in range(5):
-            assert forward(zero, ActivationKind("tanh"), rng.normal(size=3)) == 0.0
+        out = forward(zero, ActivationKind("tanh"), rng.normal(size=(5, 3)))
+        assert out.tolist() == [0.0] * 5
 
     def test_hand_computed_single_unit(self):
         p = MlpParams(
@@ -132,8 +132,9 @@ class TestForward:
             biases=(np.array([0.0]), np.array([0.0])),
         )
         out = forward(p, ActivationKind("tanh"), np.array([0.5]))
-        assert out == pytest.approx(np.tanh(0.5))
-        assert out == pytest.approx(0.46211715726000974)
+        assert out.shape == (1,)
+        assert out[0] == pytest.approx(np.tanh(0.5))
+        assert out[0] == pytest.approx(0.46211715726000974)
 
     def test_batch_matches_single(self, rng):
         cfg = MlpConfig(hidden_layers=2, neurons_per_layer=5, seed=3)
@@ -141,7 +142,7 @@ class TestForward:
         act = ActivationKind("logistic")
         xs = rng.normal(size=(6, 2))
         batch = forward(p, act, xs)
-        singles = [forward(p, act, row) for row in xs]
+        singles = [forward(p, act, row[None, :])[0] for row in xs]
         assert batch == pytest.approx(singles)
 
     def test_dimension_mismatch(self):

@@ -10,7 +10,6 @@ from epicast import (
     SplitSpec,
     SvrConfig,
     build_supervised,
-    default_config,
     load_model,
     model_from_dict,
     model_to_dict,
@@ -21,7 +20,7 @@ from epicast import (
     standardized_split,
     train_on_split,
 )
-from epicast.errors import FeatureMismatch, InputError
+from epicast.errors import FeatureMismatch, InputError, NumericError
 
 
 @pytest.fixture(scope="module")
@@ -193,10 +192,74 @@ class TestMalformedDocuments:
             load_model(str(path))
 
 
-class TestDefaultConfig:
-    def test_families(self):
-        assert isinstance(default_config("mlp"), MlpConfig)
-        assert isinstance(default_config("svr"), SvrConfig)
-        assert isinstance(default_config("linreg"), LinRegConfig)
+def _pop_last(items):
+    items.pop()
+
+
+# family -> breakages that leave a well-formed document whose arrays do
+# not fit together.
+INCONSISTENT = {
+    "mlp": {
+        "weight row dropped": lambda d: _pop_last(d["params"]["weights"][1]),
+        "bias entry dropped": lambda d: _pop_last(d["params"]["biases"][0]),
+        "bias list short": lambda d: _pop_last(d["params"]["biases"]),
+        "no layers": lambda d: d["params"].update(weights=[], biases=[]),
+        "two outputs": lambda d: (
+            d["params"]["weights"][-1].append(d["params"]["weights"][-1][0]),
+            d["params"]["biases"][-1].append(0.0),
+        ),
+    },
+    "svr": {
+        "support coef dropped": lambda d: _pop_last(d["params"]["support_coefs"]),
+        "support vectors widened": lambda d: [
+            row.append(0.0) for row in d["params"]["support_vectors"]
+        ],
+        "gamma unresolved": lambda d: d["params"]["kernel"].update(gamma=None),
+    },
+    "linreg": {
+        "slope longer than features": lambda d: d["params"]["slope"].append(1.0),
+        "slope is a matrix": lambda d: d["params"].update(slope=[d["params"]["slope"]]),
+        "x scaler wider than features": lambda d: (
+            d["x_scaler"]["mean"].append(0.0), d["x_scaler"]["scale"].append(1.0)
+        ),
+        "y scaler two columns": lambda d: (
+            d["y_scaler"]["mean"].append(0.0), d["y_scaler"]["scale"].append(1.0)
+        ),
+        "zero scale": lambda d: d["x_scaler"].update(scale=[0.0]),
+    },
+}
+
+
+class TestInconsistentDocuments:
+    @pytest.mark.parametrize(
+        "family, breakage",
+        [(f, b) for f, cases in INCONSISTENT.items() for b in cases.values()],
+        ids=[f"{f}: {name}" for f, cases in INCONSISTENT.items() for name in cases],
+    )
+    def test_raises_input_error(self, family, breakage, std_split):
+        model, _ = fit(family, FAST_CONFIGS[family], std_split)
+        doc = json.loads(json.dumps(model_to_dict(model)))
+        model_from_dict(doc)  # intact, it loads
+        breakage(doc)
         with pytest.raises(InputError):
-            default_config("forest")
+            model_from_dict(doc)
+
+
+class TestNonFinite:
+    def test_overflowing_predictions_raise_numeric_error(self, std_split):
+        model, _ = fit("mlp", FAST_CONFIGS["mlp"], std_split)
+        doc = json.loads(json.dumps(model_to_dict(model)))
+        doc["params"]["weights"][-1] = [[1e308] * len(doc["params"]["weights"][-1][0])]
+        huge = model_from_dict(doc)
+        with pytest.raises(NumericError):
+            predict_scaled(huge, std_split.test.x)
+        with pytest.raises(NumericError):
+            predict_raw(huge, np.arange(5.0)[:, None])
+
+    def test_save_rejects_non_finite_before_opening(self, std_split, tmp_path):
+        model, _ = fit("linreg", LinRegConfig(), std_split)
+        model.train_meta["final_loss"] = float("inf")
+        path = tmp_path / "model.json"
+        with pytest.raises(NumericError):
+            save_model(model, str(path))
+        assert not path.exists()

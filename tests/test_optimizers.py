@@ -10,6 +10,7 @@ from epicast import (
     two_loop_direction,
 )
 from epicast.errors import NonFiniteObjective
+from epicast.optimizers import WOLFE_C1, WOLFE_C2
 
 
 def quadratic(center):
@@ -55,7 +56,7 @@ class TestLbfgs:
     def test_isotropic_quadratic_fast(self):
         obj = quadratic([3.0, -1.0, 2.0])
         res = lbfgs_minimize(obj, np.zeros(3), LbfgsConfig(grad_tolerance=1e-10))
-        assert res.converged
+        assert res.status == "converged"
         assert res.iterations <= 5
         assert res.grad_norm < 1e-10
         assert res.theta == pytest.approx([3.0, -1.0, 2.0])
@@ -72,7 +73,7 @@ class TestLbfgs:
     def test_already_optimal(self):
         obj = quadratic([1.0, 2.0])
         res = lbfgs_minimize(obj, np.array([1.0, 2.0]))
-        assert res.converged
+        assert res.status == "converged"
         assert res.iterations == 0
         assert res.theta == pytest.approx([1.0, 2.0])
 
@@ -86,20 +87,28 @@ class TestLbfgs:
             assert np.all(diffs <= 1e-12)
 
     def test_accepted_steps_satisfy_strong_wolfe(self, rng):
-        cfg = LbfgsConfig(max_iterations=100)
+        # The run is deterministic, so stopping it after k iterations gives
+        # its k-th iterate; each step s between iterates must satisfy both
+        # strong-Wolfe conditions.
         objs = [
             spd_quadratic(random_spd(rng, 6, 30.0), rng.normal(size=6)),
             rosenbrock(),
         ]
         starts = [rng.normal(size=6), np.array([-1.2, 1.0])]
         for obj, theta0 in zip(objs, starts):
-            res = lbfgs_minimize(obj, theta0, cfg, collect_steps=True)
-            assert res.steps, "expected at least one accepted step"
-            for s in res.steps:
-                assert (
-                    s.f_after <= s.f_before + cfg.wolfe_c1 * s.alpha * s.dphi0 + 1e-12
-                )
-                assert abs(s.dphi_after) <= cfg.wolfe_c2 * abs(s.dphi0) + 1e-12
+            thetas = [theta0]
+            for k in range(1, 31):
+                res = lbfgs_minimize(obj, theta0, LbfgsConfig(max_iterations=k))
+                if res.iterations < k:
+                    break
+                thetas.append(res.theta)
+            assert len(thetas) > 2, "expected several accepted steps"
+            for before, after in zip(thetas, thetas[1:]):
+                f0, g0 = obj.eval(before)
+                f1, g1 = obj.eval(after)
+                s = after - before
+                assert f1 <= f0 + WOLFE_C1 * float(g0 @ s) + 1e-12
+                assert abs(float(g1 @ s)) <= WOLFE_C2 * abs(float(g0 @ s)) + 1e-12
 
     def test_two_loop_reproduces_newton_direction(self, rng):
         # after dim updates with conjugate exact-curvature pairs the
@@ -130,7 +139,7 @@ class TestLbfgs:
 
         res = lbfgs_minimize(FunctionObjective(1, fn), np.zeros(1))
         assert res.status == "line_search_failed"
-        assert not res.converged
+        assert res.status != "converged"
         assert np.isfinite(res.theta).all()
 
     def test_non_finite_region_backed_off(self):
@@ -172,16 +181,9 @@ class TestLbfgs:
             np.array([1.0]),
             LbfgsConfig(max_iterations=500, grad_tolerance=1e-30),
             tolerance=1e-9,
-            patience=3,
         )
         assert res.status in ("stalled", "line_search_failed")
         assert res.iterations < 500
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            LbfgsConfig(wolfe_c1=0.9, wolfe_c2=0.1)
-        with pytest.raises(ValueError):
-            LbfgsConfig(memory=0)
 
 
 class TestSgd:
@@ -242,7 +244,6 @@ class TestAdam:
             np.zeros(1),
             iterations=5000,
             tolerance=1e-12,
-            patience=5,
         )
         assert res.status == "stalled"
         assert res.iterations < 5000

@@ -1,11 +1,13 @@
 """Property tests: the parser and the model-document reader accept any
 input and either return a value or raise an InputError subclass, never a
-raw Python error."""
+raw Python error; a model the reader returns predicts a row or raises an
+EpicastError."""
 
 import copy
 import json
 from datetime import date as Date
 
+import numpy as np
 from hypothesis import example, given, settings, strategies as st
 
 from epicast import (
@@ -21,11 +23,12 @@ from epicast import (
     model_from_dict,
     model_to_dict,
     parse_csv,
+    predict_raw,
     standardized_split,
     synthetic_epidemic,
     train_on_split,
 )
-from epicast.errors import InputError
+from epicast.errors import EpicastError, InputError
 
 # Seeded search keeps the suite deterministic; no example database is kept.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -147,9 +150,20 @@ def _with(family: str, section: str, key: str, value) -> dict:
 @given(mutated_documents())
 @example(_with("svr", "params", "passes", float("inf")))
 @example(_with("linreg", "params", "intercept", 10**400))
+@example(_with("svr", "params", "support_coefs", []))
+@example(_with("mlp", "params", "biases", [[0.0], [0.0]]))
+@example(_with("svr", "params", "kernel", {"kind": "poly", "gamma": 10**400}))
+@example(
+    _with("svr", "params", "kernel", {"kind": "poly", "gamma": 1.0, "degree": 10**400})
+)
 def test_model_from_dict_returns_model_or_raises_input_error(doc):
     try:
         model = model_from_dict(doc)
     except InputError:
         return
     assert isinstance(model, TrainedModel)
+    try:
+        predictions = predict_raw(model, np.zeros((1, len(model.feature_names))))
+    except EpicastError:
+        return
+    assert predictions.shape == (1,)

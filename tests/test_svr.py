@@ -13,7 +13,6 @@ from epicast import (
     SvrParams,
     dual_objective,
     gram_matrix,
-    kernel_eval,
     model_to_dict,
     qp_oracle,
     resolve_gamma,
@@ -23,6 +22,23 @@ from epicast import (
 )
 from epicast.errors import DegenerateKernelMatrix, DimensionMismatch, LengthMismatch
 from epicast.svr import ZERO_TOL
+
+
+def kernel_eval(k, u, v):
+    """One kernel value from its textbook formula: the reference that
+    gram_matrix is checked against."""
+    a = np.asarray(u, dtype=float).ravel()
+    b = np.asarray(v, dtype=float).ravel()
+    if a.size != b.size:
+        raise DimensionMismatch(f"u has {a.size} entries, v has {b.size}")
+    if k.kind == "linear":
+        return float(a @ b)
+    if k.gamma is None:
+        raise ValueError("gamma unresolved")
+    if k.kind == "rbf":
+        d = a - b
+        return float(np.exp(-k.gamma * float(d @ d)))
+    return float((k.gamma * float(a @ b) + k.coef0) ** k.degree)
 
 
 def kkt_report(x, y, cfg, params):
@@ -111,6 +127,10 @@ class TestKernelEval:
             KernelSpec(kind="rbf", gamma=0.0)
         with pytest.raises(ValueError):
             KernelSpec(kind="poly", degree=0)
+        with pytest.raises(ValueError):  # too large for a float
+            KernelSpec(kind="poly", degree=10**400)
+        with pytest.raises(ValueError):
+            KernelSpec(kind="rbf", gamma=10**400)
 
 
 class TestGramMatrix:
@@ -455,19 +475,21 @@ class TestSvrFit:
 
 
 class TestSvrPredict:
-    def test_single_vector_returns_float(self, rng):
+    def test_single_row_returns_one_value(self, rng):
         x = rng.normal(size=(8, 2))
         y = x[:, 0] + x[:, 1]
         params = svr_fit(x, y, SvrConfig(kernel=KernelSpec(kind="linear"), c=10.0))
-        out = svr_predict(params, params.kernel, x[0])
-        assert isinstance(out, float)
+        out = svr_predict(params, params.kernel, x[:1])
+        assert out.shape == (1,)
+        with pytest.raises(DimensionMismatch):  # a 1-D input is one column
+            svr_predict(params, params.kernel, x[0])
 
     def test_batch_matches_singles(self, rng):
         x = rng.normal(size=(10, 1))
         y = np.tanh(x[:, 0])
         params = svr_fit(x, y, SvrConfig(kernel=KernelSpec(kind="rbf")))
         batch = svr_predict(params, params.kernel, x)
-        singles = [svr_predict(params, params.kernel, row) for row in x]
+        singles = [svr_predict(params, params.kernel, row[None, :])[0] for row in x]
         assert batch == pytest.approx(singles)
 
     def test_linear_fit_tracks_line(self):
