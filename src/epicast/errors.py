@@ -114,10 +114,6 @@ class DivergenceError(NumericError):
 class NonFiniteLoss(NumericError):
     """A training loss became NaN or infinite."""
 
-    def __init__(self, message: str, iteration: int = -1):
-        super().__init__(message)
-        self.iteration = iteration
-
 
 class NonFiniteObjective(NumericError):
     """An optimizer objective became NaN or infinite at the current iterate."""

@@ -226,6 +226,9 @@ INCONSISTENT = {
             d["y_scaler"]["mean"].append(0.0), d["y_scaler"]["scale"].append(1.0)
         ),
         "zero scale": lambda d: d["x_scaler"].update(scale=[0.0]),
+        "y scale empty": lambda d: d["y_scaler"].update(scale=[]),
+        "y scale two entries": lambda d: d["y_scaler"]["scale"].append(99.0),
+        "x scale wider than features": lambda d: d["x_scaler"]["scale"].append(1.0),
     },
 }
 
