@@ -44,7 +44,7 @@ from .harness import (
     select_best,
 )
 from .linear import LinRegConfig, LinRegParams, linreg_fit, linreg_predict, ols_closed_form
-from .manifest import RunManifest, replay_manifest, strip_timestamps
+from .manifest import replay_manifest, strip_timestamps
 from .metrics import EvalResult, evaluate, mse, r2_score
 from .mlp import (
     ActivationKind,

@@ -14,9 +14,12 @@ import csv
 import json
 import sys
 from contextlib import contextmanager
-from datetime import date as Date
+from datetime import date as Date, datetime, timezone
 from pathlib import Path
 
+import numpy as np
+
+from . import __version__
 from .dataset import (
     COUNT_COLUMNS,
     CaseSeries,
@@ -40,7 +43,6 @@ from .harness import (
     select_best,
 )
 from .linear import LinRegConfig
-from .manifest import RunManifest
 from .metrics import EvalResult, evaluate
 from .mlp import MlpConfig
 from .models import (
@@ -73,11 +75,6 @@ def _output(path: Path):
         raise InputError(f"cannot write {path}: {err}") from None
 
 
-def _write_text(path: Path, text: str) -> None:
-    with _output(path), open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-
-
 def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
     with _output(path), open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -85,12 +82,11 @@ def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
         writer.writerows(rows)
 
 
-def _print_payload(document: dict) -> None:
-    payload = {k: v for k, v in document.items() if k != "manifest"}
-    print(json.dumps(payload, indent=2))
-
-
 Table = tuple[list[str], list[list]]
+
+
+def _now() -> str:
+    return datetime.now(timezone.utc).isoformat()
 
 
 def _emit(
@@ -100,21 +96,23 @@ def _emit(
     document: dict,
     tables: dict[str, Table],
 ) -> None:
-    """Finish the run manifest that ``main`` started and attach it, write
-    ``<name>.json`` and the CSV tables that --format selects under
-    --out-dir, and print the payload. A document holding a non-finite
-    number raises NumericError before anything is written."""
+    """Finish the run manifest that ``main`` started, write ``<name>.json``
+    (the document plus that manifest) and the CSV tables that --format
+    selects under --out-dir, and print the document. A document holding a
+    non-finite number raises NumericError before anything is written."""
     manifest = args._manifest
-    manifest.input_fingerprint = fp
-    document["manifest"] = manifest.finish().as_dict()
-    text = json_text(document)
+    manifest["input_fingerprint"] = fp
+    manifest["timestamps"]["finished"] = _now()
+    text = json_text({**document, "manifest": manifest})
     out = Path(args.out_dir)
     if args.format in ("json", "both"):
-        _write_text(out / f"{name}.json", text)
+        path = out / f"{name}.json"
+        with _output(path), open(path, "w", encoding="utf-8") as fh:
+            fh.write(text)
     if args.format in ("csv", "both"):
         for file, (header, rows) in tables.items():
             _write_csv(out / file, header, rows)
-    _print_payload(document)
+    print(json.dumps(document, indent=2))
 
 
 def _load_series(args: argparse.Namespace, *, impute: bool = True) -> CaseSeries:
@@ -279,6 +277,10 @@ def cmd_eval(args: argparse.Namespace) -> int:
     data = build_supervised(series, model.feature_names, model.target_name)
     x_scaled = transform(data.x, model.x_scaler)
     y_scaled = transform(data.y, model.y_scaler)
+    # A y_scaler mean far beyond the targets cancels them to one value,
+    # which would read as a constant target column in the CSV.
+    if np.ptp(y_scaled) == 0 < np.ptp(data.y):
+        raise NumericError("the model's y_scaler maps every target to one value")
     result = evaluate(y_scaled, predict_scaled(model, x_scaled))
     document = {
         "model_file": args.model_file,
@@ -398,13 +400,10 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         },
         "targets": {
             target: {
-                "eval": {
-                    "scaled": result.evals[target].as_dict(),
-                    "original": result.evals_original[target].as_dict(),
-                },
-                "forecast": result.reports[target].as_dict(),
+                "eval": _eval_section(result.models[target], result.evals[target]),
+                "forecast": report.as_dict(),
             }
-            for target in result.reports
+            for target, report in result.reports.items()
         },
     }
     tables = {
@@ -556,12 +555,15 @@ def main(argv: list[str] | None = None) -> int:
     raw_argv = list(sys.argv[1:]) if argv is None else list(argv)
     try:
         args = build_parser().parse_args(raw_argv)
-        args._manifest = RunManifest.start(
-            command=args.command,
-            argv=raw_argv,
-            config=_config_snapshot(args),
-            seed=getattr(args, "seed", None),
-        )
+        args._manifest = {
+            "command": args.command,
+            "argv": raw_argv,
+            "config": _config_snapshot(args),
+            "input_fingerprint": None,
+            "seed": getattr(args, "seed", None),
+            "tool_version": __version__,
+            "timestamps": {"started": _now()},
+        }
         return args.func(args)
     except InputError as err:
         return _fail("input", err, 2)

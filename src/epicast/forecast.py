@@ -17,13 +17,7 @@ import numpy as np
 from .dataset import CaseSeries, horizon_dates, window
 from .errors import FeatureMismatch, InputError
 from .metrics import EvalResult
-from .models import (
-    FamilyConfig,
-    TrainedModel,
-    original_space_eval,
-    predict_raw,
-    train_on_split,
-)
+from .models import FamilyConfig, TrainedModel, predict_raw, train_on_split
 from .preprocess import SplitSpec, build_supervised, standardized_split
 
 SCENARIO_TARGETS = ("confirmed", "deaths")
@@ -82,9 +76,9 @@ def forecast(
     horizon: int,
     *,
     scenario_label: str = "",
-    model_id: str | None = None,
 ) -> ForecastReport:
-    """Per-day integer forecast report; clamp at zero, then round.
+    """Per-day integer forecast report, model_id ``family:target``; clamp
+    at zero, then round.
 
     Day h of the horizon (1-based) is predicted from day_index
     last_day_index + h and dated start_date + (h - 1); a date past
@@ -101,19 +95,19 @@ def forecast(
         predictions=predictions,
         range_min=min(counts),
         range_max=max(counts),
-        model_id=model_id or f"{model.family}:{model.target_name}",
+        model_id=f"{model.family}:{model.target_name}",
         scenario_label=scenario_label,
     )
 
 
 @dataclass(frozen=True)
 class ScenarioResult:
-    """Per-target evaluation and forecast for one windowed scenario."""
+    """Per-target model, evaluation and forecast for one windowed scenario."""
 
     label: str
     windowed: CaseSeries  # the window's records, day_index re-based to 0
+    models: dict[str, TrainedModel]  # target -> the model fit on the window
     evals: dict[str, EvalResult]  # target -> scaled-space scores
-    evals_original: dict[str, EvalResult]
     reports: dict[str, ForecastReport]
 
     @property
@@ -147,17 +141,17 @@ def scenario_run(
     if horizon < 1:
         raise InputError("horizon must be at least 1")
     start_date = horizon_dates(part.last_date, horizon)[0]
+    models: dict[str, TrainedModel] = {}
     evals: dict[str, EvalResult] = {}
-    evals_orig: dict[str, EvalResult] = {}
     reports: dict[str, ForecastReport] = {}
     for target in SCENARIO_TARGETS:
         data = build_supervised(part, ("day_index",), target)
         std = standardized_split(data, split_spec)
-        model, result = train_on_split(family, config, std, ("day_index",), target)
-        evals[target] = result
-        evals_orig[target] = original_space_eval(model, result)
+        models[target], evals[target] = train_on_split(
+            family, config, std, ("day_index",), target
+        )
         reports[target] = forecast(
-            model,
+            models[target],
             last_day_index=part.last_day_index,
             start_date=start_date,
             horizon=horizon,
@@ -166,8 +160,8 @@ def scenario_run(
     return ScenarioResult(
         label=label,
         windowed=part,
+        models=models,
         evals=evals,
-        evals_original=evals_orig,
         reports=reports,
     )
 
@@ -177,20 +171,17 @@ def emit_plot_series(
     report: ForecastReport,
     scale: str = "linear",
     *,
-    target: str | None = None,
+    target: str,
 ) -> list[dict]:
     """One table of history rows followed by forecast rows.
 
     Columns: date, observed (null on forecast rows), predicted (null on
     history rows), scale (the scale-transformed display value of whichever
     of the two is present; log maps v to log10(v + 1) so zeros plot).
-    ``target`` picks the observed column; defaults to the model's target
-    parsed from model_id.
+    ``target`` picks the observed column.
     """
     if scale not in ("linear", "log"):
         raise InputError(f"unknown scale {scale!r}; use linear or log")
-    if target is None:
-        target = report.model_id.split(":")[-1]
 
     def display(v: float) -> float:
         return float(np.log10(v + 1.0)) if scale == "log" else float(v)

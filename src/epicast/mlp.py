@@ -239,16 +239,9 @@ def train_mlp(
                 LbfgsConfig(max_iterations=cfg.max_iterations),
                 tolerance=cfg.tolerance,
             )
-        elif cfg.optimizer == "sgd":
-            result = sgd_minimize(
-                obj,
-                theta0,
-                learning_rate=cfg.learning_rate,
-                iterations=cfg.max_iterations,
-                tolerance=cfg.tolerance,
-            )
         else:
-            result = adam_minimize(
+            descend = sgd_minimize if cfg.optimizer == "sgd" else adam_minimize
+            result = descend(
                 obj,
                 theta0,
                 learning_rate=cfg.learning_rate,

@@ -22,6 +22,7 @@ from .linear import LinRegConfig, LinRegParams, linreg_fit, linreg_predict
 from .metrics import EvalResult, evaluate
 from .mlp import ActivationKind, MlpConfig, MlpParams, forward, train_mlp
 from .preprocess import (
+    EPSILON_FLOOR,
     ScalerParams,
     StandardizedSplit,
     SupervisedSet,
@@ -32,6 +33,9 @@ from .preprocess import (
 from .svr import KernelSpec, SvrConfig, SvrParams, svr_fit, svr_predict
 
 MODEL_DOC_VERSION = 1
+# The largest scaler scale whose square, which original_space_eval takes,
+# is finite.
+_MAX_SCALE = float(np.sqrt(np.finfo(float).max))
 
 FamilyConfig = MlpConfig | SvrConfig | LinRegConfig
 FamilyParams = MlpParams | SvrParams | LinRegParams
@@ -165,10 +169,17 @@ def _linreg_params_from_dict(p: dict, width: int) -> LinRegParams:
     return params
 
 
-def _scaler_from_dict(d: dict, width: int) -> ScalerParams:
+def _scaler_from_dict(doc: dict, name: str, width: int) -> ScalerParams:
+    """The scaler ``doc[name]``: its scales must lie between the floor that
+    fit_scaler writes for a constant column and _MAX_SCALE."""
+    d = doc[name]
     scaler = ScalerParams(mean=_array(d["mean"]), scale=_array(d["scale"]))
-    if scaler.mean.shape != (width,) or not np.all(scaler.scale > 0.0):
-        raise ValueError(f"scaler needs {width} columns, each of positive scale")
+    if scaler.mean.shape != (width,):
+        raise ValueError(f"{name} needs {width} columns")
+    if not np.all((scaler.scale >= EPSILON_FLOOR) & (scaler.scale <= _MAX_SCALE)):
+        raise ValueError(
+            f"{name} scales must lie between {EPSILON_FLOOR:g} and {_MAX_SCALE:.6g}"
+        )
     return scaler
 
 
@@ -190,7 +201,7 @@ FAMILY_TABLE: dict[str, Family] = {
             **{**d, "kernel": KernelSpec(**d["kernel"])}
         ),
         fit=_fit_svr,
-        predict=lambda m, xs: svr_predict(m.params, m.params.kernel, xs),
+        predict=lambda m, xs: svr_predict(m.params, xs),
         params_to_dict=_svr_params_to_dict,
         params_from_dict=_svr_params_from_dict,
     ),
@@ -313,8 +324,8 @@ def model_from_dict(doc: dict) -> TrainedModel:
             family=name,
             config=family.config_from_dict(doc["config"]),
             params=family.params_from_dict(doc["params"], width),
-            x_scaler=_scaler_from_dict(doc["x_scaler"], width),
-            y_scaler=_scaler_from_dict(doc["y_scaler"], 1),
+            x_scaler=_scaler_from_dict(doc, "x_scaler", width),
+            y_scaler=_scaler_from_dict(doc, "y_scaler", 1),
             feature_names=feature_names,
             target_name=doc["target_name"],
             train_meta=dict(doc.get("train_meta", {})),

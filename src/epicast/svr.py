@@ -56,8 +56,9 @@ class KernelSpec:
             raise ValueError("gamma must be positive and finite")
         if not np.isfinite(self.coef0):
             raise ValueError("coef0 must be finite")
-        if not 1 <= self.degree <= FLOAT_MAX:
-            raise ValueError("degree must be at least 1 and finite")
+        # A fractional power of a negative base is NaN.
+        if not (1 <= self.degree <= FLOAT_MAX and self.degree == int(self.degree)):
+            raise ValueError("degree must be a whole number, at least 1 and finite")
 
 
 @dataclass(frozen=True)
@@ -258,9 +259,9 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
     )
 
 
-def svr_predict(params: SvrParams, k: KernelSpec, x: np.ndarray) -> np.ndarray:
+def svr_predict(params: SvrParams, x: np.ndarray) -> np.ndarray:
     """Sum of coef * k(support_vector, row) + bias for each row of
-    ``as_design(x)``."""
+    ``as_design(x)``, with k the fit's resolved ``params.kernel``."""
     arr = as_design(x)
     if params.support_vectors.shape[0] == 0:
         return np.full(arr.shape[0], params.bias)
@@ -269,7 +270,7 @@ def svr_predict(params: SvrParams, k: KernelSpec, x: np.ndarray) -> np.ndarray:
             f"x has {arr.shape[1]} features, support vectors have "
             f"{params.support_vectors.shape[1]}"
         )
-    k_cross = gram_matrix(k, arr, params.support_vectors)
+    k_cross = gram_matrix(params.kernel, arr, params.support_vectors)
     return k_cross @ params.support_coefs + params.bias
 
 

@@ -858,16 +858,25 @@ class TestUnwritableOutput:
         assert "in.csv" in err["message"]
 
 
+# name -> the train flags of a model fit on short.csv.
+SHORT_MODELS = {
+    "mlp": ["--model", "mlp"],
+    "svr": ["--model", "svr"],
+    "svr-poly": ["--model", "svr", "--kernel", "poly"],
+    "linreg": ["--model", "linreg"],
+}
+
+
 @pytest.fixture(scope="module")
 def short_model_docs(short_csv, tmp_path_factory):
-    """family -> the model document train writes for it on short.csv."""
+    """name -> the model document train writes for it on short.csv."""
     out = tmp_path_factory.mktemp("models")
     docs = {}
-    for family in ("mlp", "svr"):
-        path = out / f"{family}.json"
-        argv = ["train", str(short_csv), "--model", family, "--out", str(path)]
+    for name, flags in SHORT_MODELS.items():
+        path = out / f"{name}.json"
+        argv = ["train", str(short_csv), *flags, "--out", str(path)]
         assert main([*argv, "--out-dir", str(out)]) == 0
-        docs[family] = read_json(path)
+        docs[name] = read_json(path)
     return docs
 
 
@@ -892,8 +901,9 @@ MODEL_COMMANDS = {
 
 
 def _run_on_model(doc, command, short_csv, tmp_path, *flags):
+    """Run command on a model file holding doc, or the text doc if a str."""
     path = tmp_path / "model.json"
-    path.write_text(json.dumps(doc), encoding="utf-8")
+    path.write_text(doc if isinstance(doc, str) else json.dumps(doc), encoding="utf-8")
     argv = [a.format(model=path, csv=short_csv) for a in MODEL_COMMANDS[command]]
     return main([*argv, *flags, "--out-dir", str(tmp_path / "o")])
 
@@ -915,6 +925,35 @@ class TestInconsistentModelFile:
         assert err["error"] == "input"
         assert "malformed model document" in err["message"]
         assert not (tmp_path / "o").exists()
+
+
+class TestOutOfRangeModelFile:
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_fractional_poly_degree_exit_2(
+        self, command, short_model_docs, short_csv, tmp_path, capsys
+    ):
+        # (gamma a.b + coef0) ** 2.5 is NaN wherever the base is negative.
+        doc = copy.deepcopy(short_model_docs["svr-poly"])
+        doc["params"]["kernel"]["degree"] = 2.5
+        assert _run_on_model(doc, command, short_csv, tmp_path) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert "whole number" in err["message"]
+
+    # 1e400 is a JSON number that reads as inf.
+    @pytest.mark.parametrize("scale", ["1e300", "1e200", "1e400", "1e-300"])
+    @pytest.mark.parametrize("family", ["mlp", "svr", "linreg"])
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_y_scale_out_of_range_exit_2(
+        self, command, family, scale, short_model_docs, short_csv, tmp_path, capsys
+    ):
+        doc = copy.deepcopy(short_model_docs[family])
+        doc["y_scaler"]["scale"] = ["SCALE"]
+        text = json.dumps(doc).replace('"SCALE"', scale)
+        assert _run_on_model(text, command, short_csv, tmp_path) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert "y_scaler scales must lie between" in err["message"]
 
 
 class TestNonFiniteNumbers:

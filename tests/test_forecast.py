@@ -110,11 +110,9 @@ class TestForecast:
         report = forecast(constant_mlp_model(-0.6), 0, Date(2021, 1, 1), horizon=1)
         assert report.predictions[0][1] == 0
 
-    def test_model_id_default_and_override(self):
+    def test_model_id_is_family_and_target(self):
         model = linear_model(1.0, 0.0, target="deaths")
         assert forecast(model, 0, Date(2021, 1, 1), horizon=1).model_id == "linreg:deaths"
-        got = forecast(model, 0, Date(2021, 1, 1), horizon=1, model_id="custom")
-        assert got.model_id == "custom"
 
     def test_scenario_label_passthrough(self):
         got = forecast(
@@ -184,7 +182,8 @@ class TestScenarioRun:
             assert report.scenario_label == "baseline"
             assert report.start_date == series.last_date + timedelta(days=1)
         assert result.evals["confirmed"].space == "scaled"
-        assert result.evals_original["confirmed"].space == "original"
+        for target, model in result.models.items():
+            assert (model.family, model.target_name) == ("linreg", target)
 
     def test_windowed_run_rebases_and_forecasts_after_window(self, series, chrono_split):
         start = series.first_date + timedelta(days=100)
@@ -254,7 +253,7 @@ class TestEmitPlotSeries:
     def test_row_count_and_column_pattern(self):
         history = tiny_series([1, 2, 3, 4])
         report = forecast(linear_model(1.0, 0.0), 3, Date(2021, 1, 5), horizon=30)
-        rows = emit_plot_series(history, report)
+        rows = emit_plot_series(history, report, target="confirmed")
         assert len(rows) == 4 + 30
         for row in rows[:4]:
             assert row["observed"] is not None and row["predicted"] is None
@@ -266,14 +265,14 @@ class TestEmitPlotSeries:
     def test_linear_scale_passthrough(self):
         history = tiny_series([7])
         report = forecast(linear_model(1.0, 0.0), 0, Date(2021, 1, 2), horizon=1)
-        rows = emit_plot_series(history, report, scale="linear")
+        rows = emit_plot_series(history, report, scale="linear", target="confirmed")
         assert rows[0]["scale"] == 7.0
         assert rows[1]["scale"] == float(rows[1]["predicted"])
 
     def test_log_scale_offsets_by_one(self):
         history = tiny_series([0, 99])
         report = forecast(linear_model(1.0, 0.0), 1, Date(2021, 1, 3), horizon=1)
-        rows = emit_plot_series(history, report, scale="log")
+        rows = emit_plot_series(history, report, scale="log", target="confirmed")
         assert rows[0]["scale"] == 0.0  # log10(0 + 1)
         assert rows[1]["scale"] == pytest.approx(2.0)  # log10(99 + 1)
 
@@ -282,7 +281,7 @@ class TestEmitPlotSeries:
         report = forecast(
             linear_model(1.0, 0.0, target="deaths"), 1, Date(2021, 1, 3), horizon=1
         )
-        rows = emit_plot_series(history, report)
+        rows = emit_plot_series(history, report, target="deaths")
         assert rows[0]["observed"] is None
         assert rows[0]["scale"] is None
 
@@ -296,5 +295,5 @@ class TestEmitPlotSeries:
         history = tiny_series([1])
         report = forecast(linear_model(1.0, 0.0), 0, Date(2021, 1, 2), horizon=1)
         with pytest.raises(InputError):
-            emit_plot_series(history, report, scale="sqrt")
+            emit_plot_series(history, report, scale="sqrt", target="confirmed")
 

@@ -1,13 +1,18 @@
 """Property tests: the parser and the model-document reader accept any
 input and either return a value or raise an InputError subclass, never a
 raw Python error; a model the reader returns predicts a row or raises an
-EpicastError."""
+EpicastError, and eval never blames the CSV for what is wrong with it."""
 
 import copy
+import io
 import json
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from datetime import date as Date
+from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from epicast import (
@@ -24,10 +29,12 @@ from epicast import (
     model_to_dict,
     parse_csv,
     predict_raw,
+    serialize_csv,
     standardized_split,
     synthetic_epidemic,
     train_on_split,
 )
+from epicast.cli import main
 from epicast.errors import EpicastError, InputError
 
 # Seeded search keeps the suite deterministic; no example database is kept.
@@ -70,23 +77,25 @@ def test_parse_csv_returns_series_or_raises_input_error(data):
     assert isinstance(series, CaseSeries)
 
 
-def _model_documents() -> dict[str, dict]:
-    series = synthetic_epidemic(SyntheticSpec(days=40, midpoint=20.0, width=5.0))
-    data = build_supervised(series, ("day_index",), "confirmed")
-    split = standardized_split(data, SplitSpec())
-    configs = {
-        "mlp": MlpConfig(hidden_layers=1, neurons_per_layer=2, max_iterations=5),
-        "svr": SvrConfig(kernel=KernelSpec(kind="poly", degree=2)),
-        "linreg": LinRegConfig(iterations=10),
-    }
-    docs = {}
-    for family, config in configs.items():
-        model, _ = train_on_split(family, config, split, ("day_index",), "confirmed")
-        docs[family] = json.loads(json.dumps(model_to_dict(model)))
-    return docs
+SERIES = synthetic_epidemic(SyntheticSpec(days=40, midpoint=20.0, width=5.0))
+SPLIT = standardized_split(
+    build_supervised(SERIES, ("day_index",), "confirmed"), SplitSpec()
+)
 
 
-DOCS = _model_documents()
+def _model_document(family: str, config) -> dict:
+    """The document of a model fit to SERIES' confirmed counts."""
+    model, _ = train_on_split(family, config, SPLIT, ("day_index",), "confirmed")
+    return json.loads(json.dumps(model_to_dict(model)))
+
+
+DOCS = {
+    "mlp": _model_document(
+        "mlp", MlpConfig(hidden_layers=1, neurons_per_layer=2, max_iterations=5)
+    ),
+    "svr": _model_document("svr", SvrConfig(kernel=KernelSpec(kind="poly", degree=2))),
+    "linreg": _model_document("linreg", LinRegConfig(iterations=10)),
+}
 
 
 def _paths(node, prefix=()):
@@ -167,3 +176,85 @@ def test_model_from_dict_returns_model_or_raises_input_error(doc):
     except EpicastError:
         return
     assert predictions.shape == (1,)
+
+
+# Model files as train writes them, one per family and SVR kernel.
+MODEL_FILES = {
+    "mlp": _model_document(
+        "mlp", MlpConfig(hidden_layers=1, neurons_per_layer=4, max_iterations=200)
+    ),
+    "svr-rbf": _model_document("svr", SvrConfig()),
+    "svr-poly": _model_document("svr", SvrConfig(kernel=KernelSpec(kind="poly"))),
+    "linreg": _model_document("linreg", LinRegConfig()),
+}
+
+DROP_LAST = "drop the last entry"
+EXTREMES = (1e300, -1e300, 1e-300, 2.5, -0.0, 0)
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def _changes(value) -> tuple:
+    """Each numeric leaf is set to each extreme, and each non-empty array
+    loses its last entry."""
+    if isinstance(value, (int, float)) and not isinstance(value, bool):
+        return EXTREMES
+    if isinstance(value, list) and value:
+        return (DROP_LAST,)
+    return ()
+
+
+# Every (model name, key path, change) of the model files.
+MODEL_FILE_MUTATIONS = [
+    (name, path, change)
+    for name, doc in MODEL_FILES.items()
+    for path in _paths(doc)
+    for change in _changes(_at(doc, path))
+]
+
+
+@pytest.fixture(scope="module")
+def history_csv(tmp_path_factory):
+    path = tmp_path_factory.mktemp("history") / "history.csv"
+    path.write_text(serialize_csv(SERIES), encoding="utf-8")
+    return path
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=60)
+@given(st.sampled_from(MODEL_FILE_MUTATIONS))
+@example(("svr-rbf", ("y_scaler", "scale", 0), 1e300))
+@example(("linreg", ("y_scaler", "mean", 0), -1e300))
+def test_loaded_model_file_is_never_blamed_on_the_csv(history_csv, mutation):
+    """eval and forecast exit 0, 2 or 3, a failure ends stderr with a JSON
+    error, and eval does not exit 2 (an input error, which the CSV gets the
+    blame for) on a model document that model_from_dict accepts."""
+    name, path, change = mutation
+    doc = copy.deepcopy(MODEL_FILES[name])
+    if change == DROP_LAST:
+        del _at(doc, path)[-1]
+    else:
+        _at(doc, path[:-1])[path[-1]] = change
+    try:
+        model_from_dict(doc)
+        loads = True
+    except InputError:
+        loads = False
+    with tempfile.TemporaryDirectory() as tmp:
+        model_file = Path(tmp) / "model.json"
+        model_file.write_text(json.dumps(doc), encoding="utf-8")
+        for argv in (
+            ["eval", str(model_file), str(history_csv)],
+            ["forecast", str(model_file), "--csv", str(history_csv)],
+        ):
+            stderr = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+                code = main([*argv, "--out-dir", str(Path(tmp) / "out")])
+            assert code in (0, 2, 3)
+            if code:
+                assert "error" in json.loads(stderr.getvalue().splitlines()[-1])
+            if loads and argv[0] == "eval":
+                assert code != 2, stderr.getvalue()

@@ -132,6 +132,11 @@ class TestKernelEval:
         with pytest.raises(ValueError):
             KernelSpec(kind="rbf", gamma=10**400)
 
+    def test_spec_needs_a_whole_degree(self):
+        with pytest.raises(ValueError, match="whole number"):
+            KernelSpec(kind="poly", degree=2.5)
+        assert KernelSpec(kind="poly", degree=3.0).degree == 3
+
 
 class TestGramMatrix:
     @pytest.mark.parametrize(
@@ -303,7 +308,7 @@ class TestSvrFit:
         assert params.alphas == pytest.approx([0.0, 0.0, 0.0])
         assert params.bias == pytest.approx(0.5)
         assert params.support_vectors.shape == (0, 1)
-        assert svr_predict(params, params.kernel, np.array([[9.0]]))[0] == pytest.approx(0.5)
+        assert svr_predict(params, np.array([[9.0]]))[0] == pytest.approx(0.5)
 
     @pytest.mark.parametrize(
         "spec",
@@ -366,8 +371,8 @@ class TestSvrFit:
         perm = rng.permutation(12)
         shuffled = svr_fit(x[perm], y[perm], cfg)
         queries = rng.normal(size=(5, 1))
-        assert svr_predict(base, base.kernel, queries) == pytest.approx(
-            svr_predict(shuffled, shuffled.kernel, queries), abs=1e-6
+        assert svr_predict(base, queries) == pytest.approx(
+            svr_predict(shuffled, queries), abs=1e-6
         )
 
     def test_pass_budget_flags_not_converged(self, rng):
@@ -377,7 +382,7 @@ class TestSvrFit:
         params = svr_fit(x, y, cfg)
         assert not params.converged
         assert params.passes == 1
-        out = svr_predict(params, params.kernel, x)
+        out = svr_predict(params, x)
         assert np.all(np.isfinite(out))
 
     def test_stuck_pair_exit_is_json_clean(self):
@@ -479,17 +484,17 @@ class TestSvrPredict:
         x = rng.normal(size=(8, 2))
         y = x[:, 0] + x[:, 1]
         params = svr_fit(x, y, SvrConfig(kernel=KernelSpec(kind="linear"), c=10.0))
-        out = svr_predict(params, params.kernel, x[:1])
+        out = svr_predict(params, x[:1])
         assert out.shape == (1,)
         with pytest.raises(DimensionMismatch):  # a 1-D input is one column
-            svr_predict(params, params.kernel, x[0])
+            svr_predict(params, x[0])
 
     def test_batch_matches_singles(self, rng):
         x = rng.normal(size=(10, 1))
         y = np.tanh(x[:, 0])
         params = svr_fit(x, y, SvrConfig(kernel=KernelSpec(kind="rbf")))
-        batch = svr_predict(params, params.kernel, x)
-        singles = [svr_predict(params, params.kernel, row[None, :])[0] for row in x]
+        batch = svr_predict(params, x)
+        singles = [svr_predict(params, row[None, :])[0] for row in x]
         assert batch == pytest.approx(singles)
 
     def test_linear_fit_tracks_line(self):
@@ -498,11 +503,11 @@ class TestSvrPredict:
         params = svr_fit(x, y, SvrConfig(
             kernel=KernelSpec(kind="linear"), c=100.0, epsilon=0.01, tolerance=1e-8,
         ))
-        pred = svr_predict(params, params.kernel, x)
+        pred = svr_predict(params, x)
         assert np.max(np.abs(pred - y)) <= 0.01 + 1e-6
 
     def test_width_mismatch(self, rng):
         x = rng.normal(size=(6, 2))
         params = svr_fit(x, rng.normal(size=6), SvrConfig(kernel=KernelSpec(kind="linear")))
         with pytest.raises(DimensionMismatch):
-            svr_predict(params, params.kernel, np.zeros((2, 3)))
+            svr_predict(params, np.zeros((2, 3)))
