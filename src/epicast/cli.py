@@ -275,8 +275,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
     model = load_model(args.model_file)
     series = _load_series(args)
     data = build_supervised(series, model.feature_names, model.target_name)
-    x_scaled = transform(data.x, model.x_scaler)
-    y_scaled = transform(data.y, model.y_scaler)
+    with np.errstate(over="ignore", invalid="ignore"):
+        x_scaled = transform(data.x, model.x_scaler)
+        y_scaled = transform(data.y, model.y_scaler)
+    if not (np.all(np.isfinite(x_scaled)) and np.all(np.isfinite(y_scaled))):
+        raise NumericError("the model's scalers map the CSV to non-finite values")
     # A y_scaler mean far beyond the targets cancels them to one value,
     # which would read as a constant target column in the CSV.
     if np.ptp(y_scaled) == 0 < np.ptp(data.y):

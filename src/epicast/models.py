@@ -34,7 +34,7 @@ from .svr import KernelSpec, SvrConfig, SvrParams, svr_fit, svr_predict
 
 MODEL_DOC_VERSION = 1
 # The largest scaler scale whose square, which original_space_eval takes,
-# is finite.
+# is finite; also the largest scaler mean magnitude.
 _MAX_SCALE = float(np.sqrt(np.finfo(float).max))
 
 FamilyConfig = MlpConfig | SvrConfig | LinRegConfig
@@ -171,7 +171,8 @@ def _linreg_params_from_dict(p: dict, width: int) -> LinRegParams:
 
 def _scaler_from_dict(doc: dict, name: str, width: int) -> ScalerParams:
     """The scaler ``doc[name]``: its scales must lie between the floor that
-    fit_scaler writes for a constant column and _MAX_SCALE."""
+    fit_scaler writes for a constant column and _MAX_SCALE, and its means
+    within _MAX_SCALE of zero."""
     d = doc[name]
     scaler = ScalerParams(mean=_array(d["mean"]), scale=_array(d["scale"]))
     if scaler.mean.shape != (width,):
@@ -179,6 +180,10 @@ def _scaler_from_dict(doc: dict, name: str, width: int) -> ScalerParams:
     if not np.all((scaler.scale >= EPSILON_FLOOR) & (scaler.scale <= _MAX_SCALE)):
         raise ValueError(
             f"{name} scales must lie between {EPSILON_FLOOR:g} and {_MAX_SCALE:.6g}"
+        )
+    if not np.all(np.abs(scaler.mean) <= _MAX_SCALE):
+        raise ValueError(
+            f"{name} means must lie between -{_MAX_SCALE:.6g} and {_MAX_SCALE:.6g}"
         )
     return scaler
 

@@ -15,12 +15,23 @@ small brute-force grid oracle (qp_oracle) certifies optimality in tests.
 Each pass reads two contiguous rows of the exactly symmetric Gram to
 update K beta. The eps shift that each coefficient adds to its KKT
 derivatives (_eps_shift) is kept in two arrays, and a pass recomputes only
-the two entries it moved. gram_matrix builds the n x n matrix in place,
-peaking at two n x n arrays for rbf and one for poly and linear.
+the two entries it moved.
+
+A one-feature fit never builds the n x n Gram. It builds row i as
+gram_matrix(kernel, xs[i:i+1], xs)[0] when a pass first reads it and keeps
+it in a per-fit row cache (the kernel cache of LIBSVM, Chang & Lin 2011,
+section 5.1): one preallocated block of ROW_CACHE_BYTES, whose slots are
+reused first in, first out. Each entry of such a row is a single product,
+so it is bit-equal to the same row of the full Gram. A wider design builds
+the full Gram once and reads its rows, since a row built alone may differ
+from it in the last bits. gram_matrix builds a matrix in place, peaking at
+two result-sized arrays for rbf and one for poly and linear.
 """
 
 from __future__ import annotations
 
+import math
+from collections.abc import Callable
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -32,6 +43,10 @@ from .preprocess import as_design, as_xy
 # vector), and a coefficient this close to +-C cannot move further out.
 ZERO_TOL = 1e-12
 FLOAT_MAX = float(np.finfo(float).max)
+# Byte budget of one fit's Gram row cache: 504 rows at 4160 training rows,
+# and every row at 416. The finiteness scan builds rows in blocks of the
+# same size.
+ROW_CACHE_BYTES = 16 * 2**20
 
 
 @dataclass(frozen=True)
@@ -184,6 +199,70 @@ def _working_pair(
     return i, float(d_up[i]), j, float(d_down[j])
 
 
+def _gram_finite(kernel: KernelSpec, xs: np.ndarray, block: int) -> bool:
+    """Whether every entry of gram_matrix(kernel, xs, xs) is finite, decided
+    without holding it.
+
+    A certificate from the largest squared row norm top comes first: since
+    |a.b| <= top, every linear entry is at most top, every poly base at most
+    gamma * top + |coef0|, and every rbf distance |a|^2 + |b|^2 - 2 a.b is
+    formed from terms at most 2 * top, so it is never inf - inf. A bound
+    that stays below a quarter of the largest float leaves room for
+    rounding. When the certificate fails, the Gram is scanned block rows
+    at a time and nothing is kept.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        top = float(np.max(np.einsum("ij,ij->i", xs, xs)))
+        limit = FLOAT_MAX / 4.0
+        if kernel.kind == "poly":
+            base = kernel.gamma * top + abs(kernel.coef0)
+            certain = base <= 1.0 or kernel.degree * math.log(base) < math.log(limit)
+        else:
+            certain = top < limit
+        if certain:
+            return True
+        return all(
+            np.all(np.isfinite(gram_matrix(kernel, xs[start:start + block], xs)))
+            for start in range(0, xs.shape[0], block)
+        )
+
+
+def _row_cache(
+    kernel: KernelSpec, xs: np.ndarray, capacity: int
+) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
+    """rows(i, j) -> (row i, row j) of gram_matrix(kernel, xs, xs), each
+    built when first read and kept in one of capacity (>= 2) slots of a
+    preallocated block. A miss takes the oldest slot; it skips the slot of
+    row i while fetching row j, so both rows stay valid together."""
+    n = xs.shape[0]
+    block = np.empty((capacity, n))
+    slot_of: dict[int, int] = {}
+    owner = [-1] * capacity
+    oldest = 0
+
+    def slot(i: int, keep: int) -> int:
+        nonlocal oldest
+        s = slot_of.get(i)
+        if s is not None:
+            return s
+        s = oldest if oldest != keep else (oldest + 1) % capacity
+        oldest = (s + 1) % capacity
+        slot_of.pop(owner[s], None)
+        owner[s] = i
+        slot_of[i] = s
+        # _gram_finite has ruled out a non-finite entry, not an overflowing
+        # intermediate such as an rbf |a|^2 + |b|^2
+        with np.errstate(over="ignore"):
+            block[s] = gram_matrix(kernel, xs[i:i + 1], xs)[0]
+        return s
+
+    def rows(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
+        si = slot(i, -1)
+        return block[si], block[slot(j, si)]
+
+    return rows
+
+
 def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
     """Solve the dual by maximal-violating-pair coordinate updates.
 
@@ -193,16 +272,27 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
     moves a pair in opposite directions by the same amount.
 
     Each pass reads rows i and j of the Gram in place of its columns, which
-    relies on gram_matrix(kernel, xs, xs) being exactly symmetric.
+    relies on the Gram being exactly symmetric. A one-feature design reads
+    them from a row cache of ROW_CACHE_BYTES (about 500 rows at n = 4160)
+    and never holds the n x n matrix; a wider design reads them from the
+    full gram_matrix(kernel, xs, xs). Either way DegenerateKernelMatrix is
+    raised when any entry of the full Gram would be non-finite.
     """
     xs, ys = as_xy(x, y, min_rows=2)
     n = xs.shape[0]
 
     kernel = resolve_gamma(cfg.kernel, xs)
-    # overflow here is the signal for DegenerateKernelMatrix, not a warning
-    with np.errstate(over="ignore"):
-        k_matrix = gram_matrix(kernel, xs, xs)
-    if not np.all(np.isfinite(k_matrix)):
+    if xs.shape[1] == 1:
+        capacity = max(2, min(n, ROW_CACHE_BYTES // (8 * n)))
+        finite = _gram_finite(kernel, xs, capacity)
+        rows = _row_cache(kernel, xs, capacity)
+    else:
+        # overflow here is the signal for DegenerateKernelMatrix, not a warning
+        with np.errstate(over="ignore", invalid="ignore"):
+            k_matrix = gram_matrix(kernel, xs, xs)
+        finite = bool(np.all(np.isfinite(k_matrix)))
+        rows = lambda i, j: (k_matrix[i], k_matrix[j])
+    if not finite:
         raise DegenerateKernelMatrix(
             "kernel matrix has non-finite entries; standardize the data or "
             "lower the polynomial degree"
@@ -222,7 +312,8 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
         if violation <= cfg.tolerance:
             converged = True
             break
-        eta = float(k_matrix[i, i] + k_matrix[j, j] - 2.0 * k_matrix[i, j])
+        ri, rj = rows(i, j)
+        eta = float(ri[i] + rj[j] - 2.0 * ri[j])
         # Up to the first box bound or zero crossing neither sign changes,
         # so the move is 1/2 eta t^2 - violation t there: a clipped Newton
         # step. t_max > 0 because i can rise and j can fall.
@@ -233,7 +324,7 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
         t = min(t_max, violation / eta) if eta > 0.0 else t_max
         beta[i] += t
         beta[j] -= t
-        q += t * (k_matrix[i] - k_matrix[j])
+        q += t * (ri - rj)
         up[i], down[i] = _eps_shift(beta[i], c, eps)
         up[j], down[j] = _eps_shift(beta[j], c, eps)
 

@@ -955,6 +955,39 @@ class TestOutOfRangeModelFile:
         assert err["error"] == "input"
         assert "y_scaler scales must lie between" in err["message"]
 
+    # A mean this far from the targets overflowed transform with a scale of
+    # 1e-12, and forecast wrote a 301-digit count.
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("mean", [1e300, -1e300, 1e155])
+    @pytest.mark.parametrize("family", ["mlp", "svr", "linreg"])
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    def test_y_mean_out_of_range_exit_2(
+        self, command, family, mean, short_model_docs, short_csv, tmp_path, capsys
+    ):
+        doc = copy.deepcopy(short_model_docs[family])
+        doc["y_scaler"] = {"mean": [mean], "scale": [1e-12]}
+        assert _run_on_model(doc, command, short_csv, tmp_path) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert "y_scaler means must lie between" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    @pytest.mark.parametrize("family", ["mlp", "svr", "linreg"])
+    def test_eval_targets_overflowing_the_scaler_exit_3(
+        self, family, short_model_docs, tmp_path, capsys
+    ):
+        # Counts near 1e300 over an in-range scale of 1e-12 are not finite.
+        csv_path = tmp_path / "huge.csv"
+        csv_path.write_text(TINY.replace(",10,", ",1e300,"), encoding="utf-8")
+        doc = copy.deepcopy(short_model_docs[family])
+        doc["y_scaler"] = {"mean": [0.0], "scale": [1e-12]}
+        assert _run_on_model(doc, "eval", csv_path, tmp_path) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numeric"
+        assert "non-finite" in err["message"]
+        assert not (tmp_path / "o").exists()
+
 
 class TestNonFiniteNumbers:
     @pytest.mark.parametrize("fmt", ["json", "csv", "both"])

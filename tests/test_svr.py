@@ -21,7 +21,7 @@ from epicast import (
     train_on_split,
 )
 from epicast.errors import DegenerateKernelMatrix, DimensionMismatch, LengthMismatch
-from epicast.svr import ZERO_TOL
+from epicast.svr import ROW_CACHE_BYTES, ZERO_TOL, _row_cache
 
 
 def kernel_eval(k, u, v):
@@ -461,6 +461,94 @@ class TestSvrFit:
         x = np.array([[1e60], [2e60], [3e60]])
         with pytest.raises(DegenerateKernelMatrix):
             svr_fit(x, np.array([1.0, 2.0, 3.0]), SvrConfig(kernel=spec))
+
+    @pytest.mark.parametrize("width", [1, 2], ids=["row-cache", "full-gram"])
+    def test_finite_gram_beyond_the_certificate_fits(self, width):
+        # gamma * a.b = 1e200 cancels coef0 exactly, so every entry is 0**7,
+        # but the bound gamma * max|x|^2 + |coef0| = 2e200 proves nothing.
+        x = np.zeros((3, width))
+        x[:, 0] = 1e100
+        spec = KernelSpec(kind="poly", gamma=1.0, degree=7, coef0=-(1e100 * 1e100))
+        params = svr_fit(x, np.array([1.0, 2.0, 3.0]), SvrConfig(kernel=spec))
+        assert np.all(np.isfinite(params.alphas))
+
+    @pytest.mark.parametrize("width", [1, 2], ids=["row-cache", "full-gram"])
+    def test_rbf_infinity_minus_infinity_rejected(self, width):
+        # |a|^2 + |b|^2 and 2 a.b both overflow, so the distance is NaN.
+        x = np.zeros((3, width))
+        x[:, 0] = [1e200, 2e200, 3e200]
+        spec = KernelSpec(kind="rbf", gamma=1.0)
+        with pytest.raises(DegenerateKernelMatrix):
+            svr_fit(x, np.array([1.0, 2.0, 3.0]), SvrConfig(kernel=spec))
+
+    @pytest.mark.parametrize(
+        "spec",
+        [
+            KernelSpec(kind="linear"),
+            KernelSpec(kind="rbf", gamma=1.0),
+            KernelSpec(kind="poly", gamma=1.0, degree=2),
+            KernelSpec(kind="poly", gamma=0.5, degree=7, coef0=-1.0),
+        ],
+    )
+    def test_rejected_exactly_when_the_full_gram_is_not_finite(self, spec):
+        rng = np.random.default_rng(11)
+        for exponent in (0, 20, 40, 44, 77, 100, 153, 154, 155, 200, 300):
+            x = rng.normal(size=(6, 1)) * 10.0**exponent
+            with np.errstate(all="ignore"):
+                expected = not np.all(np.isfinite(gram_matrix(spec, x, x)))
+                try:
+                    svr_fit(x, rng.normal(size=6), SvrConfig(kernel=spec, max_passes=1))
+                    raised = False
+                except DegenerateKernelMatrix:
+                    raised = True
+            assert raised == expected, exponent
+
+    def test_evicting_row_cache_matches_reference_loop(self):
+        # More coefficients move than the cache has slots, so rows are evicted
+        # and built again.
+        n = 1800
+        rng = np.random.default_rng(5)
+        x = rng.normal(size=(n, 1))
+        y = rng.normal(size=n)
+        cfg = SvrConfig(kernel=KernelSpec(kind="linear"), c=0.05, tolerance=1e-8)
+        params = svr_fit(x, y, cfg)
+        assert np.count_nonzero(params.alphas) > ROW_CACHE_BYTES // (8 * n)
+        beta, bias, passes, converged = reference_fit(x, y, cfg)
+        assert (params.alphas.tobytes(), params.bias, params.passes, params.converged) == (
+            beta.tobytes(), bias, passes, converged
+        )
+
+    @pytest.mark.parametrize("capacity", [2, 3, 5])
+    def test_row_cache_keeps_both_rows_of_a_pair(self, capacity):
+        # A miss for row j must not take the slot that row i sits in.
+        rng = np.random.default_rng(capacity)
+        x = rng.normal(size=(9, 1))
+        spec = KernelSpec(kind="rbf", gamma=0.4)
+        gram = gram_matrix(spec, x, x)
+        rows = _row_cache(spec, x, capacity)
+        for _ in range(200):
+            i, j = (int(v) for v in rng.integers(0, 9, size=2))
+            ri, rj = rows(i, j)
+            assert ri.tobytes() == gram[i].tobytes()
+            assert rj.tobytes() == gram[j].tobytes()
+
+    @pytest.mark.parametrize(
+        "spec",
+        [KernelSpec(kind="linear"), KernelSpec(kind="rbf"), KernelSpec(kind="poly", degree=5)],
+    )
+    def test_one_feature_fit_never_holds_the_gram(self, spec):
+        n = 4000
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(n, 1))
+        y = np.sin(x[:, 0]) + 0.1 * rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            svr_fit(x, y, SvrConfig(kernel=spec, max_passes=300))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= n * n * 8 / 4
 
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
