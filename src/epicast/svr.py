@@ -17,15 +17,13 @@ update K beta. The eps shift that each coefficient adds to its KKT
 derivatives (_eps_shift) is kept in two arrays, and a pass recomputes only
 the two entries it moved.
 
-A one-feature fit never builds the n x n Gram. It builds row i as
+A fit never builds the n x n Gram. It builds row i as
 gram_matrix(kernel, xs[i:i+1], xs)[0] when a pass first reads it and keeps
 it in a per-fit row cache (the kernel cache of LIBSVM, Chang & Lin 2011,
 section 5.1): one preallocated block of ROW_CACHE_BYTES, whose slots are
-reused first in, first out. Each entry of such a row is a single product,
-so it is bit-equal to the same row of the full Gram. A wider design builds
-the full Gram once and reads its rows, since a row built alone may differ
-from it in the last bits. gram_matrix builds a matrix in place, peaking at
-two result-sized arrays for rbf and one for poly and linear.
+reused first in, first out. gram_matrix forms each entry from its own two
+rows alone, so such a row is bit-equal to the same row of the full Gram at
+every design width.
 """
 
 from __future__ import annotations
@@ -118,21 +116,23 @@ def gram_matrix(k: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
 
     rbf is exp(-gamma * max((|a|^2 + |b|^2) - 2 a.b, 0)) and poly is
     (gamma a.b + coef0)^degree, built in place in that order: the build
-    holds at most two result-sized arrays for rbf and one for poly.
-    Passing one array as both xa and xb gives an exactly symmetric matrix,
-    since numpy forms x @ x.T from one triangle.
+    holds at most two result-sized arrays (one for poly and linear on one
+    feature). a.b is summed over the columns in order, so each entry
+    depends on its two rows alone: a block of rows equals those rows of the
+    whole matrix bit for bit, and K(x, x) is exactly symmetric.
     """
     a = as_design(xa)
     b = as_design(xb)
-    if a.shape[1] != b.shape[1]:
-        raise DimensionMismatch(
-            f"row width mismatch: {a.shape[1]} versus {b.shape[1]}"
-        )
-    if k.kind == "linear":
-        return a @ b.T
-    if k.gamma is None:
+    d = a.shape[1]
+    if d != b.shape[1]:
+        raise DimensionMismatch(f"row width mismatch: {d} versus {b.shape[1]}")
+    if k.kind != "linear" and k.gamma is None:
         raise ValueError("gamma unresolved; fit resolves it or pass a value")
-    ab = a @ b.T
+    ab = a[:, :1] * b[:, 0] if d else np.zeros((a.shape[0], b.shape[0]))
+    for col in range(1, d):
+        ab += a[:, col:col + 1] * b[:, col]
+    if k.kind == "linear":
+        return ab
     if k.kind == "poly":
         ab *= k.gamma
         ab += k.coef0
@@ -147,14 +147,19 @@ def gram_matrix(k: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
 
 
 def resolve_gamma(k: KernelSpec, x: np.ndarray) -> KernelSpec:
-    """Fill gamma = 1 / (n_features * var(x)) when left unset."""
+    """Fill gamma = 1 / (n_features * var(x)) when left unset; raise
+    DegenerateKernelMatrix when that is not a positive finite float."""
     if k.kind == "linear" or k.gamma is not None:
         return k
     arr = as_design(x)
-    var = float(arr.var())
+    with np.errstate(over="ignore"):
+        var = float(arr.var())
     if var <= 0.0:
         var = 1.0
-    return replace(k, gamma=1.0 / (arr.shape[1] * var))
+    gamma = 1.0 / (arr.shape[1] * var)
+    if not 0.0 < gamma <= FLOAT_MAX:
+        raise DegenerateKernelMatrix("no finite gamma for this data; standardize it")
+    return replace(k, gamma=gamma)
 
 
 def dual_objective(
@@ -272,31 +277,22 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
     moves a pair in opposite directions by the same amount.
 
     Each pass reads rows i and j of the Gram in place of its columns, which
-    relies on the Gram being exactly symmetric. A one-feature design reads
-    them from a row cache of ROW_CACHE_BYTES (about 500 rows at n = 4160)
-    and never holds the n x n matrix; a wider design reads them from the
-    full gram_matrix(kernel, xs, xs). Either way DegenerateKernelMatrix is
-    raised when any entry of the full Gram would be non-finite.
+    relies on the Gram being exactly symmetric. It reads them from a row
+    cache of ROW_CACHE_BYTES (about 500 rows at n = 4160) and never holds
+    the n x n matrix. DegenerateKernelMatrix is raised when any entry of
+    the full Gram would be non-finite.
     """
     xs, ys = as_xy(x, y, min_rows=2)
     n = xs.shape[0]
 
     kernel = resolve_gamma(cfg.kernel, xs)
-    if xs.shape[1] == 1:
-        capacity = max(2, min(n, ROW_CACHE_BYTES // (8 * n)))
-        finite = _gram_finite(kernel, xs, capacity)
-        rows = _row_cache(kernel, xs, capacity)
-    else:
-        # overflow here is the signal for DegenerateKernelMatrix, not a warning
-        with np.errstate(over="ignore", invalid="ignore"):
-            k_matrix = gram_matrix(kernel, xs, xs)
-        finite = bool(np.all(np.isfinite(k_matrix)))
-        rows = lambda i, j: (k_matrix[i], k_matrix[j])
-    if not finite:
+    capacity = max(2, min(n, ROW_CACHE_BYTES // (8 * n)))
+    if not _gram_finite(kernel, xs, capacity):
         raise DegenerateKernelMatrix(
             "kernel matrix has non-finite entries; standardize the data or "
             "lower the polynomial degree"
         )
+    rows = _row_cache(kernel, xs, capacity)
 
     beta = np.zeros(n)
     q = np.zeros(n)  # cache of K beta

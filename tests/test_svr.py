@@ -181,10 +181,13 @@ class TestGramMatrix:
     )
     @pytest.mark.parametrize("n, d", [(301, 5), (257, 17)])
     def test_one_array_gives_exactly_symmetric_matrix(self, spec, n, d):
-        # svr_fit reads Gram rows in place of columns, which needs K == K.T
+        # svr_fit reads Gram rows in place of columns, which needs K == K.T,
+        # and builds each row alone, which needs it to equal that row of K
         x = np.random.default_rng(n).normal(size=(n, d))
         gram = gram_matrix(spec, x, x)
         assert np.array_equal(gram, gram.T)
+        for start, end in ((7, 8), (40, 47), (n - 9, n)):
+            assert gram_matrix(spec, x[start:end], x).tobytes() == gram[start:end].tobytes()
 
     @pytest.mark.parametrize(
         "spec",
@@ -197,7 +200,7 @@ class TestGramMatrix:
     def test_in_place_build_matches_plain_formula(self, spec, rng):
         xa = rng.normal(size=(40, 3))
         xb = rng.normal(size=(30, 3))
-        ab = xa @ xb.T
+        ab = sum(np.outer(xa[:, col], xb[:, col]) for col in range(3))  # in column order
         if spec.kind == "rbf":
             sq = np.sum(xa * xa, axis=1)[:, None] + np.sum(xb * xb, axis=1)[None, :] - 2.0 * ab
             plain = np.exp(-spec.gamma * np.maximum(sq, 0.0))
@@ -224,6 +227,14 @@ class TestGramMatrix:
         finally:
             tracemalloc.stop()
         assert peak <= bound * gram.nbytes
+
+    def test_zero_columns_give_the_empty_sum(self):
+        # a.b over no columns is 0
+        a, b = np.zeros((2, 0)), np.zeros((3, 0))
+        assert np.array_equal(gram_matrix(KernelSpec(kind="linear"), a, b), np.zeros((2, 3)))
+        assert np.array_equal(gram_matrix(KernelSpec(kind="rbf", gamma=0.5), a, b), np.ones((2, 3)))
+        poly = KernelSpec(kind="poly", gamma=0.5, degree=3, coef0=2.0)
+        assert np.array_equal(gram_matrix(poly, a, b), np.full((2, 3), 8.0))
 
     def test_one_dimensional_inputs_promoted(self):
         gram = gram_matrix(KernelSpec(kind="linear"), np.array([1.0, 2.0]), np.array([3.0]))
@@ -462,7 +473,15 @@ class TestSvrFit:
         with pytest.raises(DegenerateKernelMatrix):
             svr_fit(x, np.array([1.0, 2.0, 3.0]), SvrConfig(kernel=spec))
 
-    @pytest.mark.parametrize("width", [1, 2], ids=["row-cache", "full-gram"])
+    @pytest.mark.parametrize("scale", [1e160, 1e200])
+    @pytest.mark.parametrize("kind", ["rbf", "poly"])
+    def test_overflowing_variance_rejected(self, kind, scale):
+        # var(x) overflows, so the default gamma 1 / var(x) cannot be formed
+        x = np.array([[1.0], [2.0], [3.0]]) * scale
+        with pytest.raises(DegenerateKernelMatrix):
+            svr_fit(x, np.array([1.0, 2.0, 3.0]), SvrConfig(kernel=KernelSpec(kind=kind)))
+
+    @pytest.mark.parametrize("width", [1, 2], ids=["one-column", "two-columns"])
     def test_finite_gram_beyond_the_certificate_fits(self, width):
         # gamma * a.b = 1e200 cancels coef0 exactly, so every entry is 0**7,
         # but the bound gamma * max|x|^2 + |coef0| = 2e200 proves nothing.
@@ -472,7 +491,7 @@ class TestSvrFit:
         params = svr_fit(x, np.array([1.0, 2.0, 3.0]), SvrConfig(kernel=spec))
         assert np.all(np.isfinite(params.alphas))
 
-    @pytest.mark.parametrize("width", [1, 2], ids=["row-cache", "full-gram"])
+    @pytest.mark.parametrize("width", [1, 2], ids=["one-column", "two-columns"])
     def test_rbf_infinity_minus_infinity_rejected(self, width):
         # |a|^2 + |b|^2 and 2 a.b both overflow, so the distance is NaN.
         x = np.zeros((3, width))
@@ -532,14 +551,15 @@ class TestSvrFit:
             assert ri.tobytes() == gram[i].tobytes()
             assert rj.tobytes() == gram[j].tobytes()
 
+    @pytest.mark.parametrize("width", [1, 3])
     @pytest.mark.parametrize(
         "spec",
         [KernelSpec(kind="linear"), KernelSpec(kind="rbf"), KernelSpec(kind="poly", degree=5)],
     )
-    def test_one_feature_fit_never_holds_the_gram(self, spec):
+    def test_fit_never_holds_the_gram(self, spec, width):
         n = 4000
         rng = np.random.default_rng(4)
-        x = rng.normal(size=(n, 1))
+        x = rng.normal(size=(n, width))
         y = np.sin(x[:, 0]) + 0.1 * rng.normal(size=n)
         tracemalloc.start()
         try:
