@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionMismatch, DivergenceError, SingularMatrix
-from .preprocess import as_design, as_xy
+from .preprocess import as_design, as_xy, column_product
 
 
 @dataclass(frozen=True)
@@ -37,18 +37,23 @@ def linreg_fit(x: np.ndarray, y: np.ndarray, cfg: LinRegConfig) -> LinRegParams:
     """Gradient descent from zero parameters, exactly cfg.iterations steps.
 
     Gradient of (1/n)*sum((x w + b - y)^2) is (2/n) x^T r for the slope and
-    (2/n) sum(r) for the intercept, r = predictions - y. Standardize first:
-    large learning rates diverge on raw count scales, and divergence is
-    reported as an error rather than silent NaN parameters.
+    (2/n) sum(r) for the intercept, r = predictions - y; each step forms
+    x w as column_product's fixed-order sum in one per-fit buffer.
+    Standardize first: large learning rates diverge on raw count scales,
+    and divergence is reported as an error rather than silent NaN
+    parameters.
     """
     xs, ys = as_xy(x, y, min_rows=2)
     n = xs.shape[0]
     w = np.zeros(xs.shape[1])
     b = 0.0
+    r = np.empty(n)  # the step's residual, x w + b - y
     # overflow here is the signal for DivergenceError, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(1, cfg.iterations + 1):
-            r = xs @ w + b - ys
+            column_product(xs, w[None, :], out=r[:, None])
+            r += b
+            r -= ys
             loss = float(r @ r) / n
             if not np.isfinite(loss):
                 raise DivergenceError(

@@ -6,6 +6,12 @@ Gradients come from reverse-mode backpropagation of the batch MSE.
 Parameters flatten to one vector in layer-major order, weights before
 bias, weight matrices row-major; the optimizers and the on-disk model
 format both rely on that layout.
+
+An evaluation forms its n x H intermediates in a Workspace that train_mlp
+allocates once per fit. Backprop reuses the forward activations, since
+every derivative is written in terms of h = f(b). The input layer's x W0'
+and the output layer's rank-1 backprop are column_product's fixed-order
+sums; the hidden-to-hidden products are BLAS matmuls.
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, NonFiniteLoss
+from .errors import DimensionMismatch, InputError, NonFiniteLoss
 from .optimizers import (
     FunctionObjective,
     LbfgsConfig,
@@ -23,7 +29,7 @@ from .optimizers import (
     lbfgs_minimize,
     sgd_minimize,
 )
-from .preprocess import as_design, as_xy
+from .preprocess import as_design, as_xy, column_product
 
 ACTIVATIONS = ("tanh", "relu", "logistic")
 OPTIMIZERS = ("lbfgs", "sgd", "adam")
@@ -31,17 +37,22 @@ OPTIMIZERS = ("lbfgs", "sgd", "adam")
 
 @dataclass(frozen=True)
 class ActivationKind:
-    """A hidden-unit nonlinearity and its derivative in pre-activation b."""
+    """A hidden-unit nonlinearity f and its derivative df/db, which takes
+    the activation h = f(b) so that backprop reuses the forward pass.
+
+    Both write into ``out`` when it is given; f's may be b itself.
+    """
 
     kind: str
 
-    def f(self, b: np.ndarray) -> np.ndarray:
+    def f(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self.kind == "tanh":
-            return np.tanh(b)
+            return np.tanh(b, out=out)
         if self.kind == "relu":
-            return np.maximum(0.0, b)
+            return np.maximum(0.0, b, out=out)
         if self.kind == "logistic":
-            out = np.empty_like(b, dtype=float)
+            if out is None:
+                out = np.empty_like(b, dtype=float)
             pos = b >= 0
             out[pos] = 1.0 / (1.0 + np.exp(-b[pos]))
             eb = np.exp(b[~pos])
@@ -49,15 +60,18 @@ class ActivationKind:
             return out
         raise ValueError(f"unknown activation {self.kind!r}")
 
-    def f_prime(self, b: np.ndarray) -> np.ndarray:
+    def f_prime(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """1 - h^2 for tanh, h (1 - h) for logistic, [h > 0] for relu."""
+        if out is None:
+            out = np.empty_like(h, dtype=float)
         if self.kind == "tanh":
-            t = np.tanh(b)
-            return 1.0 - t * t
+            np.multiply(h, h, out=out)
+            return np.subtract(1.0, out, out=out)
         if self.kind == "relu":
-            return (b > 0.0).astype(float)
+            return np.greater(h, 0.0, out=out)
         if self.kind == "logistic":
-            s = self.f(b)
-            return s * (1.0 - s)
+            np.subtract(1.0, h, out=out)
+            return np.multiply(h, out, out=out)
         raise ValueError(f"unknown activation {self.kind!r}")
 
 
@@ -155,58 +169,106 @@ def init_params(cfg: MlpConfig, n_features: int) -> MlpParams:
     return MlpParams(weights=tuple(weights), biases=tuple(biases))
 
 
+@dataclass(frozen=True)
+class Workspace:
+    """The n x H buffers of one evaluation on n rows, for hidden layers of
+    one width H as MlpParams lays them out.
+
+    post holds each hidden layer's activations, back the two buffers that
+    backprop alternates between, out the output column and then its delta,
+    resid the residuals.
+    """
+
+    post: tuple[np.ndarray, ...]
+    back: tuple[np.ndarray, np.ndarray]
+    out: np.ndarray
+    resid: np.ndarray
+
+    @staticmethod
+    def allocate(shapes: list[tuple[int, int]], n: int) -> "Workspace":
+        """Buffers for the layer shapes of MlpParams.shapes."""
+        width = shapes[0][0]
+        return Workspace(
+            post=tuple(np.empty((n, rows)) for rows, _ in shapes[:-1]),
+            back=(np.empty((n, width)), np.empty((n, width))),
+            out=np.empty((n, 1)),
+            resid=np.empty(n),
+        )
+
+
 def _forward_batch(
-    params: MlpParams, act: ActivationKind, x: np.ndarray
-) -> tuple[np.ndarray, list[np.ndarray], list[np.ndarray]]:
-    """Returns (predictions, pre-activations per layer, activations per layer)."""
+    params: MlpParams, act: ActivationKind, x: np.ndarray, work: Workspace
+) -> np.ndarray:
+    """Predictions, a view of work.out; work.post receives the activations."""
     if x.shape[1] != params.n_features:
         raise DimensionMismatch(
             f"x has {x.shape[1]} features, first layer expects {params.n_features}"
         )
     h = x
-    pre: list[np.ndarray] = []
-    post: list[np.ndarray] = [x]
-    for w, b in zip(params.weights[:-1], params.biases[:-1]):
-        z = h @ w.T + b
-        h = act.f(z)
-        pre.append(z)
-        post.append(h)
-    out = h @ params.weights[-1].T + params.biases[-1]
-    return out[:, 0], pre, post
+    hidden = zip(params.weights[:-1], params.biases[:-1], work.post)
+    for layer, (w, b, z) in enumerate(hidden):
+        if layer == 0:
+            column_product(x, w, out=z)
+        else:
+            np.matmul(h, w.T, out=z)
+        z += b
+        h = act.f(z, out=z)
+    out = np.matmul(h, params.weights[-1].T, out=work.out)
+    out += params.biases[-1]
+    return out[:, 0]
 
 
 def forward(params: MlpParams, act: ActivationKind, x: np.ndarray) -> np.ndarray:
     """Network output, one value per row of ``as_design(x)``."""
-    yhat, _, _ = _forward_batch(params, act, as_design(x))
-    return yhat
+    xs = as_design(x)
+    work = Workspace.allocate([w.shape for w in params.weights], xs.shape[0])
+    return _forward_batch(params, act, xs, work)
 
 
 def loss_and_gradient(
-    params: MlpParams, act: ActivationKind, x: np.ndarray, y: np.ndarray
+    params: MlpParams,
+    act: ActivationKind,
+    x: np.ndarray,
+    y: np.ndarray,
+    work: Workspace | None = None,
 ) -> tuple[float, MlpParams]:
     """Batch MSE and its gradient via backpropagation.
 
     The gradient comes back in parameter shape: a MlpParams whose entries
-    are d(loss)/d(entry).
+    are d(loss)/d(entry), in arrays of its own. The intermediates go into
+    ``work``, or into a Workspace of this call when none is given.
     """
     xs, ys = as_xy(x, y)
     n = xs.shape[0]
-    yhat, pre, post = _forward_batch(params, act, xs)
-    resid = yhat - ys
+    if work is None:
+        work = Workspace.allocate([w.shape for w in params.weights], n)
+    yhat = _forward_batch(params, act, xs, work)
+    resid = np.subtract(yhat, ys, out=work.resid)
     loss = float(resid @ resid) / n
     if not np.isfinite(loss):
         raise NonFiniteLoss("batch loss is not finite")
 
-    # delta holds d(loss)/d(pre-activation) for the layer being processed.
-    delta = (2.0 / n) * resid[:, None]
-    g_w = [np.empty(0)] * len(params.weights)
-    g_b = [np.empty(0)] * len(params.biases)
-    g_w[-1] = delta.T @ post[-1]
-    g_b[-1] = delta.sum(axis=0)
-    for layer in range(len(params.weights) - 2, -1, -1):
-        delta = (delta @ params.weights[layer + 1]) * act.f_prime(pre[layer])
-        g_w[layer] = delta.T @ post[layer]
+    last = len(params.weights) - 1
+    g_w = [np.empty(0)] * (last + 1)
+    g_b = [np.empty(0)] * (last + 1)
+    inputs = (xs, *work.post)
+    # delta holds d(loss)/d(pre-activation) for the layer being processed,
+    # first the output layer's one column. Each step forms delta @ W into
+    # the free back buffer and f' into the other, whose delta that product
+    # has just consumed.
+    delta = np.multiply(2.0 / n, resid[:, None], out=work.out)
+    free, scratch = work.back
+    for layer in range(last, -1, -1):
+        g_w[layer] = delta.T @ inputs[layer]
         g_b[layer] = delta.sum(axis=0)
+        if layer == 0:
+            break
+        if layer == last:  # rank 1
+            column_product(delta, params.weights[layer].T, out=free)
+        else:
+            np.matmul(delta, params.weights[layer], out=free)
+        free *= act.f_prime(inputs[layer], out=scratch)
+        delta, free, scratch = free, scratch, free
     return loss, MlpParams(weights=tuple(g_w), biases=tuple(g_b))
 
 
@@ -219,15 +281,27 @@ def train_mlp(
     max_iterations or when the loss improves by less than cfg.tolerance
     over 10 consecutive steps; the returned MinimizeResult carries the
     loss trace and stop status. Overflow while training is not a warning:
-    a non-finite loss raises NonFiniteLoss or NonFiniteObjective.
+    a non-finite loss raises NonFiniteLoss or NonFiniteObjective. A shape
+    whose parameters or Workspace cannot be allocated raises InputError.
     """
     xs, ys = as_xy(x, y, min_rows=2)
     act = ActivationKind(cfg.activation)
-    shapes = MlpParams.shapes(cfg, xs.shape[1])
-    theta0 = init_params(cfg, xs.shape[1]).flatten()
+    n, d = xs.shape
+    shapes = MlpParams.shapes(cfg, d)
+    try:
+        theta0 = init_params(cfg, d).flatten()
+        work = Workspace.allocate(shapes, n)
+    except MemoryError:
+        raise InputError(
+            f"an MLP with {cfg.hidden_layers} hidden layers of "
+            f"{cfg.neurons_per_layer} neurons on a {n} x {d} design does not "
+            "fit in memory"
+        ) from None
 
     def eval_flat(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        loss, grad = loss_and_gradient(MlpParams.unflatten(theta, shapes), act, xs, ys)
+        loss, grad = loss_and_gradient(
+            MlpParams.unflatten(theta, shapes), act, xs, ys, work
+        )
         return loss, grad.flatten()
 
     obj = FunctionObjective(dim=theta0.size, fn=eval_flat)

@@ -1,6 +1,7 @@
 """Supervised-set construction, the array-shape rule every fit and
-predict shares (``as_design``, ``as_xy``), standard scaling and
-train/test splitting.
+predict shares (``as_design``, ``as_xy``), the fixed-order product of
+row collections (``column_product``), standard scaling and train/test
+splitting.
 
 Models see standardized features AND standardized targets: both sides are
 centered on the training mean and divided by the training population std
@@ -80,6 +81,29 @@ def as_xy(
     if n < min_rows:
         raise DimensionMismatch(f"need at least {min_rows} rows to fit, got {n}")
     return xs, ys
+
+
+def column_product(
+    a: np.ndarray, b: np.ndarray, out: np.ndarray | None = None
+) -> np.ndarray:
+    """a @ b.T for 2-D a (m, d) and b (k, d), summed over the d columns in
+    order: a[:, :1] * b[:, 0], then += a[:, c:c+1] * b[:, c]; zeros when
+    d = 0. Written into ``out`` (m, k) when given.
+
+    Each entry depends on its own row of a and row of b alone, so a block
+    of rows equals those rows of the whole product bit for bit. For one
+    column each entry is a single product and equals BLAS bit for bit, at
+    a fraction of a one-column matmul's call cost.
+    """
+    if out is None:
+        out = np.empty((a.shape[0], b.shape[0]))
+    if a.shape[1] == 0:
+        out.fill(0.0)
+        return out
+    np.multiply(a[:, :1], b[:, 0], out=out)
+    for col in range(1, a.shape[1]):
+        out += a[:, col:col + 1] * b[:, col]
+    return out
 
 
 @dataclass(frozen=True)

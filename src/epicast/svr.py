@@ -15,7 +15,9 @@ small brute-force grid oracle (qp_oracle) certifies optimality in tests.
 Each pass reads two contiguous rows of the exactly symmetric Gram to
 update K beta. The eps shift that each coefficient adds to its KKT
 derivatives (_eps_shift) is kept in two arrays, and a pass recomputes only
-the two entries it moved.
+the two entries it moved. The length-n vectors a pass forms (residuals,
+KKT derivatives, the update of K beta) go into buffers allocated once per
+fit.
 
 A fit never builds the n x n Gram. It builds row i as
 gram_matrix(kernel, xs[i:i+1], xs)[0] when a pass first reads it and keeps
@@ -35,7 +37,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateKernelMatrix, DimensionMismatch
-from .preprocess import as_design, as_xy
+from .preprocess import as_design, as_xy, column_product
 
 # Dual coefficients below this are treated as exactly zero (not a support
 # vector), and a coefficient this close to +-C cannot move further out.
@@ -117,9 +119,9 @@ def gram_matrix(k: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
     rbf is exp(-gamma * max((|a|^2 + |b|^2) - 2 a.b, 0)) and poly is
     (gamma a.b + coef0)^degree, built in place in that order: the build
     holds at most two result-sized arrays (one for poly and linear on one
-    feature). a.b is summed over the columns in order, so each entry
-    depends on its two rows alone: a block of rows equals those rows of the
-    whole matrix bit for bit, and K(x, x) is exactly symmetric.
+    feature). a.b is column_product's sum over the columns in order, so
+    each entry depends on its two rows alone: a block of rows equals those
+    rows of the whole matrix bit for bit, and K(x, x) is exactly symmetric.
     """
     a = as_design(xa)
     b = as_design(xb)
@@ -128,9 +130,7 @@ def gram_matrix(k: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"row width mismatch: {d} versus {b.shape[1]}")
     if k.kind != "linear" and k.gamma is None:
         raise ValueError("gamma unresolved; fit resolves it or pass a value")
-    ab = a[:, :1] * b[:, 0] if d else np.zeros((a.shape[0], b.shape[0]))
-    for col in range(1, d):
-        ab += a[:, col:col + 1] * b[:, col]
+    ab = column_product(a, b)
     if k.kind == "linear":
         return ab
     if k.kind == "poly":
@@ -189,18 +189,24 @@ def _eps_shift(b: float, c: float, eps: float) -> tuple[float, float]:
 
 
 def _working_pair(
-    resid: np.ndarray, up: np.ndarray, down: np.ndarray
+    resid: np.ndarray,
+    up: np.ndarray,
+    down: np.ndarray,
+    d_up: np.ndarray,
+    d_down: np.ndarray,
 ) -> tuple[int, float, int, float]:
     """The maximal KKT-violating pair (i, lo, j, hi); it violates by hi - lo.
 
     lo = d_up[i] is the least over the coefficients that can rise (+inf if
     none can), hi = d_down[j] the greatest over those that can fall (-inf
-    if none can); up and down hold _eps_shift of every coefficient.
+    if none can); up and down hold _eps_shift of every coefficient. The
+    derivatives are formed in the length-n buffers d_up and d_down.
     """
-    d_up = resid + up
-    d_down = resid + down
-    i = int(np.argmin(d_up))
-    j = int(np.argmax(d_down))
+    np.add(resid, up, out=d_up)
+    np.add(resid, down, out=d_down)
+    # the array methods skip np.argmin's dispatch, about 1 us of a pass
+    i = int(d_up.argmin())
+    j = int(d_down.argmax())
     return i, float(d_up[i]), j, float(d_down[j])
 
 
@@ -299,11 +305,14 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
     c, eps = cfg.c, cfg.epsilon
     up0, down0 = _eps_shift(0.0, c, eps)  # every coefficient starts at zero
     up, down = np.full(n, up0), np.full(n, down0)
+    # per-fit buffers of the pass: resid = q - ys, d_up, d_down, t (ri - rj)
+    resid, d_up, d_down, step = (np.empty(n) for _ in range(4))
     converged = False
     passes = 0
 
     for passes in range(1, cfg.max_passes + 1):
-        i, lo, j, hi = _working_pair(q - ys, up, down)
+        np.subtract(q, ys, out=resid)
+        i, lo, j, hi = _working_pair(resid, up, down, d_up, d_down)
         violation = hi - lo  # -inf when one side is empty: nothing can move
         if violation <= cfg.tolerance:
             converged = True
@@ -320,11 +329,14 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
         t = min(t_max, violation / eta) if eta > 0.0 else t_max
         beta[i] += t
         beta[j] -= t
-        q += t * (ri - rj)
+        np.subtract(ri, rj, out=step)
+        step *= t
+        q += step
         up[i], down[i] = _eps_shift(beta[i], c, eps)
         up[j], down[j] = _eps_shift(beta[j], c, eps)
 
-    _, lo, _, hi = _working_pair(q - ys, up, down)
+    np.subtract(q, ys, out=resid)
+    _, lo, _, hi = _working_pair(resid, up, down, d_up, d_down)
     if np.isinf(lo) and np.isinf(hi):
         bias = float(np.mean(ys - q))
     elif np.isinf(lo):

@@ -719,6 +719,50 @@ class TestRejectedFlags:
         assert message in err["message"]
 
 
+class TestShapeBeyondMemory:
+    # 1e14 neurons: the first weight matrix alone is 800 TB, more than any
+    # address space, so every command fails at its first allocation.
+    NEURONS = str(10**14)
+    MESSAGE = f"1 hidden layers of {10**14} neurons on a 48 x 1 design does not fit in memory"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "train --model mlp --hidden-layers 1 --neurons {n}",
+            "scenario --from 2020-03-01 --to 2020-04-29 --hidden-layers 1 --neurons {n}",
+        ],
+    )
+    def test_fit_exits_2_with_json_error(self, argv, short_csv, tmp_path, capsys):
+        command, *flags = argv.format(n=self.NEURONS).split()
+        code = main([command, str(short_csv), *flags, "--out-dir", str(tmp_path)])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert self.MESSAGE in err["message"]
+
+    def test_grid_flags_every_mlp_cell(self, short_csv, tmp_path):
+        code = main([
+            "grid", str(short_csv), "--mlp-hidden-layers", "1",
+            "--mlp-neurons", self.NEURONS, "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        cells = read_json(tmp_path / "scoretable.json")["cells"]
+        for cell in cells:
+            if cell["family"] == "mlp":
+                assert cell["flagged"]
+                assert self.MESSAGE in cell["flag_reason"]
+        assert not all(c["flagged"] for c in cells if c["family"] == "linreg")
+
+    def test_compare_exits_2(self, short_csv, tmp_path, capsys):
+        code = main([
+            "compare", str(short_csv), "--mlp-hidden-layers", "1",
+            "--mlp-neurons", self.NEURONS, "--out-dir", str(tmp_path),
+        ])
+        assert code == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "input", "message": "every mlp cell is flagged"}
+
+
 # A 60-day wave keeps the grid and compare runs to about a second each.
 SHORT_WAVE = SyntheticSpec(days=60, midpoint=30.0, width=6.0)
 

@@ -19,7 +19,44 @@ def standardized_line(rng, n=60, slope=2.0, intercept=1.0, noise=0.0):
     return xs, y
 
 
+def fixed_order_product(xs, w):
+    """xs @ w as the sum over the columns in order, written out; zeros for
+    no columns."""
+    out = np.zeros(xs.shape[0]) if xs.shape[1] == 0 else xs[:, 0] * w[0]
+    for col in range(1, xs.shape[1]):
+        out = out + xs[:, col] * w[col]
+    return out
+
+
+def reference_fit(xs, y, cfg, product):
+    """The gradient-descent loop with a fresh residual each step and
+    x w formed by ``product``."""
+    n = xs.shape[0]
+    w = np.zeros(xs.shape[1])
+    b = 0.0
+    for _ in range(cfg.iterations):
+        r = product(xs, w) + b - y
+        w -= cfg.learning_rate * (2.0 / n) * (xs.T @ r)
+        b -= cfg.learning_rate * (2.0 / n) * float(r.sum())
+    return w, b
+
+
 class TestFit:
+    @pytest.mark.parametrize(
+        "width, product",
+        [(1, lambda xs, w: xs @ w), (0, fixed_order_product), (3, fixed_order_product)],
+    )
+    def test_equals_reference_loop_byte_for_byte(self, width, product, rng):
+        xs = rng.normal(size=(70, width))
+        y = xs @ np.linspace(1.0, -1.0, width) + 0.4 + 0.1 * rng.normal(size=70)
+        cfg = LinRegConfig(0.1, 300)
+        got = linreg_fit(xs, y, cfg)
+        w, b = reference_fit(xs, y, cfg, product)
+        assert got.slope.tobytes() == w.tobytes()
+        assert got.intercept == b
+        if width == 0:  # intercept-only: gradient descent on the mean
+            assert got.intercept == pytest.approx(float(np.mean(y)), abs=1e-12)
+
     def test_exact_line_matches_ols(self, rng):
         xs, y = standardized_line(rng)
         gd = linreg_fit(xs, y, LinRegConfig(0.1, 3000))

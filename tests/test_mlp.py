@@ -10,7 +10,14 @@ from epicast import (
     loss_and_gradient,
     train_mlp,
 )
-from epicast.errors import DimensionMismatch, LengthMismatch, NonFiniteLoss
+from epicast.errors import DimensionMismatch, InputError, LengthMismatch, NonFiniteLoss
+from epicast.mlp import Workspace
+from epicast.optimizers import (
+    FunctionObjective,
+    LbfgsConfig,
+    lbfgs_minimize,
+    sgd_minimize,
+)
 
 
 def flat_loss(params_shapes, act, x, y):
@@ -37,6 +44,58 @@ def central_difference(fn, theta, h=1e-6):
 
 def relative_error(a, b):
     return float(np.linalg.norm(a - b) / (np.linalg.norm(a) + np.linalg.norm(b) + 1e-30))
+
+
+def fixed_order_product(a, b):
+    """a @ b.T as the sum over the columns in order, written out."""
+    out = a[:, :1] * b[:, 0]
+    for col in range(1, a.shape[1]):
+        out = out + a[:, col:col + 1] * b[:, col]
+    return out
+
+
+def reference_activation(kind, b):
+    """(f(b), f'(b)) in the pre-activation b, each in a fresh array."""
+    if kind == "tanh":
+        t = np.tanh(b)
+        return t, 1.0 - t * t
+    if kind == "relu":
+        return np.maximum(0.0, b), (b > 0.0).astype(float)
+    s = np.empty_like(b)
+    pos = b >= 0
+    s[pos] = 1.0 / (1.0 + np.exp(-b[pos]))
+    eb = np.exp(b[~pos])
+    s[~pos] = eb / (1.0 + eb)
+    return s, s * (1.0 - s)
+
+
+def reference_objective(params, kind, x, y):
+    """Batch MSE and gradient with every intermediate in a fresh array:
+    pre-activations kept, f' taken of them, every product by matmul except
+    the input layer's on more than one feature, which is the fixed-order
+    sum. The reference that loss_and_gradient is checked against."""
+    n = x.shape[0]
+    h, pre, post = x, [], [x]
+    for layer, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
+        product = fixed_order_product(h, w) if layer == 0 and x.shape[1] > 1 else h @ w.T
+        z = product + b
+        h = reference_activation(kind, z)[0]
+        pre.append(z)
+        post.append(h)
+    resid = (h @ params.weights[-1].T + params.biases[-1])[:, 0] - y
+    loss = float(resid @ resid) / n
+    delta = (2.0 / n) * resid[:, None]
+    g_w = [delta.T @ post[-1]]
+    g_b = [delta.sum(axis=0)]
+    for layer in range(len(params.weights) - 2, -1, -1):
+        delta = (delta @ params.weights[layer + 1]) * reference_activation(kind, pre[layer])[1]
+        g_w.insert(0, delta.T @ post[layer])
+        g_b.insert(0, delta.sum(axis=0))
+    return loss, MlpParams(weights=tuple(g_w), biases=tuple(g_b))
+
+
+def same_bytes(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
 class TestActivations:
@@ -66,7 +125,7 @@ class TestActivations:
         b = b[np.abs(b) > 1e-3]
         h = 1e-7
         fd = (act.f(b + h) - act.f(b - h)) / (2.0 * h)
-        assert act.f_prime(b) == pytest.approx(fd, abs=1e-5)
+        assert act.f_prime(act.f(b)) == pytest.approx(fd, abs=1e-5)
 
 
 class TestInitParams:
@@ -226,6 +285,53 @@ class TestLossAndGradient:
         with pytest.raises(LengthMismatch):
             loss_and_gradient(p, ActivationKind("tanh"), np.zeros((3, 1)), np.zeros(4))
 
+    @pytest.mark.parametrize("kind", ["tanh", "relu", "logistic"])
+    @pytest.mark.parametrize("layers", [1, 2, 3])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_equals_reference_byte_for_byte(self, kind, layers, width, rng):
+        cfg = MlpConfig(hidden_layers=layers, neurons_per_layer=7, seed=layers)
+        p = init_params(cfg, width)
+        p = MlpParams.unflatten(
+            p.flatten() + 0.1 * rng.normal(size=p.flatten().size),
+            MlpParams.shapes(cfg, width),
+        )
+        x = rng.normal(size=(40, width))
+        y = rng.normal(size=40)
+        loss, grad = loss_and_gradient(p, ActivationKind(kind), x, y)
+        ref_loss, ref_grad = reference_objective(p, kind, x, y)
+        assert loss == ref_loss
+        for got, want in zip(grad.weights + grad.biases, ref_grad.weights + ref_grad.biases):
+            assert same_bytes(got, want)
+
+    def test_equals_reference_at_grid_size(self):
+        # the 5200-day grid's shape: 4160 rows, BLAS-sized hidden products
+        cfg = MlpConfig(hidden_layers=2, neurons_per_layer=16, seed=0)
+        p = init_params(cfg, 1)
+        x = np.linspace(-1.7, 1.7, 4160)[:, None]
+        y = np.tanh(3.0 * x[:, 0])
+        for kind in ("tanh", "relu"):
+            loss, grad = loss_and_gradient(p, ActivationKind(kind), x, y)
+            ref_loss, ref_grad = reference_objective(p, kind, x, y)
+            assert loss == ref_loss
+            assert same_bytes(grad.flatten(), ref_grad.flatten())
+
+    def test_workspace_reuse_leaves_earlier_results_alone(self, rng):
+        cfg = MlpConfig(hidden_layers=3, neurons_per_layer=6, seed=4)
+        shapes = MlpParams.shapes(cfg, 2)
+        p = init_params(cfg, 2)
+        act = ActivationKind("tanh")
+        x = rng.normal(size=(30, 2))
+        work = Workspace.allocate(shapes, 30)
+        loss1, grad1 = loss_and_gradient(p, act, x, rng.normal(size=30), work)
+        kept = [a.copy() for a in grad1.weights + grad1.biases]
+        other = MlpParams.unflatten(p.flatten() + 0.5, shapes)
+        loss2, grad2 = loss_and_gradient(other, act, x, rng.normal(size=30), work)
+        assert loss1 != loss2
+        buffers = [*work.post, *work.back, work.out, work.resid]
+        for got, want in zip(grad1.weights + grad1.biases, kept):
+            assert same_bytes(got, want)
+            assert not any(np.shares_memory(got, buf) for buf in buffers)
+
     def test_non_finite_loss_raises(self):
         cfg = MlpConfig(hidden_layers=1, neurons_per_layer=2)
         p = init_params(cfg, 1)
@@ -276,6 +382,52 @@ class TestTrainMlp:
         _, r1 = train_mlp(cfg, x, y)
         _, r2 = train_mlp(cfg, x, y)
         assert r1.trace == r2.trace
+
+    @pytest.mark.parametrize("optimizer", ["lbfgs", "sgd"])
+    def test_fit_equals_one_driven_by_the_reference(self, optimizer):
+        x = np.linspace(-1.0, 1.0, 50)[:, None]
+        y = np.sin(3.0 * x[:, 0])
+        cfg = MlpConfig(
+            hidden_layers=2, neurons_per_layer=6, optimizer=optimizer,
+            max_iterations=60, seed=5, learning_rate=0.05, tolerance=0.0,
+        )
+        shapes = MlpParams.shapes(cfg, 1)
+
+        def reference_flat(theta):
+            loss, grad = reference_objective(
+                MlpParams.unflatten(theta, shapes), cfg.activation, x, y
+            )
+            return loss, grad.flatten()
+
+        theta0 = init_params(cfg, 1).flatten()
+        obj = FunctionObjective(dim=theta0.size, fn=reference_flat)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if optimizer == "lbfgs":
+                want = lbfgs_minimize(
+                    obj, theta0, LbfgsConfig(max_iterations=60), tolerance=0.0
+                )
+            else:
+                want = sgd_minimize(obj, theta0, 0.05, 60, tolerance=0.0)
+        params, got = train_mlp(cfg, x, y)
+        assert got.iterations == want.iterations > 0
+        assert got.trace == want.trace
+        assert same_bytes(params.flatten(), want.theta)
+
+    def test_shape_beyond_memory_is_an_input_error(self):
+        # 1e14 neurons: the first weight matrix alone is 800 TB, more than
+        # any address space, so the allocation fails at once
+        cfg = MlpConfig(hidden_layers=1, neurons_per_layer=10**14)
+        with pytest.raises(InputError, match="1 hidden layers of 100000000000000 neurons"):
+            train_mlp(cfg, np.zeros((5, 1)), np.arange(5.0))
+
+    def test_workspace_beyond_memory_is_an_input_error(self, monkeypatch):
+        def refuse(shapes, n):
+            raise MemoryError
+
+        monkeypatch.setattr(Workspace, "allocate", staticmethod(refuse))
+        cfg = MlpConfig(hidden_layers=2, neurons_per_layer=3)
+        with pytest.raises(InputError, match="on a 5 x 1 design does not fit"):
+            train_mlp(cfg, np.zeros((5, 1)), np.arange(5.0))
 
     def test_needs_two_rows(self):
         cfg = MlpConfig(hidden_layers=1, neurons_per_layer=2)

@@ -18,7 +18,7 @@ from epicast.errors import (
     MissingValuesPresent,
     UnknownFeature,
 )
-from epicast.preprocess import EPSILON_FLOOR, SupervisedSet
+from epicast.preprocess import EPSILON_FLOOR, SupervisedSet, column_product
 from epicast import parse_csv
 
 CSV = """date,tests,confirmed,deaths
@@ -196,3 +196,27 @@ class TestStandardizedSplit:
         std = standardized_split(data, SplitSpec("chronological", 0.8, 0))
         back = inverse_transform(std.test.y, std.y_scaler)
         assert back == pytest.approx(data.y[80:])
+
+
+class TestColumnProduct:
+    def test_one_column_equals_matmul_bit_for_bit(self, rng):
+        a = rng.normal(size=(300, 1))
+        b = rng.normal(size=(17, 1))
+        assert column_product(a, b).tobytes() == (a @ b.T).tobytes()
+        w = rng.normal(size=1)
+        out = np.empty((300, 1))
+        column_product(a, w[None, :], out=out)
+        assert out[:, 0].tobytes() == (a @ w).tobytes()
+
+    def test_sums_columns_in_order_and_rows_alone(self, rng):
+        a = rng.normal(size=(40, 3))
+        b = rng.normal(size=(9, 3))
+        want = a[:, :1] * b[:, 0] + a[:, 1:2] * b[:, 1] + a[:, 2:3] * b[:, 2]
+        got = column_product(a, b)
+        assert got.tobytes() == want.tobytes()
+        assert column_product(a[5:12], b).tobytes() == got[5:12].tobytes()
+
+    def test_zero_columns_give_zeros(self):
+        out = np.full((4, 2), 7.0)
+        assert column_product(np.empty((4, 0)), np.empty((2, 0)), out=out) is out
+        assert out.tolist() == [[0.0, 0.0]] * 4
