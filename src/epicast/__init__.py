@@ -9,7 +9,6 @@ batch CLI that emits machine-readable reports.
 from .dataset import (
     CaseSeries,
     CsvSchema,
-    DailyRecord,
     SummaryStats,
     fingerprint,
     impute_missing,

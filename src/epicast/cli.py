@@ -328,7 +328,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
             "--last-day-index cannot be combined with --csv, whose history sets it"
         )
     model = load_model(args.model_file)
-    history = CaseSeries(records=())
+    history = CaseSeries()
     fp = None
     if args.csv:
         history = _load_series(args)

@@ -3,8 +3,9 @@
 The on-disk format is a UTF-8 CSV with a header row. Default column names
 are ``date,tests,confirmed,deaths``; dates are ISO-8601 (YYYY-MM-DD) and an
 empty cell means "missing". Series are kept gap-free: calendar gaps are
-rejected unless the caller asks for gap filling, which inserts records with
-all counts missing so that ``day_index`` stays aligned with calendar days.
+rejected unless the caller asks for gap filling, which inserts rows with
+all counts missing, so a row's day_index is its number of days since the
+first date.
 """
 
 from __future__ import annotations
@@ -13,7 +14,7 @@ import csv
 import hashlib
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 from datetime import date as Date, timedelta
 from pathlib import Path
 
@@ -46,52 +47,51 @@ DEFAULT_SCHEMA = CsvSchema()
 
 
 @dataclass(frozen=True)
-class DailyRecord:
-    """One dated observation. Counts are nonnegative ints or None (missing)."""
-
-    date: Date
-    day_index: int
-    tests: int | None = None
-    confirmed: int | None = None
-    deaths: int | None = None
-
-    def get(self, column: str) -> int | None:
-        if column == "day_index":
-            return self.day_index
-        if column in COUNT_COLUMNS:
-            return getattr(self, column)
-        raise InputError(f"unknown column {column!r}")
-
-
-@dataclass(frozen=True)
 class CaseSeries:
-    """An ordered, gap-free run of daily records."""
+    """A gap-free daily series: row i is dated ``first_date`` + i days, its
+    day_index is i, and each count column holds one nonnegative int or
+    None (missing) per row."""
 
-    records: tuple[DailyRecord, ...]
+    first_date: Date | None = None
+    tests: tuple[int | None, ...] = ()
+    confirmed: tuple[int | None, ...] = ()
+    deaths: tuple[int | None, ...] = ()
     source_label: str = ""
 
+    def __post_init__(self) -> None:
+        for col in COUNT_COLUMNS:
+            object.__setattr__(self, col, tuple(getattr(self, col)))
+        if not len(self.tests) == len(self.confirmed) == len(self.deaths):
+            raise InputError(
+                "count columns differ in length: "
+                + ", ".join(f"{col} {len(getattr(self, col))}" for col in COUNT_COLUMNS)
+            )
+        if self.tests and self.first_date is None:
+            raise InputError("a series with rows needs a first_date")
+
     def __len__(self) -> int:
-        return len(self.records)
+        return len(self.tests)
 
     @property
-    def first_date(self) -> Date:
-        return self.records[0].date
+    def dates(self) -> list[Date]:
+        return [self.first_date + timedelta(days=i) for i in range(len(self))]
 
     @property
     def last_date(self) -> Date:
-        return self.records[-1].date
+        return self.first_date + timedelta(days=self.last_day_index)
 
     @property
     def last_day_index(self) -> int:
-        return self.records[-1].day_index
+        return len(self) - 1
 
-    def column(self, name: str) -> list[int | None]:
-        """All values of one column, missing entries as None."""
-        return [r.get(name) for r in self.records]
-
-    def present(self, name: str) -> list[float]:
-        """Only the present values of one column, as floats."""
-        return [float(v) for v in self.column(name) if v is not None]
+    def column(self, name: str) -> tuple[int | None, ...]:
+        """All values of one column (day_index or a count column), missing
+        entries as None."""
+        if name == "day_index":
+            return tuple(range(len(self)))
+        if name in COUNT_COLUMNS:
+            return getattr(self, name)
+        raise InputError(f"unknown column {name!r}")
 
 
 @dataclass(frozen=True)
@@ -216,8 +216,7 @@ def parse_csv(
         raise MalformedHeader(f"missing required columns: {missing_cols}")
     pos = {key: header.index(name) for key, name in required.items()}
 
-    rows: list[tuple[Date, int | None, int | None, int | None]] = []
-    seen: set[Date] = set()
+    counts: dict[Date, tuple[int | None, int | None, int | None]] = {}
     for line_no, row in enumerate(table[1:], start=2):
         if not row or all(not cell.strip() for cell in row):
             continue
@@ -228,46 +227,32 @@ def parse_csv(
             raise UnparseableDate(
                 f"line {line_no}: cannot parse date {raw_date!r}", line=line_no
             ) from None
-        if day in seen:
+        if day in counts:
             raise DuplicateDate(f"line {line_no}: duplicate date {day.isoformat()}")
-        seen.add(day)
 
         def cell(key: str) -> int | None:
             idx = pos[key]
             return _parse_count(row[idx]) if idx < len(row) else None
 
-        rows.append((day, cell("tests"), cell("confirmed"), cell("deaths")))
+        counts[day] = (cell("tests"), cell("confirmed"), cell("deaths"))
 
-    rows.sort(key=lambda r: r[0])
-    if rows and not fill_gaps:
-        for (a, *_), (b, *_) in zip(rows, rows[1:]):
+    days = sorted(counts)
+    if not fill_gaps:
+        for a, b in zip(days, days[1:]):
             if (b - a).days != 1:
                 raise GapInDates(
                     f"gap between {a.isoformat()} and {b.isoformat()}; "
                     "pre-fill the file or pass fill_gaps=True"
                 )
-
-    records: list[DailyRecord] = []
-    if rows:
-        first = rows[0][0]
-        by_date = {r[0]: r for r in rows}
-        span = (rows[-1][0] - first).days
-        for offset in range(span + 1):
-            day = first + timedelta(days=offset)
-            if day in by_date:
-                _, tests, confirmed, deaths = by_date[day]
-            else:
-                tests = confirmed = deaths = None
-            records.append(
-                DailyRecord(
-                    date=day,
-                    day_index=offset,
-                    tests=tests,
-                    confirmed=confirmed,
-                    deaths=deaths,
-                )
-            )
-    return CaseSeries(records=tuple(records), source_label=source_label)
+    if not days:
+        return CaseSeries(source_label=source_label)
+    first = days[0]
+    missing = (None, None, None)
+    rows = [
+        counts.get(first + timedelta(days=i), missing)
+        for i in range((days[-1] - first).days + 1)
+    ]
+    return CaseSeries(first, *zip(*rows), source_label=source_label)
 
 
 def serialize_csv(series: CaseSeries, schema: CsvSchema = DEFAULT_SCHEMA) -> str:
@@ -275,15 +260,9 @@ def serialize_csv(series: CaseSeries, schema: CsvSchema = DEFAULT_SCHEMA) -> str
     out = io.StringIO()
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow([schema.date, schema.tests, schema.confirmed, schema.deaths])
-    for r in series.records:
-        writer.writerow(
-            [
-                r.date.isoformat(),
-                "" if r.tests is None else r.tests,
-                "" if r.confirmed is None else r.confirmed,
-                "" if r.deaths is None else r.deaths,
-            ]
-        )
+    rows = zip(series.dates, series.tests, series.confirmed, series.deaths)
+    for day, *counts in rows:
+        writer.writerow([day.isoformat(), *("" if v is None else v for v in counts)])
     return out.getvalue()
 
 
@@ -293,42 +272,49 @@ def summarize(values: list[float] | np.ndarray) -> SummaryStats:
     n = arr.size
     if n == 0:
         return SummaryStats(count=0)
-    q25, q50, q75 = np.percentile(arr, [25, 50, 75])
-    return SummaryStats(
-        count=n,
-        mean=float(arr.mean()),
-        std=float(arr.std(ddof=1)) if n > 1 else None,
-        min=float(arr.min()),
-        q25=float(q25),
-        q50=float(q50),
-        q75=float(q75),
-        max=float(arr.max()),
-    )
+    # Counts near the float limit overflow to inf here, which the report
+    # writer rejects as a numeric failure.
+    with np.errstate(over="ignore", invalid="ignore"):
+        q25, q50, q75 = np.percentile(arr, [25, 50, 75])
+        return SummaryStats(
+            count=n,
+            mean=float(arr.mean()),
+            std=float(arr.std(ddof=1)) if n > 1 else None,
+            min=float(arr.min()),
+            q25=float(q25),
+            q50=float(q50),
+            q75=float(q75),
+            max=float(arr.max()),
+        )
 
 
 def summarize_series(series: CaseSeries) -> dict[str, SummaryStats]:
     """Per-column summaries; count columns use present values only."""
-    out = {"day_index": summarize([float(r.day_index) for r in series.records])}
-    for col in COUNT_COLUMNS:
-        out[col] = summarize(series.present(col))
-    return out
+    return {
+        col: summarize([float(v) for v in series.column(col) if v is not None])
+        for col in ("day_index",) + COUNT_COLUMNS
+    }
 
 
 def window(series: CaseSeries, start: Date, end: Date) -> CaseSeries:
-    """Records with start <= date <= end, with day_index re-based to 0."""
+    """The rows with start <= date <= end, day_index re-based to 0."""
     if start > end:
         raise InputError(f"window start {start} is after end {end}")
-    kept = [r for r in series.records if start <= r.date <= end]
-    if not kept:
+    lo = hi = 0
+    if len(series):
+        lo = max((start - series.first_date).days, 0)
+        hi = min((end - series.first_date).days + 1, len(series))
+    if lo >= hi:
         raise EmptyWindow(
-            f"no records between {start.isoformat()} and {end.isoformat()}"
+            f"no rows between {start.isoformat()} and {end.isoformat()}"
         )
-    base = kept[0].date
-    rebased = tuple(
-        replace(r, day_index=(r.date - base).days) for r in kept
+    first = series.first_date + timedelta(days=lo)
+    last = series.first_date + timedelta(days=hi - 1)
+    return CaseSeries(
+        first,
+        *(series.column(col)[lo:hi] for col in COUNT_COLUMNS),
+        source_label=f"{series.source_label}[{first.isoformat()}..{last.isoformat()}]",
     )
-    label = f"{series.source_label}[{kept[0].date.isoformat()}..{kept[-1].date.isoformat()}]"
-    return CaseSeries(records=rebased, source_label=label)
 
 
 def impute_missing(series: CaseSeries, policy: str = "mean") -> CaseSeries:
@@ -340,7 +326,7 @@ def impute_missing(series: CaseSeries, policy: str = "mean") -> CaseSeries:
     """
     if policy not in ("mean", "forward-fill"):
         raise InputError(f"unknown imputation policy {policy!r}")
-    filled: dict[str, list[int]] = {}
+    filled: list[list[int]] = []
     for col in COUNT_COLUMNS:
         values = series.column(col)
         present = [v for v in values if v is not None]
@@ -349,7 +335,7 @@ def impute_missing(series: CaseSeries, policy: str = "mean") -> CaseSeries:
         if policy == "mean":
             mean = sum(present) / len(present)
             fallback = int(math.floor(mean + 0.5))
-            filled[col] = [v if v is not None else fallback for v in values]
+            filled.append([v if v is not None else fallback for v in values])
         else:
             out: list[int] = []
             last: int | None = None
@@ -357,28 +343,17 @@ def impute_missing(series: CaseSeries, policy: str = "mean") -> CaseSeries:
                 if v is not None:
                     last = v
                 out.append(last if last is not None else present[0])
-            filled[col] = out
-    records = tuple(
-        replace(
-            r,
-            tests=filled["tests"][i],
-            confirmed=filled["confirmed"][i],
-            deaths=filled["deaths"][i],
-        )
-        for i, r in enumerate(series.records)
-    )
-    return CaseSeries(records=records, source_label=series.source_label)
+            filled.append(out)
+    return CaseSeries(series.first_date, *filled, source_label=series.source_label)
 
 
 def fingerprint(series: CaseSeries) -> dict:
     """Row count plus a sha256 per column; identifies a dataset in reports."""
-    cols = {}
-    for name in ("date",) + COUNT_COLUMNS:
-        if name == "date":
-            text = ",".join(r.date.isoformat() for r in series.records)
-        else:
-            text = ",".join(
-                "NA" if v is None else str(v) for v in series.column(name)
-            )
-        cols[name] = hashlib.sha256(text.encode()).hexdigest()
+    cells = {"date": [d.isoformat() for d in series.dates]}
+    for name in COUNT_COLUMNS:
+        cells[name] = ["NA" if v is None else str(v) for v in series.column(name)]
+    cols = {
+        name: hashlib.sha256(",".join(values).encode()).hexdigest()
+        for name, values in cells.items()
+    }
     return {"rows": len(series), "columns": cols}

@@ -52,7 +52,7 @@ class GapInDates(InputError):
 
 
 class EmptyWindow(InputError):
-    """A date window selects no records."""
+    """A date window selects no rows."""
 
 
 class AllMissingColumn(InputError):

@@ -105,7 +105,7 @@ class ScenarioResult:
     """Per-target model, evaluation and forecast for one windowed scenario."""
 
     label: str
-    windowed: CaseSeries  # the window's records, day_index re-based to 0
+    windowed: CaseSeries  # the window's rows, day_index re-based to 0
     models: dict[str, TrainedModel]  # target -> the model fit on the window
     evals: dict[str, EvalResult]  # target -> scaled-space scores
     reports: dict[str, ForecastReport]
@@ -187,11 +187,10 @@ def emit_plot_series(
         return float(np.log10(v + 1.0)) if scale == "log" else float(v)
 
     rows: list[dict] = []
-    for r in history.records:
-        obs = r.get(target)
+    for day, obs in zip(history.dates, history.column(target)):
         rows.append(
             {
-                "date": r.date.isoformat(),
+                "date": day.isoformat(),
                 "observed": obs,
                 "predicted": None,
                 "scale": None if obs is None else display(obs),

@@ -302,12 +302,10 @@ def compare_models(
             raise models[family]
     split_spec = SplitSpec(**table.metadata["split"])
     _, test_rows = split_indices(len(series), split_spec)
-    span = series.records[int(np.min(test_rows)):]
-    dates = [r.date for r in span] + horizon_dates(series.last_date, horizon)
-    observed: list[int | None] = [r.get(target) for r in span] + [None] * horizon
-    day_indices = [r.day_index for r in span] + [
-        series.last_day_index + h for h in range(1, horizon + 1)
-    ]
+    first = int(np.min(test_rows))
+    dates = series.dates[first:] + horizon_dates(series.last_date, horizon)
+    observed = series.column(target)[first:] + (None,) * horizon
+    day_indices = range(first, len(series) + horizon)
 
     x_future = np.asarray(day_indices, dtype=float)[:, None]
     predicted = {

@@ -23,6 +23,7 @@ from .metrics import EvalResult, evaluate
 from .mlp import ActivationKind, MlpConfig, MlpParams, forward, train_mlp
 from .preprocess import (
     EPSILON_FLOOR,
+    MAX_SCALE,
     ScalerParams,
     StandardizedSplit,
     SupervisedSet,
@@ -33,9 +34,6 @@ from .preprocess import (
 from .svr import KernelSpec, SvrConfig, SvrParams, svr_fit, svr_predict
 
 MODEL_DOC_VERSION = 1
-# The largest scaler scale whose square, which original_space_eval takes,
-# is finite; also the largest scaler mean magnitude.
-_MAX_SCALE = float(np.sqrt(np.finfo(float).max))
 
 FamilyConfig = MlpConfig | SvrConfig | LinRegConfig
 FamilyParams = MlpParams | SvrParams | LinRegParams
@@ -171,19 +169,19 @@ def _linreg_params_from_dict(p: dict, width: int) -> LinRegParams:
 
 def _scaler_from_dict(doc: dict, name: str, width: int) -> ScalerParams:
     """The scaler ``doc[name]``: its scales must lie between the floor that
-    fit_scaler writes for a constant column and _MAX_SCALE, and its means
-    within _MAX_SCALE of zero."""
+    fit_scaler writes for a constant column and MAX_SCALE, and its means
+    within MAX_SCALE of zero."""
     d = doc[name]
     scaler = ScalerParams(mean=_array(d["mean"]), scale=_array(d["scale"]))
     if scaler.mean.shape != (width,):
         raise ValueError(f"{name} needs {width} columns")
-    if not np.all((scaler.scale >= EPSILON_FLOOR) & (scaler.scale <= _MAX_SCALE)):
+    if not np.all((scaler.scale >= EPSILON_FLOOR) & (scaler.scale <= MAX_SCALE)):
         raise ValueError(
-            f"{name} scales must lie between {EPSILON_FLOOR:g} and {_MAX_SCALE:.6g}"
+            f"{name} scales must lie between {EPSILON_FLOOR:g} and {MAX_SCALE:.6g}"
         )
-    if not np.all(np.abs(scaler.mean) <= _MAX_SCALE):
+    if not np.all(np.abs(scaler.mean) <= MAX_SCALE):
         raise ValueError(
-            f"{name} means must lie between -{_MAX_SCALE:.6g} and {_MAX_SCALE:.6g}"
+            f"{name} means must lie between -{MAX_SCALE:.6g} and {MAX_SCALE:.6g}"
         )
     return scaler
 

@@ -22,6 +22,7 @@ from .errors import (
     DegenerateSplit,
     DimensionMismatch,
     EmptyInput,
+    InputError,
     LengthMismatch,
     MissingValuesPresent,
     UnknownFeature,
@@ -29,6 +30,9 @@ from .errors import (
 
 # Columns constant over a split would otherwise divide by ~0.
 EPSILON_FLOOR = 1e-12
+# The largest scaler scale whose square, which original_space_eval takes,
+# is finite; also the largest scaler mean magnitude.
+MAX_SCALE = float(np.sqrt(np.finfo(float).max))
 
 VALID_FEATURES = ("day_index",) + COUNT_COLUMNS
 
@@ -162,11 +166,11 @@ def build_supervised(
     if not feature_names:
         raise EmptyInput("at least one feature column is required")
     if len(series) == 0:
-        raise EmptyInput("series has no records")
+        raise EmptyInput("series has no rows")
 
     def column_array(name: str) -> np.ndarray:
-        values = [r.get(name) for r in series.records]
-        if any(v is None for v in values):
+        values = series.column(name)
+        if None in values:
             raise MissingValuesPresent(
                 f"column {name!r} has missing values; run impute_missing first"
             )
@@ -266,22 +270,36 @@ def standardized_split(data: SupervisedSet, spec: SplitSpec) -> StandardizedSpli
 
     Fitting on train alone keeps test information out of the model; a
     constant training target cannot be standardized meaningfully and is
-    rejected.
+    rejected, and so is a column whose train mean or scale lies beyond
+    MAX_SCALE, which no model file could hold.
     """
     train, test = split(data, spec)
-    if float(np.std(train.y)) < EPSILON_FLOOR:
-        raise ConstantTarget(
-            f"target {data.target_name!r} is constant on the training rows"
-        )
-    x_scaler = fit_scaler(train.x)
-    y_scaler = fit_scaler(train.y)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if float(np.std(train.y)) < EPSILON_FLOOR:
+            raise ConstantTarget(
+                f"target {data.target_name!r} is constant on the training rows"
+            )
+        x_scaler = fit_scaler(train.x)
+        y_scaler = fit_scaler(train.y)
+    columns = zip(
+        data.feature_names + (data.target_name,),
+        np.append(x_scaler.mean, y_scaler.mean),
+        np.append(x_scaler.scale, y_scaler.scale),
+    )
+    for name, mean, scale in columns:
+        if not (abs(mean) <= MAX_SCALE and scale <= MAX_SCALE):
+            raise InputError(
+                f"column {name!r} has train mean {mean:.6g} and scale "
+                f"{scale:.6g}; both must lie within {MAX_SCALE:.6g}"
+            )
 
     def scale_set(s: SupervisedSet) -> SupervisedSet:
+        # A test value far beyond its column's train scale overflows to inf;
+        # a prediction or score it makes non-finite is a numeric failure.
+        with np.errstate(over="ignore", invalid="ignore"):
+            x, y = transform(s.x, x_scaler), transform(s.y, y_scaler)
         return SupervisedSet(
-            x=transform(s.x, x_scaler),
-            y=transform(s.y, y_scaler),
-            feature_names=s.feature_names,
-            target_name=s.target_name,
+            x=x, y=y, feature_names=s.feature_names, target_name=s.target_name
         )
 
     return StandardizedSplit(

@@ -9,11 +9,11 @@ nonnegative before rounding. Fully determined by the seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from datetime import date as Date, timedelta
+from datetime import date as Date
 
 import numpy as np
 
-from .dataset import CaseSeries, DailyRecord
+from .dataset import CaseSeries
 
 
 @dataclass(frozen=True)
@@ -44,7 +44,7 @@ def _logistic(t: np.ndarray, plateau: float, midpoint: float, width: float) -> n
 
 
 def synthetic_epidemic(spec: SyntheticSpec = SyntheticSpec()) -> CaseSeries:
-    """Generate the series; same spec (incl. seed) gives the same records."""
+    """Generate the series; same spec (incl. seed) gives the same counts."""
     rng = np.random.default_rng(spec.seed)
     t = np.arange(spec.days, dtype=float)
     confirmed_clean = spec.baseline + _logistic(t, spec.plateau, spec.midpoint, spec.width)
@@ -62,14 +62,10 @@ def synthetic_epidemic(spec: SyntheticSpec = SyntheticSpec()) -> CaseSeries:
     deaths = np.floor(noisy(deaths_clean) + 0.5).astype(int)
     tests = np.floor(noisy(tests_clean) + 0.5).astype(int)
 
-    records = tuple(
-        DailyRecord(
-            date=spec.start + timedelta(days=i),
-            day_index=i,
-            tests=int(tests[i]),
-            confirmed=int(confirmed[i]),
-            deaths=int(deaths[i]),
-        )
-        for i in range(spec.days)
+    return CaseSeries(
+        spec.start,
+        tests.tolist(),
+        confirmed.tolist(),
+        deaths.tolist(),
+        source_label=f"synthetic(seed={spec.seed})",
     )
-    return CaseSeries(records=records, source_label=f"synthetic(seed={spec.seed})")

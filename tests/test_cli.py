@@ -1,5 +1,6 @@
 import copy
 import csv
+import dataclasses
 import json
 import os
 import threading
@@ -761,6 +762,63 @@ class TestShapeBeyondMemory:
         assert code == 2
         err = json.loads(capsys.readouterr().err)
         assert err == {"error": "input", "message": "every mlp cell is flagged"}
+
+
+class TestCountsBeyondTheScalerBound:
+    # 10**200 parses as a count, but no model file can hold a scaler fit
+    # to it: the loader bounds every scaler mean and scale by MAX_SCALE.
+    @pytest.fixture(scope="class")
+    def huge_csvs(self, tmp_path_factory):
+        base = synthetic_epidemic(SHORT_WAVE)
+        cases = {
+            "target": dataclasses.replace(
+                base, confirmed=(10**200,) + base.confirmed[1:]
+            ),
+            "feature": dataclasses.replace(base, tests=(10**200,) * len(base)),
+        }
+        out = tmp_path_factory.mktemp("huge")
+        for name, series in cases.items():
+            (out / f"{name}.csv").write_text(serialize_csv(series), encoding="utf-8")
+        return out
+
+    @pytest.mark.parametrize(
+        "case, argv, column",
+        [
+            ("target", "train --model linreg", "confirmed"),
+            ("target", "scenario --from 2020-03-01 --to 2020-04-29 "
+             "--hidden-layers 1 --neurons 2 --max-iterations 5", "confirmed"),
+            ("feature", "train --model linreg --features day_index,tests", "tests"),
+        ],
+    )
+    def test_fit_exits_2_naming_the_column(
+        self, case, argv, column, huge_csvs, tmp_path, capsys
+    ):
+        command, *flags = argv.split()
+        csv_path = huge_csvs / f"{case}.csv"
+        code = main([command, str(csv_path), *flags, "--out-dir", str(tmp_path)])
+        assert code == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        err = json.loads(line)
+        assert err["error"] == "input"
+        assert f"column {column!r}" in err["message"]
+        assert not list(tmp_path.glob("model_*.json"))
+
+    def test_grid_flags_the_targets_cells(self, huge_csvs, tmp_path):
+        code = main([
+            "grid", str(huge_csvs / "target.csv"), "--mlp-hidden-layers", "1",
+            "--mlp-neurons", "2", "--out-dir", str(tmp_path),
+        ])
+        assert code == 0
+        for cell in read_json(tmp_path / "scoretable.json")["cells"]:
+            flagged = "column 'confirmed'" in (cell["flag_reason"] or "")
+            assert flagged == (cell["target"] == "confirmed")
+
+    def test_stats_exits_3_with_one_json_line(self, huge_csvs, tmp_path, capsys):
+        csv_path = huge_csvs / "target.csv"
+        code = main(["stats", str(csv_path), "--out-dir", str(tmp_path)])
+        assert code == 3
+        (line,) = capsys.readouterr().err.splitlines()
+        assert json.loads(line)["error"] == "numeric"
 
 
 # A 60-day wave keeps the grid and compare runs to about a second each.

@@ -7,7 +7,6 @@ import pytest
 from epicast import (
     CaseSeries,
     CsvSchema,
-    DailyRecord,
     fingerprint,
     impute_missing,
     parse_csv,
@@ -62,14 +61,48 @@ def oracle_stats(values):
     }
 
 
+class TestCaseSeries:
+    def test_rows_are_days_since_the_first_date(self):
+        series = CaseSeries(Date(2021, 2, 27), (1, 2, 3), (4, None, 6), (7, 8, 9))
+        assert len(series) == 3
+        assert series.dates == [Date(2021, 2, 27), Date(2021, 2, 28), Date(2021, 3, 1)]
+        assert series.last_date == Date(2021, 3, 1)
+        assert series.last_day_index == 2
+        assert series.column("day_index") == (0, 1, 2)
+        assert series.column("confirmed") == (4, None, 6)
+
+    def test_columns_are_kept_as_tuples(self):
+        series = CaseSeries(Date(2021, 1, 1), [1], [2], [3])
+        assert series == CaseSeries(Date(2021, 1, 1), (1,), (2,), (3,))
+        assert isinstance(series.tests, tuple)
+
+    def test_empty_series(self):
+        series = CaseSeries()
+        assert len(series) == 0
+        assert series.dates == []
+        assert series.column("day_index") == ()
+
+    def test_columns_of_different_lengths_rejected(self):
+        with pytest.raises(InputError, match="differ in length"):
+            CaseSeries(Date(2021, 1, 1), (1, 2), (3, 4), (5,))
+
+    def test_rows_without_a_first_date_rejected(self):
+        with pytest.raises(InputError, match="first_date"):
+            CaseSeries(None, (1,), (2,), (3,))
+
+    def test_unknown_column_rejected(self):
+        with pytest.raises(InputError, match="unknown column"):
+            parse_csv(GOOD).column("date")
+
+
 class TestParseCsv:
     def test_happy_path(self):
         series = parse_csv(GOOD)
         assert len(series) == 4
-        assert series.records[0] == DailyRecord(
-            date=Date(2021, 1, 1), day_index=0, tests=100, confirmed=10, deaths=1
-        )
-        assert series.records[3].day_index == 3
+        assert series.first_date == Date(2021, 1, 1)
+        assert series.column("day_index") == (0, 1, 2, 3)
+        assert (series.tests[0], series.confirmed[0], series.deaths[0]) == (100, 10, 1)
+        assert series.last_date == Date(2021, 1, 4)
 
     def test_rows_sorted_by_date(self):
         shuffled = (
@@ -79,15 +112,19 @@ class TestParseCsv:
             "2021-01-02,110,12,0\n"
         )
         series = parse_csv(shuffled)
-        assert [r.date.day for r in series.records] == [1, 2, 3]
-        assert [r.day_index for r in series.records] == [0, 1, 2]
+        assert [d.day for d in series.dates] == [1, 2, 3]
+        assert series.column("day_index") == (0, 1, 2)
+        # each row's counts move with its date
+        assert series.tests == (100, 110, 120)
+        assert series.confirmed == (10, 12, 15)
+        assert series.deaths == (1, 0, 2)
 
     def test_missing_cells_are_none(self):
         text = "date,tests,confirmed,deaths\n2021-01-01,,10,\n2021-01-02,5,11,1\n"
         series = parse_csv(text)
-        assert series.records[0].tests is None
-        assert series.records[0].deaths is None
-        assert series.records[0].confirmed == 10
+        assert series.tests[0] is None
+        assert series.deaths[0] is None
+        assert series.confirmed[0] == 10
 
     def test_negative_and_fractional_and_text_become_missing(self):
         text = (
@@ -95,8 +132,8 @@ class TestParseCsv:
             "2021-01-01,-4,3.5,oops\n"
             "2021-01-02,5,11,1\n"
         )
-        r = parse_csv(text).records[0]
-        assert r.tests is None and r.confirmed is None and r.deaths is None
+        series = parse_csv(text)
+        assert (series.tests[0], series.confirmed[0], series.deaths[0]) == (None,) * 3
 
     def test_duplicate_date_rejected(self):
         text = "date,tests,confirmed,deaths\n2021-01-01,1,1,1\n2021-01-01,2,2,2\n"
@@ -127,9 +164,9 @@ class TestParseCsv:
         text = "date,tests,confirmed,deaths\n2021-01-01,1,1,1\n2021-01-03,2,2,2\n"
         series = parse_csv(text, fill_gaps=True)
         assert len(series) == 3
-        mid = series.records[1]
-        assert mid.date == Date(2021, 1, 2)
-        assert mid.tests is None and mid.confirmed is None and mid.deaths is None
+        assert series.dates[1] == Date(2021, 1, 2)
+        assert (series.tests[1], series.confirmed[1], series.deaths[1]) == (None,) * 3
+        assert series.tests[2] == 2
 
     def test_missing_header_column(self):
         with pytest.raises(MalformedHeader):
@@ -146,8 +183,8 @@ class TestParseCsv:
     def test_custom_schema(self):
         text = "Day,Tested,Cases,Died\n2021-01-01,9,8,7\n"
         schema = CsvSchema(date="Day", tests="Tested", confirmed="Cases", deaths="Died")
-        r = parse_csv(text, schema).records[0]
-        assert (r.tests, r.confirmed, r.deaths) == (9, 8, 7)
+        series = parse_csv(text, schema)
+        assert (series.tests, series.confirmed, series.deaths) == ((9,), (8,), (7,))
 
     def test_serialize_round_trip(self):
         series = parse_csv(GOOD)
@@ -199,8 +236,9 @@ class TestWindow:
         series = parse_csv(GOOD)
         part = window(series, Date(2021, 1, 2), Date(2021, 1, 3))
         assert len(part) == 2
-        assert [r.day_index for r in part.records] == [0, 1]
-        assert part.records[0].confirmed == 12
+        assert part.first_date == Date(2021, 1, 2)
+        assert part.column("day_index") == (0, 1)
+        assert part.confirmed == (12, 15)
 
     def test_empty_window(self):
         series = parse_csv(GOOD)
@@ -215,10 +253,8 @@ class TestWindow:
     def test_full_span_is_identity_on_values(self):
         series = parse_csv(GOOD)
         part = window(series, series.first_date, series.last_date)
-        assert [r.confirmed for r in part.records] == [
-            r.confirmed for r in series.records
-        ]
-        assert [r.day_index for r in part.records] == [r.day_index for r in series.records]
+        for col in ("day_index", "tests", "confirmed", "deaths"):
+            assert part.column(col) == series.column(col)
 
 
 class TestImpute:
@@ -226,19 +262,19 @@ class TestImpute:
         # tests column mean of (1, 2) = 1.5 -> fills as 2
         text = "date,tests,confirmed,deaths\n2021-01-01,1,5,0\n2021-01-02,,5,0\n2021-01-03,2,5,0\n"
         series = impute_missing(parse_csv(text), "mean")
-        assert series.records[1].tests == 2
+        assert series.tests[1] == 2
 
     def test_mean_preserves_present_values(self):
         text = "date,tests,confirmed,deaths\n2021-01-01,1,5,0\n2021-01-02,,5,0\n2021-01-03,2,5,0\n"
         series = impute_missing(parse_csv(text), "mean")
-        assert series.records[0].tests == 1
-        assert series.records[2].tests == 2
+        assert series.tests[0] == 1
+        assert series.tests[2] == 2
 
     def test_forward_fill(self):
         text = "date,tests,confirmed,deaths\n2021-01-01,,5,0\n2021-01-02,3,5,0\n2021-01-03,,5,0\n"
         series = impute_missing(parse_csv(text), "forward-fill")
         # leading missing falls back to first present value
-        assert [r.tests for r in series.records] == [3, 3, 3]
+        assert series.tests == (3, 3, 3)
 
     def test_all_missing_column(self):
         text = "date,tests,confirmed,deaths\n2021-01-01,1,5,\n2021-01-02,1,5,\n"
@@ -251,10 +287,8 @@ class TestImpute:
 
     def test_integrality_invariant(self, series):
         filled = impute_missing(series, "mean")
-        for r in filled.records:
-            assert isinstance(r.tests, int)
-            assert isinstance(r.confirmed, int)
-            assert isinstance(r.deaths, int)
+        for col in ("tests", "confirmed", "deaths"):
+            assert all(isinstance(v, int) for v in filled.column(col))
 
 
 class TestFingerprint:

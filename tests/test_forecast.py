@@ -203,7 +203,8 @@ class TestScenarioRun:
             series, start, end, "linreg", LinRegConfig(), chrono_split, horizon=3,
         )
         assert result.windowed == window(series, start, end)
-        assert result.windowed.records[0].day_index == 0
+        assert result.windowed.first_date == start
+        assert result.windowed.column("day_index")[0] == 0
 
     def test_degenerate_window_raises_input_error(self, series, chrono_split):
         with pytest.raises(InputError):

@@ -156,8 +156,7 @@ class TestRunGrid:
     def test_failed_preparation_flags_the_targets_cells(
         self, short_series, chrono_split
     ):
-        records = tuple(dataclasses.replace(r, deaths=0) for r in short_series.records)
-        flat = dataclasses.replace(short_series, records=records)
+        flat = dataclasses.replace(short_series, deaths=(0,) * len(short_series))
         slots = [
             RegressorSlot(1, "svr", SvrConfig()),
             RegressorSlot(1, "linreg", LinRegConfig(0.1, 3000)),
@@ -333,7 +332,7 @@ class TestCompareModels:
         std = standardized_split(data, chrono_split)
         _, test_rows = split_indices(len(data), chrono_split)
         x = np.asarray(
-            [r.day_index for r in series.records[int(np.min(test_rows)):]], dtype=float
+            series.column("day_index")[int(np.min(test_rows)):], dtype=float
         )[:, None]
         for family, slot in best.items():
             model, _ = train_on_split(family, slot.config, std, ("day_index",), target)

@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from epicast import (
+    LinRegConfig,
     SplitSpec,
     build_supervised,
     fit_scaler,
     inverse_transform,
     split,
     standardized_split,
+    train_on_split,
     transform,
 )
 from epicast.errors import (
@@ -15,10 +17,12 @@ from epicast.errors import (
     DegenerateSplit,
     DimensionMismatch,
     EmptyInput,
+    InputError,
     MissingValuesPresent,
     UnknownFeature,
 )
-from epicast.preprocess import EPSILON_FLOOR, SupervisedSet, column_product
+from epicast.models import model_from_dict, model_to_dict
+from epicast.preprocess import EPSILON_FLOOR, MAX_SCALE, SupervisedSet, column_product
 from epicast import parse_csv
 
 CSV = """date,tests,confirmed,deaths
@@ -190,6 +194,46 @@ class TestStandardizedSplit:
         )
         with pytest.raises(ConstantTarget):
             standardized_split(data, SplitSpec("chronological", 0.8, 0))
+
+    @pytest.mark.parametrize(
+        "column, x, y",
+        [
+            # a target whose train mean and scale are beyond the bound
+            ("confirmed", np.arange(10.0), np.where(np.arange(10) % 2, 1e200, 1.0)),
+            # a constant feature whose train mean is beyond it
+            ("tests", np.full(10, 1e200), np.arange(10.0)),
+        ],
+    )
+    def test_column_beyond_the_model_file_bound_rejected(self, column, x, y):
+        data = SupervisedSet(
+            x=x[:, None], y=y, feature_names=("tests",), target_name="confirmed"
+        )
+        with pytest.raises(InputError, match=f"column '{column}'"):
+            standardized_split(data, SplitSpec("chronological", 0.8, 0))
+
+    def test_test_value_beyond_the_train_scale_scales_to_inf(self):
+        # train rows of the feature are constant, so its scale is the floor
+        x = np.where(np.arange(10) < 8, 5.0, 1e300)
+        data = SupervisedSet(
+            x=x[:, None], y=np.arange(10.0), feature_names=("tests",),
+            target_name="confirmed",
+        )
+        std = standardized_split(data, SplitSpec("chronological", 0.8, 0))
+        assert np.all(std.train.x == 0.0)
+        assert np.all(np.isinf(std.test.x))
+
+    def test_column_at_the_bound_gives_a_loadable_model(self):
+        data = SupervisedSet(
+            x=np.full(10, MAX_SCALE)[:, None],
+            y=np.arange(10.0),
+            feature_names=("tests",),
+            target_name="confirmed",
+        )
+        std = standardized_split(data, SplitSpec("chronological", 0.8, 0))
+        model, _ = train_on_split(
+            "linreg", LinRegConfig(iterations=5), std, ("tests",), "confirmed"
+        )
+        assert model_from_dict(model_to_dict(model)).x_scaler.mean[0] == MAX_SCALE
 
     def test_round_trip_to_original_units(self, rng):
         data = _toy(100)

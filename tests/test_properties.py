@@ -8,7 +8,7 @@ import io
 import json
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
-from datetime import date as Date
+from datetime import date as Date, timedelta
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +25,7 @@ from epicast import (
     SyntheticSpec,
     TrainedModel,
     build_supervised,
+    load_model,
     model_from_dict,
     model_to_dict,
     parse_csv,
@@ -258,3 +259,81 @@ def test_loaded_model_file_is_never_blamed_on_the_csv(history_csv, mutation):
                 assert "error" in json.loads(stderr.getvalue().splitlines()[-1])
             if loads and argv[0] == "eval":
                 assert code != 2, stderr.getvalue()
+
+
+START = Date(2021, 1, 1)
+HUGE = "1" + "0" * 200  # parses as the count 10**200
+# Count cells from ordinary to 1e200, plus missing and unusable ones.
+COUNT = st.one_of(
+    st.integers(min_value=0, max_value=10**6).map(str),
+    st.integers(min_value=0, max_value=10**200).map(str),
+    st.sampled_from(["", HUGE, "1e200", "1e160", "-3", "x"]),
+)
+
+
+@st.composite
+def count_csvs(draw):
+    """(CSV text, scenario window start and end inside its dates, train
+    features, target); a column may repeat one cell on every row."""
+    n = draw(st.integers(min_value=3, max_value=24))
+    columns = [
+        draw(
+            st.one_of(
+                st.lists(COUNT, min_size=n, max_size=n),
+                COUNT.map(lambda cell: [cell] * n),
+            )
+        )
+        for _ in range(3)
+    ]
+    lines = [HEADER] + [
+        ",".join([(START + timedelta(days=i)).isoformat(), *(c[i] for c in columns)])
+        for i in range(n)
+    ]
+    lo = draw(st.integers(min_value=0, max_value=n - 1))
+    hi = draw(st.integers(min_value=lo, max_value=n - 1))
+    features = draw(st.sampled_from(["day_index", "day_index,tests", "tests,deaths"]))
+    target = draw(st.sampled_from(["confirmed", "deaths"]))
+    return "\n".join(lines) + "\n", lo, hi, features, target
+
+
+def _huge_csv(tests: str, confirmed: str) -> tuple:
+    lines = [HEADER] + [
+        f"{START + timedelta(days=i)},{tests},{confirmed if i % 2 else i},{i}"
+        for i in range(12)
+    ]
+    return "\n".join(lines) + "\n", 0, 11, "day_index,tests", "confirmed"
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(count_csvs())
+@example(_huge_csv(tests="5", confirmed=HUGE))  # a target beyond the scaler bound
+@example(_huge_csv(tests=HUGE, confirmed="7"))  # a constant feature beyond it
+def test_count_csvs_through_the_cli_keep_the_exit_contract(case):
+    """stats, train and scenario on CSVs with counts up to 1e200 exit 0, 2,
+    3 or 4 with no warning (the suite turns numpy RuntimeWarnings into
+    errors), a failure prints exactly one JSON error line on stderr, and a
+    model file train writes is one its loader accepts."""
+    text, lo, hi, features, target = case
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = Path(tmp) / "counts.csv"
+        csv_path.write_text(text, encoding="utf-8")
+        model_file = Path(tmp) / "model.json"
+        window = [(START + timedelta(days=d)).isoformat() for d in (lo, hi)]
+        for argv in (
+            ["stats", str(csv_path)],
+            ["train", str(csv_path), "--model", "linreg", "--iterations", "50",
+             "--features", features, "--target", target, "--out", str(model_file)],
+            ["scenario", str(csv_path), "--from", window[0], "--to", window[1],
+             "--horizon", "3", "--hidden-layers", "1", "--neurons", "2",
+             "--max-iterations", "5"],
+        ):
+            stderr = io.StringIO()
+            with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+                code = main([*argv, "--out-dir", str(Path(tmp) / "out")])
+            assert code in (0, 2, 3, 4), (argv[0], code)
+            if code:
+                lines = stderr.getvalue().splitlines()
+                assert len(lines) == 1, (argv[0], lines)
+                assert "error" in json.loads(lines[0])
+            elif argv[0] == "train":
+                load_model(str(model_file))
