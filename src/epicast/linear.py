@@ -3,16 +3,22 @@
 A closed-form ordinary-least-squares solver rides along as the convergence
 reference; the gradient-descent path is the production fit because its
 learning rate and iteration count are first-class tuning knobs.
+
+Gradient descent steps on the Gram statistics of the design [x 1], formed
+once per fit (the "covariance update" of Friedman, Hastie & Tibshirani
+2010, J. Stat. Softw. 33(1)): a step costs a (d+1) x (d+1) product, not
+a pass over the n rows, and follows the residual form up to rounding.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DimensionMismatch, DivergenceError, SingularMatrix
-from .preprocess import as_design, as_xy, column_product
+from .preprocess import as_design, as_xy
 
 
 @dataclass(frozen=True)
@@ -36,39 +42,42 @@ class LinRegParams:
 def linreg_fit(x: np.ndarray, y: np.ndarray, cfg: LinRegConfig) -> LinRegParams:
     """Gradient descent from zero parameters, exactly cfg.iterations steps.
 
-    Gradient of (1/n)*sum((x w + b - y)^2) is (2/n) x^T r for the slope and
-    (2/n) sum(r) for the intercept, r = predictions - y; each step forms
-    x w as column_product's fixed-order sum in one per-fit buffer.
-    Standardize first: large learning rates diverge on raw count scales,
-    and divergence is reported as an error rather than silent NaN
-    parameters.
+    With theta = (w, b) and D = [x 1], the gradient of (1/n)*|D theta - y|^2
+    is (2/n)(G theta - c) for G = D^T D and c = D^T y, so the fit forms G,
+    c and y^T y once and each step costs a (d+1) x (d+1) product whatever
+    n is. The loss (theta^T G theta - 2 theta^T c + y^T y)/n is checked
+    every step. Standardize first: large learning rates diverge on raw
+    count scales, and divergence is reported as an error rather than
+    silent NaN parameters.
     """
     xs, ys = as_xy(x, y, min_rows=2)
     n = xs.shape[0]
-    w = np.zeros(xs.shape[1])
-    b = 0.0
-    r = np.empty(n)  # the step's residual, x w + b - y
+    design = np.column_stack([xs, np.ones(n)])
+    theta = np.zeros(design.shape[1])
+    step = cfg.learning_rate * (2.0 / n)
     # overflow here is the signal for DivergenceError, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
+        gram = design.T @ design
+        c = design.T @ ys
+        yy = float(ys @ ys)
         for it in range(1, cfg.iterations + 1):
-            column_product(xs, w[None, :], out=r[:, None])
-            r += b
-            r -= ys
-            loss = float(r @ r) / n
-            if not np.isfinite(loss):
+            g = gram @ theta
+            loss = (float(theta @ g) - 2.0 * float(theta @ c) + yy) / n
+            if not math.isfinite(loss):
                 raise DivergenceError(
                     f"loss became non-finite at iteration {it}; "
                     "lower the learning rate or standardize the data",
                     iteration=it,
                 )
-            w -= cfg.learning_rate * (2.0 / n) * (xs.T @ r)
-            b -= cfg.learning_rate * (2.0 / n) * float(r.sum())
-    if not (np.all(np.isfinite(w)) and np.isfinite(b)):
+            g -= c
+            g *= step
+            theta -= g
+    if not np.all(np.isfinite(theta)):
         raise DivergenceError(
             "parameters became non-finite on the final step",
             iteration=cfg.iterations,
         )
-    return LinRegParams(slope=w, intercept=float(b))
+    return LinRegParams(slope=theta[:-1], intercept=float(theta[-1]))
 
 
 def linreg_predict(params: LinRegParams, x: np.ndarray) -> np.ndarray:

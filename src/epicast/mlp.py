@@ -7,11 +7,13 @@ Parameters flatten to one vector in layer-major order, weights before
 bias, weight matrices row-major; the optimizers and the on-disk model
 format both rely on that layout.
 
-An evaluation forms its n x H intermediates in a Workspace that train_mlp
-allocates once per fit. Backprop reuses the forward activations, since
-every derivative is written in terms of h = f(b). The input layer's x W0'
-and the output layer's rank-1 backprop are column_product's fixed-order
-sums; the hidden-to-hidden products are BLAS matmuls.
+An evaluation runs feature-major: each layer's activations are an H x n
+array, one row per unit, so every elementwise loop, bias add and row sum
+runs n long. They live in a Workspace that train_mlp allocates once per
+fit. Backprop reuses the forward activations, since every derivative is
+written in terms of h = f(b). The input layer's W0 x' and the output
+layer's rank-1 backprop are column_product's fixed-order sums; the
+hidden-to-hidden products are BLAS matmuls.
 """
 
 from __future__ import annotations
@@ -171,11 +173,11 @@ def init_params(cfg: MlpConfig, n_features: int) -> MlpParams:
 
 @dataclass(frozen=True)
 class Workspace:
-    """The n x H buffers of one evaluation on n rows, for hidden layers of
+    """The H x n buffers of one evaluation on n rows, for hidden layers of
     one width H as MlpParams lays them out.
 
     post holds each hidden layer's activations, back the two buffers that
-    backprop alternates between, out the output column and then its delta,
+    backprop alternates between, out the output row and then its delta,
     resid the residuals.
     """
 
@@ -189,9 +191,9 @@ class Workspace:
         """Buffers for the layer shapes of MlpParams.shapes."""
         width = shapes[0][0]
         return Workspace(
-            post=tuple(np.empty((n, rows)) for rows, _ in shapes[:-1]),
-            back=(np.empty((n, width)), np.empty((n, width))),
-            out=np.empty((n, 1)),
+            post=tuple(np.empty((rows, n)) for rows, _ in shapes[:-1]),
+            back=(np.empty((width, n)), np.empty((width, n))),
+            out=np.empty((1, n)),
             resid=np.empty(n),
         )
 
@@ -208,14 +210,14 @@ def _forward_batch(
     hidden = zip(params.weights[:-1], params.biases[:-1], work.post)
     for layer, (w, b, z) in enumerate(hidden):
         if layer == 0:
-            column_product(x, w, out=z)
+            column_product(w, x, out=z)
         else:
-            np.matmul(h, w.T, out=z)
-        z += b
+            np.matmul(w, h, out=z)
+        z += b[:, None]
         h = act.f(z, out=z)
-    out = np.matmul(h, params.weights[-1].T, out=work.out)
+    out = np.matmul(params.weights[-1], h, out=work.out)
     out += params.biases[-1]
-    return out[:, 0]
+    return out[0]
 
 
 def forward(params: MlpParams, act: ActivationKind, x: np.ndarray) -> np.ndarray:
@@ -251,22 +253,22 @@ def loss_and_gradient(
     last = len(params.weights) - 1
     g_w = [np.empty(0)] * (last + 1)
     g_b = [np.empty(0)] * (last + 1)
-    inputs = (xs, *work.post)
+    inputs = (xs.T, *work.post)
     # delta holds d(loss)/d(pre-activation) for the layer being processed,
-    # first the output layer's one column. Each step forms delta @ W into
-    # the free back buffer and f' into the other, whose delta that product
-    # has just consumed.
-    delta = np.multiply(2.0 / n, resid[:, None], out=work.out)
+    # one row per unit, first the output layer's one row. Each step forms
+    # W' delta into the free back buffer and f' into the other, whose delta
+    # that product has just consumed.
+    delta = np.multiply(2.0 / n, resid, out=work.out)
     free, scratch = work.back
     for layer in range(last, -1, -1):
-        g_w[layer] = delta.T @ inputs[layer]
-        g_b[layer] = delta.sum(axis=0)
+        g_w[layer] = delta @ inputs[layer].T
+        g_b[layer] = delta.sum(axis=1)
         if layer == 0:
             break
         if layer == last:  # rank 1
-            column_product(delta, params.weights[layer].T, out=free)
+            column_product(params.weights[layer].T, delta.T, out=free)
         else:
-            np.matmul(delta, params.weights[layer], out=free)
+            np.matmul(params.weights[layer].T, delta, out=free)
         free *= act.f_prime(inputs[layer], out=scratch)
         delta, free, scratch = free, scratch, free
     return loss, MlpParams(weights=tuple(g_w), biases=tuple(g_b))

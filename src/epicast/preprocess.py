@@ -271,7 +271,8 @@ def standardized_split(data: SupervisedSet, spec: SplitSpec) -> StandardizedSpli
     Fitting on train alone keeps test information out of the model; a
     constant training target cannot be standardized meaningfully and is
     rejected, and so is a column whose train mean or scale lies beyond
-    MAX_SCALE, which no model file could hold.
+    MAX_SCALE, which no model file could hold, or one with a test value so
+    far beyond its train scale that it scales to infinity.
     """
     train, test = split(data, spec)
     with np.errstate(over="ignore", invalid="ignore"):
@@ -294,10 +295,19 @@ def standardized_split(data: SupervisedSet, spec: SplitSpec) -> StandardizedSpli
             )
 
     def scale_set(s: SupervisedSet) -> SupervisedSet:
-        # A test value far beyond its column's train scale overflows to inf;
-        # a prediction or score it makes non-finite is a numeric failure.
+        # Train values scale to at most sqrt(n) in magnitude. A test value
+        # far beyond its column's train scale (a constant train column has
+        # the floor scale) overflows to inf, which no model can score: the
+        # column is rejected by name before any fit sees it.
         with np.errstate(over="ignore", invalid="ignore"):
             x, y = transform(s.x, x_scaler), transform(s.y, y_scaler)
+        finite = np.append(np.isfinite(x).all(axis=0), np.isfinite(y).all())
+        if not finite.all():
+            name = (s.feature_names + (s.target_name,))[int(np.argmin(finite))]
+            raise InputError(
+                f"column {name!r} has a value too far beyond its train scale "
+                "to standardize; it scales to a non-finite value"
+            )
         return SupervisedSet(
             x=x, y=y, feature_names=s.feature_names, target_name=s.target_name
         )

@@ -779,6 +779,15 @@ class TestCountsBeyondTheScalerBound:
         out = tmp_path_factory.mktemp("huge")
         for name, series in cases.items():
             (out / f"{name}.csv").write_text(serialize_csv(series), encoding="utf-8")
+        # tests is constant on the 16 train rows, so its scale is the floor
+        # 1e-12, and 1e300 on the 4 test rows standardizes to inf
+        rows = [
+            f"2021-01-{day:02d},{5 if day <= 16 else '1e300'},{10 + day * day},{day // 3}"
+            for day in range(1, 21)
+        ]
+        (out / "test_rows.csv").write_text(
+            "\n".join(["date,tests,confirmed,deaths", *rows]) + "\n", encoding="utf-8"
+        )
         return out
 
     @pytest.mark.parametrize(
@@ -788,6 +797,10 @@ class TestCountsBeyondTheScalerBound:
             ("target", "scenario --from 2020-03-01 --to 2020-04-29 "
              "--hidden-layers 1 --neurons 2 --max-iterations 5", "confirmed"),
             ("feature", "train --model linreg --features day_index,tests", "tests"),
+            *(
+                ("test_rows", f"train --model {m} --features day_index,tests", "tests")
+                for m in ("mlp", "svr", "linreg")
+            ),
         ],
     )
     def test_fit_exits_2_naming_the_column(

@@ -28,9 +28,21 @@ def fixed_order_product(xs, w):
     return out
 
 
-def reference_fit(xs, y, cfg, product):
-    """The gradient-descent loop with a fresh residual each step and
-    x w formed by ``product``."""
+def reference_fit(xs, y, cfg):
+    """The gradient-descent loop on the Gram statistics of D = [x 1], with
+    fresh arrays each step: theta -= lr (2/n) (D'D theta - D'y)."""
+    n = xs.shape[0]
+    design = np.column_stack([xs, np.ones(n)])
+    gram, c = design.T @ design, design.T @ y
+    theta = np.zeros(design.shape[1])
+    for _ in range(cfg.iterations):
+        theta = theta - cfg.learning_rate * (2.0 / n) * (gram @ theta - c)
+    return theta[:-1], float(theta[-1])
+
+
+def residual_reference_fit(xs, y, cfg, product):
+    """The same loop written on the residuals: a fresh residual each step,
+    x w formed by ``product``, and the gradient (2/n) [x 1]' r."""
     n = xs.shape[0]
     w = np.zeros(xs.shape[1])
     b = 0.0
@@ -51,9 +63,13 @@ class TestFit:
         y = xs @ np.linspace(1.0, -1.0, width) + 0.4 + 0.1 * rng.normal(size=70)
         cfg = LinRegConfig(0.1, 300)
         got = linreg_fit(xs, y, cfg)
-        w, b = reference_fit(xs, y, cfg, product)
+        w, b = reference_fit(xs, y, cfg)
         assert got.slope.tobytes() == w.tobytes()
         assert got.intercept == b
+        # the Gram form is the residual loop up to rounding
+        w, b = residual_reference_fit(xs, y, cfg, product)
+        assert np.allclose(got.slope, w, rtol=1e-12, atol=0.0)
+        assert got.intercept == pytest.approx(b, rel=1e-12)
         if width == 0:  # intercept-only: gradient descent on the mean
             assert got.intercept == pytest.approx(float(np.mean(y)), abs=1e-12)
 

@@ -70,15 +70,39 @@ def reference_activation(kind, b):
 
 
 def reference_objective(params, kind, x, y):
-    """Batch MSE and gradient with every intermediate in a fresh array:
-    pre-activations kept, f' taken of them, every product by matmul except
-    the input layer's on more than one feature, which is the fixed-order
-    sum. The reference that loss_and_gradient is checked against."""
+    """Batch MSE and gradient, feature-major (each layer's activations one
+    row per unit, one column per sample) with every intermediate in a fresh
+    array: pre-activations kept, f' taken of them, every product by matmul
+    except the input layer's on more than one feature, which is the
+    fixed-order sum. The reference that loss_and_gradient is checked
+    against byte for byte."""
+    n = x.shape[0]
+    h, pre, post = x.T, [], [x.T]
+    for layer, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
+        product = fixed_order_product(w, x) if layer == 0 and x.shape[1] > 1 else w @ h
+        z = product + b[:, None]
+        h = reference_activation(kind, z)[0]
+        pre.append(z)
+        post.append(h)
+    resid = (params.weights[-1] @ h + params.biases[-1])[0] - y
+    loss = float(resid @ resid) / n
+    delta = (2.0 / n) * resid[None, :]
+    g_w = [delta @ post[-1].T]
+    g_b = [delta.sum(axis=1)]
+    for layer in range(len(params.weights) - 2, -1, -1):
+        delta = (params.weights[layer + 1].T @ delta) * reference_activation(kind, pre[layer])[1]
+        g_w.insert(0, delta @ post[layer].T)
+        g_b.insert(0, delta.sum(axis=1))
+    return loss, MlpParams(weights=tuple(g_w), biases=tuple(g_b))
+
+
+def row_major_objective(params, kind, x, y):
+    """The same objective sample-major (one row per sample), the textbook
+    layout: loss_and_gradient must match it up to rounding."""
     n = x.shape[0]
     h, pre, post = x, [], [x]
-    for layer, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
-        product = fixed_order_product(h, w) if layer == 0 and x.shape[1] > 1 else h @ w.T
-        z = product + b
+    for w, b in zip(params.weights[:-1], params.biases[:-1]):
+        z = h @ w.T + b
         h = reference_activation(kind, z)[0]
         pre.append(z)
         post.append(h)
@@ -92,6 +116,16 @@ def reference_objective(params, kind, x, y):
         g_w.insert(0, delta.T @ post[layer])
         g_b.insert(0, delta.sum(axis=0))
     return loss, MlpParams(weights=tuple(g_w), biases=tuple(g_b))
+
+
+def assert_matches_row_major(loss, grad, params, kind, x, y):
+    """loss and the whole gradient within 1e-12 relative of the
+    sample-major formula. The gradient is compared as one vector: an array
+    that is zero but for rounding, such as the biases of an odd network on
+    a symmetric odd target, has no relative error of its own."""
+    want_loss, want = row_major_objective(params, kind, x, y)
+    assert loss == pytest.approx(want_loss, rel=1e-12)
+    assert relative_error(grad.flatten(), want.flatten()) <= 1e-12
 
 
 def same_bytes(a, b):
@@ -302,6 +336,7 @@ class TestLossAndGradient:
         assert loss == ref_loss
         for got, want in zip(grad.weights + grad.biases, ref_grad.weights + ref_grad.biases):
             assert same_bytes(got, want)
+        assert_matches_row_major(loss, grad, p, kind, x, y)
 
     def test_equals_reference_at_grid_size(self):
         # the 5200-day grid's shape: 4160 rows, BLAS-sized hidden products
@@ -314,6 +349,7 @@ class TestLossAndGradient:
             ref_loss, ref_grad = reference_objective(p, kind, x, y)
             assert loss == ref_loss
             assert same_bytes(grad.flatten(), ref_grad.flatten())
+            assert_matches_row_major(loss, grad, p, kind, x, y)
 
     def test_workspace_reuse_leaves_earlier_results_alone(self, rng):
         cfg = MlpConfig(hidden_layers=3, neurons_per_layer=6, seed=4)

@@ -211,16 +211,27 @@ class TestStandardizedSplit:
         with pytest.raises(InputError, match=f"column '{column}'"):
             standardized_split(data, SplitSpec("chronological", 0.8, 0))
 
-    def test_test_value_beyond_the_train_scale_scales_to_inf(self):
-        # train rows of the feature are constant, so its scale is the floor
-        x = np.where(np.arange(10) < 8, 5.0, 1e300)
+    @pytest.mark.parametrize(
+        "column, x, y",
+        [
+            # train rows of the feature are constant, so its scale is the floor
+            ("tests", np.where(np.arange(10) < 8, 5.0, 1e300), np.arange(10.0)),
+            # a test target beyond a train scale of about 2e-11
+            (
+                "confirmed",
+                np.arange(10.0),
+                np.where(np.arange(10) < 8, 1.0 + 1e-11 * np.arange(10), 1e300),
+            ),
+        ],
+    )
+    def test_test_value_that_scales_to_inf_rejected_naming_the_column(
+        self, column, x, y
+    ):
         data = SupervisedSet(
-            x=x[:, None], y=np.arange(10.0), feature_names=("tests",),
-            target_name="confirmed",
+            x=x[:, None], y=y, feature_names=("tests",), target_name="confirmed"
         )
-        std = standardized_split(data, SplitSpec("chronological", 0.8, 0))
-        assert np.all(std.train.x == 0.0)
-        assert np.all(np.isinf(std.test.x))
+        with pytest.raises(InputError, match=f"column '{column}'"):
+            standardized_split(data, SplitSpec("chronological", 0.8, 0))
 
     def test_column_at_the_bound_gives_a_loadable_model(self):
         data = SupervisedSet(

@@ -263,11 +263,11 @@ def test_loaded_model_file_is_never_blamed_on_the_csv(history_csv, mutation):
 
 START = Date(2021, 1, 1)
 HUGE = "1" + "0" * 200  # parses as the count 10**200
-# Count cells from ordinary to 1e200, plus missing and unusable ones.
+# Count cells from ordinary to 1e300, plus missing and unusable ones.
 COUNT = st.one_of(
     st.integers(min_value=0, max_value=10**6).map(str),
-    st.integers(min_value=0, max_value=10**200).map(str),
-    st.sampled_from(["", HUGE, "1e200", "1e160", "-3", "x"]),
+    st.integers(min_value=0, max_value=10**300).map(str),
+    st.sampled_from(["", HUGE, "1e300", "1e200", "1e160", "-3", "x"]),
 )
 
 
@@ -296,9 +296,13 @@ def count_csvs(draw):
     return "\n".join(lines) + "\n", lo, hi, features, target
 
 
-def _huge_csv(tests: str, confirmed: str) -> tuple:
+def _huge_csv(tests: str, confirmed: str, test_rows_tests: str | None = None) -> tuple:
+    """12 rows, the last 2 of which an 80/20 split tests on; tests holds
+    ``test_rows_tests`` there when it is given."""
     lines = [HEADER] + [
-        f"{START + timedelta(days=i)},{tests},{confirmed if i % 2 else i},{i}"
+        f"{START + timedelta(days=i)},"
+        f"{test_rows_tests if test_rows_tests and i >= 10 else tests},"
+        f"{confirmed if i % 2 else i},{i}"
         for i in range(12)
     ]
     return "\n".join(lines) + "\n", 0, 11, "day_index,tests", "confirmed"
@@ -308,8 +312,10 @@ def _huge_csv(tests: str, confirmed: str) -> tuple:
 @given(count_csvs())
 @example(_huge_csv(tests="5", confirmed=HUGE))  # a target beyond the scaler bound
 @example(_huge_csv(tests=HUGE, confirmed="7"))  # a constant feature beyond it
+# a feature constant on the train rows that scales to inf on the test rows
+@example(_huge_csv(tests="5", confirmed="7", test_rows_tests="1e300"))
 def test_count_csvs_through_the_cli_keep_the_exit_contract(case):
-    """stats, train and scenario on CSVs with counts up to 1e200 exit 0, 2,
+    """stats, train and scenario on CSVs with counts up to 1e300 exit 0, 2,
     3 or 4 with no warning (the suite turns numpy RuntimeWarnings into
     errors), a failure prints exactly one JSON error line on stderr, and a
     model file train writes is one its loader accepts."""
