@@ -53,31 +53,36 @@ def linreg_fit(x: np.ndarray, y: np.ndarray, cfg: LinRegConfig) -> LinRegParams:
     xs, ys = as_xy(x, y, min_rows=2)
     n = xs.shape[0]
     design = np.column_stack([xs, np.ones(n)])
-    theta = np.zeros(design.shape[1])
     step = cfg.learning_rate * (2.0 / n)
     # overflow here is the signal for DivergenceError, not a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         gram = design.T @ design
-        c = design.T @ ys
+        c = (design.T @ ys).tolist()
         yy = float(ys @ ys)
-        for it in range(1, cfg.iterations + 1):
-            g = gram @ theta
-            loss = (float(theta @ g) - 2.0 * float(theta @ c) + yy) / n
-            if not math.isfinite(loss):
-                raise DivergenceError(
-                    f"loss became non-finite at iteration {it}; "
-                    "lower the learning rate or standardize the data",
-                    iteration=it,
-                )
-            g -= c
-            g *= step
-            theta -= g
-    if not np.all(np.isfinite(theta)):
+    # G theta stays numpy's product (dot takes the list as it is), and the
+    # fit's bytes follow its rounding; the rest of a step works on the d+1
+    # entries as plain floats, which skips numpy's per-call dispatch.
+    theta = [0.0] * len(c)
+    for it in range(1, cfg.iterations + 1):
+        g = gram.dot(theta).tolist()
+        tg = tc = 0.0
+        for tk, gk, ck in zip(theta, g, c):
+            tg += tk * gk
+            tc += tk * ck
+        loss = (tg - 2.0 * tc + yy) / n
+        if not math.isfinite(loss):
+            raise DivergenceError(
+                f"loss became non-finite at iteration {it}; "
+                "lower the learning rate or standardize the data",
+                iteration=it,
+            )
+        theta = [tk - (gk - ck) * step for tk, gk, ck in zip(theta, g, c)]
+    if not all(map(math.isfinite, theta)):
         raise DivergenceError(
             "parameters became non-finite on the final step",
             iteration=cfg.iterations,
         )
-    return LinRegParams(slope=theta[:-1], intercept=float(theta[-1]))
+    return LinRegParams(slope=np.array(theta[:-1]), intercept=theta[-1])
 
 
 def linreg_predict(params: LinRegParams, x: np.ndarray) -> np.ndarray:

@@ -14,10 +14,11 @@ small brute-force grid oracle (qp_oracle) certifies optimality in tests.
 
 Each pass reads two contiguous rows of the exactly symmetric Gram to
 update K beta. The eps shift that each coefficient adds to its KKT
-derivatives (_eps_shift) is kept in two arrays, and a pass recomputes only
-the two entries it moved. The length-n vectors a pass forms (residuals,
-KKT derivatives, the update of K beta) go into buffers allocated once per
-fit.
+derivatives (_eps_shift) is kept in a (2, n) array, and a pass recomputes
+only the two entries it moved. The length-n vectors a pass forms
+(residuals, KKT derivatives, the update of K beta) go into buffers
+allocated once per fit; the coefficients, which a pass reads and writes
+one at a time, are Python floats until the fit ends.
 
 A fit never builds the n x n Gram. It builds row i as
 gram_matrix(kernel, xs[i:i+1], xs)[0] when a pass first reads it and keeps
@@ -180,18 +181,18 @@ def _eps_shift(b: float, c: float, eps: float) -> tuple[float, float]:
     raising a coefficient, d_down = resid + down for lowering it, where
     resid = K beta - y. Signs of the eps term follow the one-sided
     derivative of |b|. up is +inf when b cannot rise, down -inf when it
-    cannot fall. The shift depends on b alone, so the solver keeps one
-    array of each and recomputes the two entries a pass moves.
+    cannot fall. The shift depends on b alone, so the solver keeps a row
+    of each and recomputes the two entries a pass moves.
     """
-    up = (eps if b >= 0.0 else -eps) if b < c - ZERO_TOL else np.inf
-    down = (eps if b > 0.0 else -eps) if b > -c + ZERO_TOL else -np.inf
+    up = (eps if b >= 0.0 else -eps) if b < c - ZERO_TOL else math.inf
+    down = (eps if b > 0.0 else -eps) if b > -c + ZERO_TOL else -math.inf
     return up, down
 
 
 def _working_pair(
     resid: np.ndarray,
-    up: np.ndarray,
-    down: np.ndarray,
+    shifts: np.ndarray,
+    d: np.ndarray,
     d_up: np.ndarray,
     d_down: np.ndarray,
 ) -> tuple[int, float, int, float]:
@@ -199,15 +200,15 @@ def _working_pair(
 
     lo = d_up[i] is the least over the coefficients that can rise (+inf if
     none can), hi = d_down[j] the greatest over those that can fall (-inf
-    if none can); up and down hold _eps_shift of every coefficient. The
-    derivatives are formed in the length-n buffers d_up and d_down.
+    if none can). shifts stacks the up and down of _eps_shift for every
+    coefficient; one add forms the derivatives in the (2, n) buffer d,
+    whose rows are d_up and d_down.
     """
-    np.add(resid, up, out=d_up)
-    np.add(resid, down, out=d_down)
+    np.add(resid, shifts, out=d)
     # the array methods skip np.argmin's dispatch, about 1 us of a pass
-    i = int(d_up.argmin())
-    j = int(d_down.argmax())
-    return i, float(d_up[i]), j, float(d_down[j])
+    i = d_up.argmin()
+    j = d_down.argmax()
+    return int(i), d_up.item(i), int(j), d_down.item(j)
 
 
 def _gram_finite(kernel: KernelSpec, xs: np.ndarray, block: int) -> bool:
@@ -244,21 +245,21 @@ def _row_cache(
     """rows(i, j) -> (row i, row j) of gram_matrix(kernel, xs, xs), each
     built when first read and kept in one of capacity (>= 2) slots of a
     preallocated block. A miss takes the oldest slot; it skips the slot of
-    row i while fetching row j, so both rows stay valid together."""
+    row i while fetching row j, so both rows stay valid together. A hit
+    costs two list reads."""
     n = xs.shape[0]
     block = np.empty((capacity, n))
-    slot_of: dict[int, int] = {}
+    views = list(block)  # the row view of each slot, made once
+    slot_of = [-1] * n  # the slot that holds row i, or -1
     owner = [-1] * capacity
     oldest = 0
 
-    def slot(i: int, keep: int) -> int:
+    def fill(i: int, keep: int) -> int:
         nonlocal oldest
-        s = slot_of.get(i)
-        if s is not None:
-            return s
         s = oldest if oldest != keep else (oldest + 1) % capacity
         oldest = (s + 1) % capacity
-        slot_of.pop(owner[s], None)
+        if owner[s] >= 0:
+            slot_of[owner[s]] = -1
         owner[s] = i
         slot_of[i] = s
         # _gram_finite has ruled out a non-finite entry, not an overflowing
@@ -268,8 +269,13 @@ def _row_cache(
         return s
 
     def rows(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        si = slot(i, -1)
-        return block[si], block[slot(j, si)]
+        si = slot_of[i]
+        if si < 0:
+            si = fill(i, -1)
+        sj = slot_of[j]
+        if sj < 0:
+            sj = fill(j, si)
+        return views[si], views[sj]
 
     return rows
 
@@ -300,58 +306,65 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
         )
     rows = _row_cache(kernel, xs, capacity)
 
-    beta = np.zeros(n)
+    # A pass reads and writes single coefficients, which Python floats do
+    # without numpy's per-element dispatch; beta becomes an array at the end.
+    beta = [0.0] * n
     q = np.zeros(n)  # cache of K beta
-    c, eps = cfg.c, cfg.epsilon
-    up0, down0 = _eps_shift(0.0, c, eps)  # every coefficient starts at zero
-    up, down = np.full(n, up0), np.full(n, down0)
-    # per-fit buffers of the pass: resid = q - ys, d_up, d_down, t (ri - rj)
-    resid, d_up, d_down, step = (np.empty(n) for _ in range(4))
+    c, eps, tolerance = cfg.c, cfg.epsilon, cfg.tolerance
+    # rows up and down of _eps_shift per coefficient; all start at zero
+    shifts = np.empty((2, n))
+    shifts[0], shifts[1] = _eps_shift(0.0, c, eps)
+    up, down = shifts
+    # per-fit buffers of the pass: resid = q - ys, the derivatives d (rows
+    # d_up, d_down) and step = t (ri - rj)
+    resid, step = np.empty(n), np.empty(n)
+    d = np.empty((2, n))
+    d_up, d_down = d
     converged = False
     passes = 0
 
     for passes in range(1, cfg.max_passes + 1):
         np.subtract(q, ys, out=resid)
-        i, lo, j, hi = _working_pair(resid, up, down, d_up, d_down)
+        i, lo, j, hi = _working_pair(resid, shifts, d, d_up, d_down)
         violation = hi - lo  # -inf when one side is empty: nothing can move
-        if violation <= cfg.tolerance:
+        if violation <= tolerance:
             converged = True
             break
         ri, rj = rows(i, j)
-        eta = float(ri[i] + rj[j] - 2.0 * ri[j])
+        eta = ri.item(i) + rj.item(j) - 2.0 * ri.item(j)
         # Up to the first box bound or zero crossing neither sign changes,
         # so the move is 1/2 eta t^2 - violation t there: a clipped Newton
         # step. t_max > 0 because i can rise and j can fall.
-        t_max = min(
-            c - beta[i] if beta[i] >= 0.0 else -beta[i],
-            beta[j] + c if beta[j] <= 0.0 else beta[j],
-        )
+        bi, bj = beta[i], beta[j]
+        t_max = min(c - bi if bi >= 0.0 else -bi, bj + c if bj <= 0.0 else bj)
         t = min(t_max, violation / eta) if eta > 0.0 else t_max
-        beta[i] += t
-        beta[j] -= t
+        bi += t
+        bj -= t
+        beta[i], beta[j] = bi, bj
         np.subtract(ri, rj, out=step)
         step *= t
         q += step
-        up[i], down[i] = _eps_shift(beta[i], c, eps)
-        up[j], down[j] = _eps_shift(beta[j], c, eps)
+        up[i], down[i] = _eps_shift(bi, c, eps)
+        up[j], down[j] = _eps_shift(bj, c, eps)
 
     np.subtract(q, ys, out=resid)
-    _, lo, _, hi = _working_pair(resid, up, down, d_up, d_down)
-    if np.isinf(lo) and np.isinf(hi):
+    _, lo, _, hi = _working_pair(resid, shifts, d, d_up, d_down)
+    if math.isinf(lo) and math.isinf(hi):
         bias = float(np.mean(ys - q))
-    elif np.isinf(lo):
+    elif math.isinf(lo):
         bias = -hi
-    elif np.isinf(hi):
+    elif math.isinf(hi):
         bias = -lo
     else:
         bias = -0.5 * (lo + hi)
 
-    keep = np.abs(beta) > ZERO_TOL
+    alphas = np.array(beta)
+    keep = np.abs(alphas) > ZERO_TOL
     return SvrParams(
-        alphas=beta,
+        alphas=alphas,
         bias=bias,
         support_vectors=xs[keep].copy(),
-        support_coefs=beta[keep].copy(),
+        support_coefs=alphas[keep],
         kernel=kernel,
         converged=converged,
         passes=passes,
@@ -360,17 +373,31 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
 
 def svr_predict(params: SvrParams, x: np.ndarray) -> np.ndarray:
     """Sum of coef * k(support_vector, row) + bias for each row of
-    ``as_design(x)``, with k the fit's resolved ``params.kernel``."""
+    ``as_design(x)``, with k the fit's resolved ``params.kernel``.
+
+    The cross-Gram is built a block of rows at a time, each block within a
+    quarter of ROW_CACHE_BYTES. A row's sum is numpy's sum of its own
+    products, so it does not depend on how the rows are blocked.
+    """
     arr = as_design(x)
-    if params.support_vectors.shape[0] == 0:
+    sv, coefs = params.support_vectors, params.support_coefs
+    if sv.shape[0] == 0:
         return np.full(arr.shape[0], params.bias)
-    if arr.shape[1] != params.support_vectors.shape[1]:
+    if arr.shape[1] != sv.shape[1]:
         raise DimensionMismatch(
-            f"x has {arr.shape[1]} features, support vectors have "
-            f"{params.support_vectors.shape[1]}"
+            f"x has {arr.shape[1]} features, support vectors have {sv.shape[1]}"
         )
-    k_cross = gram_matrix(params.kernel, arr, params.support_vectors)
-    return k_cross @ params.support_coefs + params.bias
+    rows = max(1, ROW_CACHE_BYTES // (4 * 8 * sv.shape[0]))
+    out = np.empty(arr.shape[0])
+    for start in range(0, arr.shape[0], rows):
+        block = gram_matrix(params.kernel, arr[start:start + rows], sv)
+        # overflow gives inf here as it would in a BLAS product
+        with np.errstate(over="ignore", invalid="ignore"):
+            block *= coefs
+            out[start:start + rows] = block.sum(axis=1)
+        del block  # so that the next block is built without it
+    out += params.bias
+    return out
 
 
 def qp_oracle(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> float:

@@ -32,3 +32,14 @@ def series_csv_path(tmp_path_factory, series):
 @pytest.fixture
 def rng():
     return np.random.default_rng(1234)
+
+
+@pytest.fixture(scope="session")
+def grid_reports(tmp_path_factory, series_csv_path):
+    """The out-dir of one CLI grid run on the 520-day series, shared by the
+    tests that only read its reports."""
+    from epicast.cli import main
+
+    out = tmp_path_factory.mktemp("grid_reports")
+    assert main(["grid", str(series_csv_path), "--out-dir", str(out)]) == 0
+    return out

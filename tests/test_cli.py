@@ -336,10 +336,8 @@ class TestGrid:
         ]
         assert len(table) == 31
 
-    def test_manifest_survives_strip_helper(self, series_csv_path, tmp_path):
-        out = tmp_path / "o"
-        main(["grid", str(series_csv_path), "--out-dir", str(out)])
-        doc = read_json(out / "scoretable.json")
+    def test_manifest_survives_strip_helper(self, grid_reports):
+        doc = read_json(grid_reports / "scoretable.json")
         stripped = strip_timestamps(doc)
         assert "timestamps" not in stripped["manifest"]
         assert "timestamps" in doc["manifest"]  # original untouched

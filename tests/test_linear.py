@@ -3,10 +3,13 @@ import pytest
 
 from epicast import (
     LinRegConfig,
+    build_supervised,
+    default_grid,
     fit_scaler,
     linreg_fit,
     linreg_predict,
     ols_closed_form,
+    standardized_split,
     transform,
 )
 from epicast.errors import DivergenceError, DimensionMismatch, SingularMatrix
@@ -38,6 +41,22 @@ def reference_fit(xs, y, cfg):
     for _ in range(cfg.iterations):
         theta = theta - cfg.learning_rate * (2.0 / n) * (gram @ theta - c)
     return theta[:-1], float(theta[-1])
+
+
+def reference_divergence_step(xs, y, cfg):
+    """The first step of reference_fit whose loss
+    (theta' G theta - 2 theta' c + y'y)/n is not finite, or None."""
+    n = xs.shape[0]
+    design = np.column_stack([xs, np.ones(n)])
+    gram, c, yy = design.T @ design, design.T @ y, float(y @ y)
+    theta = np.zeros(design.shape[1])
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(1, cfg.iterations + 1):
+            g = gram @ theta
+            if not np.isfinite((theta @ g - 2.0 * (theta @ c) + yy) / n):
+                return it
+            theta = theta - cfg.learning_rate * (2.0 / n) * (g - c)
+    return None
 
 
 def residual_reference_fit(xs, y, cfg, product):
@@ -72,6 +91,19 @@ class TestFit:
         assert got.intercept == pytest.approx(b, rel=1e-12)
         if width == 0:  # intercept-only: gradient descent on the mean
             assert got.intercept == pytest.approx(float(np.mean(y)), abs=1e-12)
+
+    @pytest.mark.parametrize("target", ["confirmed", "deaths"])
+    def test_grid_slots_equal_reference_loop_byte_for_byte(self, series, chrono_split, target):
+        # The 416-row train half of the 520-day series, where a step's
+        # products in plain floats (no FMA) would move the last bits.
+        data = build_supervised(series, ("day_index",), target)
+        train = standardized_split(data, chrono_split).train
+        slots = [s for s in default_grid() if s.model_family == "linreg"]
+        assert len(slots) == 5
+        for slot in slots:
+            got = linreg_fit(train.x, train.y, slot.config)
+            w, b = reference_fit(train.x, train.y, slot.config)
+            assert (got.slope.tobytes(), got.intercept) == (w.tobytes(), b), slot.slot
 
     def test_exact_line_matches_ols(self, rng):
         xs, y = standardized_line(rng)
@@ -116,9 +148,23 @@ class TestFit:
         # raw day-count scales blow up under the aggressive default rate
         x = np.arange(500, dtype=float)[:, None]
         y = 3.0 * x[:, 0]
+        cfg = LinRegConfig(0.5, 2500)
         with pytest.raises(DivergenceError) as exc:
-            linreg_fit(x, y, LinRegConfig(0.5, 2500))
+            linreg_fit(x, y, cfg)
         assert exc.value.iteration >= 1
+        assert exc.value.iteration == reference_divergence_step(x, y, cfg)
+
+    @pytest.mark.parametrize("lr", [0.05, 0.3, 2.0])
+    @pytest.mark.parametrize("width", [1, 3])
+    def test_divergence_step_matches_reference_loop(self, lr, width, rng):
+        x = rng.normal(size=(50, width)) * 30.0 + 10.0
+        y = x @ np.linspace(2.0, -1.0, width) + rng.normal(size=50)
+        cfg = LinRegConfig(lr, 3000)
+        expected = reference_divergence_step(x, y, cfg)
+        assert expected is not None
+        with pytest.raises(DivergenceError) as exc:
+            linreg_fit(x, y, cfg)
+        assert exc.value.iteration == expected
 
     def test_multivariate(self, rng):
         x = rng.normal(size=(80, 3))

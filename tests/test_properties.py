@@ -315,20 +315,28 @@ def _huge_csv(tests: str, confirmed: str, test_rows_tests: str | None = None) ->
 # a feature constant on the train rows that scales to inf on the test rows
 @example(_huge_csv(tests="5", confirmed="7", test_rows_tests="1e300"))
 def test_count_csvs_through_the_cli_keep_the_exit_contract(case):
-    """stats, train and scenario on CSVs with counts up to 1e300 exit 0, 2,
-    3 or 4 with no warning (the suite turns numpy RuntimeWarnings into
-    errors), a failure prints exactly one JSON error line on stderr, and a
-    model file train writes is one its loader accepts."""
+    """stats, train of each family and scenario on CSVs with counts up to
+    1e300 exit 0, 2, 3 or 4 with no warning (the suite turns numpy
+    RuntimeWarnings into errors), a failure prints exactly one JSON error
+    line on stderr, and a model file train writes is one its loader
+    accepts."""
     text, lo, hi, features, target = case
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = Path(tmp) / "counts.csv"
         csv_path.write_text(text, encoding="utf-8")
-        model_file = Path(tmp) / "model.json"
         window = [(START + timedelta(days=d)).isoformat() for d in (lo, hi)]
+        trains = {
+            "linreg": ["--iterations", "50"],
+            "svr": ["--max-passes", "200"],
+            "mlp": ["--hidden-layers", "1", "--neurons", "2", "--max-iterations", "5"],
+        }
         for argv in (
             ["stats", str(csv_path)],
-            ["train", str(csv_path), "--model", "linreg", "--iterations", "50",
-             "--features", features, "--target", target, "--out", str(model_file)],
+            *(
+                ["train", str(csv_path), "--model", family, *flags, "--features", features,
+                 "--target", target, "--out", str(Path(tmp) / f"model_{family}.json")]
+                for family, flags in trains.items()
+            ),
             ["scenario", str(csv_path), "--from", window[0], "--to", window[1],
              "--horizon", "3", "--hidden-layers", "1", "--neurons", "2",
              "--max-iterations", "5"],
@@ -336,10 +344,10 @@ def test_count_csvs_through_the_cli_keep_the_exit_contract(case):
             stderr = io.StringIO()
             with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
                 code = main([*argv, "--out-dir", str(Path(tmp) / "out")])
-            assert code in (0, 2, 3, 4), (argv[0], code)
+            assert code in (0, 2, 3, 4), (argv[:4], code)
             if code:
                 lines = stderr.getvalue().splitlines()
-                assert len(lines) == 1, (argv[0], lines)
+                assert len(lines) == 1, (argv[:4], lines)
                 assert "error" in json.loads(lines[0])
             elif argv[0] == "train":
-                load_model(str(model_file))
+                load_model(argv[-1])

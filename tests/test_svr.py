@@ -11,15 +11,18 @@ from epicast import (
     SupervisedSet,
     SvrConfig,
     SvrParams,
+    build_supervised,
     dual_objective,
     gram_matrix,
     model_to_dict,
     qp_oracle,
     resolve_gamma,
+    standardized_split,
     svr_fit,
     svr_predict,
     train_on_split,
 )
+from epicast import svr
 from epicast.errors import DegenerateKernelMatrix, DimensionMismatch, LengthMismatch
 from epicast.svr import ROW_CACHE_BYTES, ZERO_TOL, _row_cache
 
@@ -467,6 +470,19 @@ class TestSvrFit:
             outcomes.add(converged)
         assert outcomes == {True, False}  # both exits are compared
 
+    def test_exhausted_grid_cell_matches_reference_loop(self, series, chrono_split):
+        # The grid's scale: the 416-row train half of the 520-day series and
+        # the poly-7 slot, which spends its whole default budget.
+        data = build_supervised(series, ("day_index",), "confirmed")
+        train = standardized_split(data, chrono_split).train
+        cfg = SvrConfig(kernel=KernelSpec(kind="poly", degree=7))
+        params = svr_fit(train.x, train.y, cfg)
+        assert (train.x.shape[0], params.converged, params.passes) == (416, False, 10000)
+        beta, bias, passes, converged = reference_fit(train.x, train.y, cfg)
+        assert (params.alphas.tobytes(), params.bias, params.passes, params.converged) == (
+            beta.tobytes(), bias, passes, converged
+        )
+
     def test_overflowing_kernel_rejected(self):
         spec = KernelSpec(kind="poly", gamma=1.0, degree=7)
         x = np.array([[1e60], [2e60], [3e60]])
@@ -619,3 +635,44 @@ class TestSvrPredict:
         params = svr_fit(x, rng.normal(size=6), SvrConfig(kernel=KernelSpec(kind="linear")))
         with pytest.raises(DimensionMismatch):
             svr_predict(params, np.zeros((2, 3)))
+
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize(
+        "spec",
+        [KernelSpec(kind="linear"), KernelSpec(kind="rbf"), KernelSpec(kind="poly", degree=3)],
+    )
+    def test_row_blocks_do_not_move_a_prediction(self, spec, width, rng, monkeypatch):
+        x = rng.normal(size=(300, width))
+        y = np.sin(x[:, 0]) + 0.1 * rng.normal(size=300)
+        params = svr_fit(x, y, SvrConfig(kernel=spec, c=0.5))
+        x_new = rng.normal(size=(257, width))
+        # a block is a quarter of ROW_CACHE_BYTES: all 257 rows by default,
+        # then blocks of one row and of seven
+        per_row = 4 * 8 * params.support_coefs.size
+        assert 257 * per_row <= ROW_CACHE_BYTES
+        whole = svr_predict(params, x_new)
+        for rows in (1, 7):
+            monkeypatch.setattr(svr, "ROW_CACHE_BYTES", rows * per_row)
+            assert svr_predict(params, x_new).tobytes() == whole.tobytes(), rows
+        k_cross = gram_matrix(params.kernel, x_new, params.support_vectors)
+        bound = 1e-12 * (np.abs(k_cross) @ np.abs(params.support_coefs) + abs(params.bias))
+        assert np.all(np.abs(whole - (k_cross @ params.support_coefs + params.bias)) <= bound)
+
+    def test_predict_holds_a_bounded_block(self, rng):
+        n_sv, m = 1500, 4000
+        x = rng.normal(size=(n_sv, 1))
+        params = SvrParams(
+            alphas=np.full(n_sv, 0.5), bias=0.25, support_vectors=x,
+            support_coefs=np.full(n_sv, 0.5), kernel=KernelSpec(kind="rbf", gamma=0.5),
+        )
+        x_new = rng.normal(size=(m, 1))
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            svr_predict(params, x_new)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # a block is a quarter of ROW_CACHE_BYTES and its rbf build holds two
+        # (test_build_peak_memory); the whole cross-Gram would be 48 MB
+        assert peak <= 2.1 * ROW_CACHE_BYTES / 4 + 8 * m
