@@ -272,27 +272,55 @@ COUNT = st.one_of(
 
 
 @st.composite
+def count_column(draw, n: int, shape: str):
+    """n count cells of one column, shaped so that a fit can run on it.
+
+    "varying": distinct ordinary counts, with up to two cells replaced by
+    any COUNT (a gap, an unusable cell or one up to 1e300). "constant": one
+    COUNT on every row. "step": one COUNT on every row but the last one to
+    three, which draw their own, so the test rows of an 80/20 split leave
+    the scale of a train column that may be constant.
+    """
+    if shape == "varying":
+        cells = [str(v) for v in draw(
+            st.lists(st.integers(min_value=0, max_value=10**6), min_size=n, max_size=n,
+                     unique=True)
+        )]
+        for i, cell in draw(st.lists(st.tuples(st.integers(0, n - 1), COUNT), max_size=2)):
+            cells[i] = cell
+        return cells
+    cells = [draw(COUNT)] * n
+    if shape == "step":
+        tail = draw(st.lists(COUNT, min_size=1, max_size=3))
+        cells[n - len(tail):] = tail
+    return cells
+
+
+@st.composite
 def count_csvs(draw):
     """(CSV text, scenario window start and end inside its dates, train
-    features, target); a column may repeat one cell on every row."""
-    n = draw(st.integers(min_value=3, max_value=24))
+    features, target). The target column varies, so most examples reach a
+    fit; the other two may be constant or step away from their train scale
+    on the last rows."""
+    n = draw(st.integers(min_value=10, max_value=24))
+    features = draw(st.sampled_from(["day_index", "day_index,tests", "tests,deaths"]))
+    target = draw(st.sampled_from(["confirmed", "deaths"]))
     columns = [
-        draw(
-            st.one_of(
-                st.lists(COUNT, min_size=n, max_size=n),
-                COUNT.map(lambda cell: [cell] * n),
-            )
-        )
-        for _ in range(3)
+        draw(count_column(
+            n,
+            "varying" if name == target
+            else draw(st.sampled_from(["varying", "constant", "step"])),
+        ))
+        for name in ("tests", "confirmed", "deaths")
     ]
     lines = [HEADER] + [
         ",".join([(START + timedelta(days=i)).isoformat(), *(c[i] for c in columns)])
         for i in range(n)
     ]
+    # an 80/20 split tests on two rows or more of a ten-row window; a start
+    # in the last nine rows leaves a shorter one
     lo = draw(st.integers(min_value=0, max_value=n - 1))
-    hi = draw(st.integers(min_value=lo, max_value=n - 1))
-    features = draw(st.sampled_from(["day_index", "day_index,tests", "tests,deaths"]))
-    target = draw(st.sampled_from(["confirmed", "deaths"]))
+    hi = draw(st.integers(min_value=min(lo + 9, n - 1), max_value=n - 1))
     return "\n".join(lines) + "\n", lo, hi, features, target
 
 

@@ -586,6 +586,27 @@ class TestSvrFit:
             tracemalloc.stop()
         assert peak <= n * n * 8 / 4
 
+    @pytest.mark.parametrize(
+        "spec",
+        [KernelSpec(kind="linear"), KernelSpec(kind="rbf"), KernelSpec(kind="poly", degree=5)],
+    )
+    def test_fit_holds_the_row_cache_and_vectors(self, spec):
+        # the row cache's block plus at most 16 length-n vectors: the data,
+        # beta, K beta, the eps shifts, the pass buffers, the row being built
+        # and the support vectors (about 14 measured on one feature)
+        n = 4000
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(n, 1))
+        y = np.sin(x[:, 0]) + 0.1 * rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            svr_fit(x, y, SvrConfig(kernel=spec, max_passes=300))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= ROW_CACHE_BYTES + 16 * n * 8
+
     def test_length_mismatch(self):
         with pytest.raises(LengthMismatch):
             svr_fit(np.zeros((3, 1)), np.zeros(4), SvrConfig())
@@ -673,6 +694,13 @@ class TestSvrPredict:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        # a block is a quarter of ROW_CACHE_BYTES and its rbf build holds two
-        # (test_build_peak_memory); the whole cross-Gram would be 48 MB
-        assert peak <= 2.1 * ROW_CACHE_BYTES / 4 + 8 * m
+        # svr_predict's blocks: rows of n_sv entries within a quarter of
+        # ROW_CACHE_BYTES, and the rbf build holds two (test_build_peak_memory)
+        rows = max(1, ROW_CACHE_BYTES // (4 * 8 * n_sv))
+        blocks = 2 * rows * n_sv * 8
+        # the output and one block's row sums (at most m each), the support
+        # vectors' squared norms and their squares (n_sv each), and numpy's
+        # ufunc buffers, at most getbufsize() values for each of 3 operands
+        vectors = 8 * (2 * m + 2 * n_sv) + 3 * 8 * np.getbufsize()
+        # 1.28 MB at 2 MiB; the whole cross-Gram would be 48 MB
+        assert peak <= blocks + vectors
