@@ -196,7 +196,7 @@ def lbfgs_minimize(
 ) -> MinimizeResult:
     """L-BFGS with a strong-Wolfe line search.
 
-    Stops when the gradient inf-norm drops below cfg.grad_tolerance, the
+    Stops when the gradient inf-norm is at most cfg.grad_tolerance, the
     iteration budget runs out, or (when ``tolerance`` is given) the loss
     fails to improve by at least that amount over PATIENCE consecutive
     accepted steps. A failed line search falls back to the steepest-descent
@@ -215,7 +215,7 @@ def lbfgs_minimize(
     iterations = 0
 
     for _ in range(cfg.max_iterations):
-        if float(np.max(np.abs(g))) < cfg.grad_tolerance:
+        if float(np.max(np.abs(g))) <= cfg.grad_tolerance:
             status = "converged"
             break
         d = two_loop_direction(g, list(s_pairs), list(y_pairs))
@@ -254,7 +254,7 @@ def lbfgs_minimize(
                 status = "stalled"
                 break
     else:
-        if float(np.max(np.abs(g))) < cfg.grad_tolerance:
+        if float(np.max(np.abs(g))) <= cfg.grad_tolerance:
             status = "converged"
 
     return MinimizeResult(

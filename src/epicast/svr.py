@@ -23,12 +23,12 @@ one at a time, are Python floats until the fit ends.
 A fit never builds the n x n Gram. It builds row i as
 gram_matrix(kernel, xs[i:i+1], xs)[0] when a pass first reads it and keeps
 it in a per-fit row cache (the kernel cache of LIBSVM, Chang & Lin 2011,
-section 5.1): one preallocated block of ROW_CACHE_BYTES, whose slots are
-reused first in, first out. The working pairs reread rows over short
-distances, so a small block keeps nearly every hit (see ROW_CACHE_BYTES).
-gram_matrix forms each entry from its own two rows alone, so such a row is
-bit-equal to the same row of the full Gram at every design width, and the
-cache size never changes a fit.
+section 5.1): one preallocated block of ROW_CACHE_BYTES, where a miss
+evicts the least recently read row, as LIBSVM does. The working pairs
+reread rows over short distances, so a small block keeps nearly every hit
+(see ROW_CACHE_BYTES). gram_matrix forms each entry from its own two rows
+alone, so such a row is bit-equal to the same row of the full Gram at
+every design width, and the cache size never changes a fit.
 """
 
 from __future__ import annotations
@@ -48,10 +48,11 @@ ZERO_TOL = 1e-12
 FLOAT_MAX = float(np.finfo(float).max)
 # Byte budget of one fit's Gram row cache: 63 rows at 4160 training rows,
 # and every row up to 512. The maximal-violating-pair solver rereads rows
-# over short distances, so 63 slots keep nearly every hit: the ten default
-# fits of the 5200-day grid build 12 458 rows here against 11 075 at
-# 16 MiB, with the same coefficients. The finiteness scan builds rows in
-# blocks of the same size, and svr_predict in blocks of a quarter of it.
+# over short distances, so 63 slots keep nearly every hit: evicting the
+# least recently read row, the ten default fits of the 5200-day grid
+# build 12 218 rows here (12 458 first in, first out; 11 075 at 16 MiB),
+# with the same coefficients. The finiteness scan builds rows in blocks of
+# the same size, and svr_predict in blocks of a quarter of it.
 ROW_CACHE_BYTES = 2 * 2**20
 
 
@@ -246,43 +247,29 @@ def _gram_finite(kernel: KernelSpec, xs: np.ndarray, block: int) -> bool:
 
 def _row_cache(
     kernel: KernelSpec, xs: np.ndarray, capacity: int
-) -> Callable[[int, int], tuple[np.ndarray, np.ndarray]]:
-    """rows(i, j) -> (row i, row j) of gram_matrix(kernel, xs, xs), each
-    built when first read and kept in one of capacity (>= 2) slots of a
-    preallocated block. A miss takes the oldest slot; it skips the slot of
-    row i while fetching row j, so both rows stay valid together. A hit
-    costs two list reads."""
-    n = xs.shape[0]
-    block = np.empty((capacity, n))
+) -> Callable[[int], np.ndarray]:
+    """row(i) -> row i of gram_matrix(kernel, xs, xs), built when first read
+    and kept in one of capacity (>= 2) slots of a preallocated block. A miss
+    takes a free slot, or else the slot of the least recently read row, so
+    it never overwrites the row read just before it: ri, rj = row(i), row(j)
+    stay valid together."""
+    block = np.empty((capacity, xs.shape[0]))
     views = list(block)  # the row view of each slot, made once
-    slot_of = [-1] * n  # the slot that holds row i, or -1
-    owner = [-1] * capacity
-    oldest = 0
+    slot_of: dict[int, int] = {}  # cached row -> slot, least recently read first
 
-    def fill(i: int, keep: int) -> int:
-        nonlocal oldest
-        s = oldest if oldest != keep else (oldest + 1) % capacity
-        oldest = (s + 1) % capacity
-        if owner[s] >= 0:
-            slot_of[owner[s]] = -1
-        owner[s] = i
+    def row(i: int) -> np.ndarray:
+        s = slot_of.pop(i, None)
+        if s is None:
+            full = len(slot_of) == capacity
+            s = slot_of.pop(next(iter(slot_of))) if full else len(slot_of)
+            # _gram_finite has ruled out a non-finite entry, not an
+            # overflowing intermediate such as an rbf |a|^2 + |b|^2
+            with np.errstate(over="ignore"):
+                block[s] = gram_matrix(kernel, xs[i:i + 1], xs)[0]
         slot_of[i] = s
-        # _gram_finite has ruled out a non-finite entry, not an overflowing
-        # intermediate such as an rbf |a|^2 + |b|^2
-        with np.errstate(over="ignore"):
-            block[s] = gram_matrix(kernel, xs[i:i + 1], xs)[0]
-        return s
+        return views[s]
 
-    def rows(i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        si = slot_of[i]
-        if si < 0:
-            si = fill(i, -1)
-        sj = slot_of[j]
-        if sj < 0:
-            sj = fill(j, si)
-        return views[si], views[sj]
-
-    return rows
+    return row
 
 
 def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
@@ -294,10 +281,12 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
     moves a pair in opposite directions by the same amount.
 
     Each pass reads rows i and j of the Gram in place of its columns, which
-    relies on the Gram being exactly symmetric. It reads them from a row
-    cache of ROW_CACHE_BYTES (63 rows at n = 4160, every row up to n = 512)
-    and never holds the n x n matrix. DegenerateKernelMatrix is raised when
-    any entry of the full Gram would be non-finite.
+    relies on the Gram being exactly symmetric. It reads them one after the
+    other from a least-recently-read row cache of ROW_CACHE_BYTES (63 rows
+    at n = 4160, every row up to n = 512), so the read of row j never
+    evicts row i, and it never holds the n x n matrix.
+    DegenerateKernelMatrix is raised when any entry of the full Gram would
+    be non-finite.
     """
     xs, ys = as_xy(x, y, min_rows=2)
     n = xs.shape[0]
@@ -309,7 +298,7 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
             "kernel matrix has non-finite entries; standardize the data or "
             "lower the polynomial degree"
         )
-    rows = _row_cache(kernel, xs, capacity)
+    row = _row_cache(kernel, xs, capacity)
 
     # A pass reads and writes single coefficients, which Python floats do
     # without numpy's per-element dispatch; beta becomes an array at the end.
@@ -335,7 +324,7 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
         if violation <= tolerance:
             converged = True
             break
-        ri, rj = rows(i, j)
+        ri, rj = row(i), row(j)
         eta = ri.item(i) + rj.item(j) - 2.0 * ri.item(j)
         # Up to the first box bound or zero crossing neither sign changes,
         # so the move is 1/2 eta t^2 - violation t there: a clipped Newton

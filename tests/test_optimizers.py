@@ -77,6 +77,12 @@ class TestLbfgs:
         assert res.iterations == 0
         assert res.theta == pytest.approx([1.0, 2.0])
 
+    def test_stationary_start_at_zero_tolerance(self):
+        # g = 0 meets a zero tolerance; no step is sized by 1 / sum|g|
+        obj = FunctionObjective(2, lambda t: (float(t @ t), 2 * t))
+        res = lbfgs_minimize(obj, np.zeros(2), LbfgsConfig(grad_tolerance=0.0))
+        assert (res.status, res.iterations) == ("converged", 0)
+
     def test_trace_non_increasing(self, rng):
         for _ in range(10):
             dim = int(rng.integers(2, 12))

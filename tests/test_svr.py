@@ -560,12 +560,50 @@ class TestSvrFit:
         x = rng.normal(size=(9, 1))
         spec = KernelSpec(kind="rbf", gamma=0.4)
         gram = gram_matrix(spec, x, x)
-        rows = _row_cache(spec, x, capacity)
+        row = _row_cache(spec, x, capacity)
         for _ in range(200):
             i, j = (int(v) for v in rng.integers(0, 9, size=2))
-            ri, rj = rows(i, j)
+            ri, rj = row(i), row(j)
             assert ri.tobytes() == gram[i].tobytes()
             assert rj.tobytes() == gram[j].tobytes()
+
+    def test_row_cache_builds_each_kept_row_once(self, monkeypatch):
+        built = []
+
+        def counting(kernel, xa, xb):
+            if xa.shape[0] == 1:
+                built.append(xa[0, 0])
+            return gram_matrix(kernel, xa, xb)
+
+        monkeypatch.setattr(svr, "gram_matrix", counting)
+        capacity = 4
+        x = np.arange(9.0).reshape(-1, 1)
+        spec = KernelSpec(kind="linear")
+        for k in range(1, capacity + 1):
+            row = _row_cache(spec, x, capacity)
+            built.clear()
+            for _ in range(3):
+                for i in range(k):
+                    row(i)
+            assert built == list(range(k))
+        # capacity + 1 distinct rows: the last evicts the least recently
+        # read, row 0, and the most recent capacity rows stay cached
+        row = _row_cache(spec, x, capacity)
+        built.clear()
+        for i in range(capacity + 1):
+            row(i)
+        assert built == list(range(capacity + 1))
+        built.clear()
+        for i in range(1, capacity + 1):
+            row(i)
+        assert built == []
+        # a read renews a row: row 1 was built before row 2 but read again
+        # since, so the miss for row 0 evicts row 2 (first in, first out
+        # would evict row 1)
+        row(1)
+        row(0)
+        row(1)
+        assert built == [0]
 
     @pytest.mark.parametrize("width", [1, 3])
     @pytest.mark.parametrize(
