@@ -22,6 +22,7 @@ import numpy as np
 from . import __version__
 from .dataset import (
     COUNT_COLUMNS,
+    IMPUTE_POLICIES,
     CaseSeries,
     CsvSchema,
     fingerprint,
@@ -33,7 +34,7 @@ from .dataset import (
     summarize_series,
 )
 from .errors import InputError, NotConvergedError, NumericError
-from .forecast import ForecastReport, emit_plot_series, forecast, scenario_run
+from .forecast import SCALES, ForecastReport, emit_plot_series, forecast, scenario_run
 from .harness import (
     GRID_TARGETS,
     ScoreTable,
@@ -44,7 +45,7 @@ from .harness import (
 )
 from .linear import LinRegConfig
 from .metrics import EvalResult, evaluate
-from .mlp import MlpConfig
+from .mlp import ACTIVATIONS, OPTIMIZERS, MlpConfig
 from .models import (
     FAMILIES,
     FamilyConfig,
@@ -56,8 +57,14 @@ from .models import (
     save_model,
     train_on_split,
 )
-from .preprocess import SplitSpec, build_supervised, standardized_split, transform
-from .svr import KernelSpec, SvrConfig
+from .preprocess import (
+    SPLIT_MODES,
+    SplitSpec,
+    build_supervised,
+    standardized_split,
+    transform,
+)
+from .svr import KERNELS, KernelSpec, SvrConfig
 
 STAT_ROWS = ("count", "mean", "std", "min", "25%", "50%", "75%", "max")
 STAT_COLUMNS = ("day_index",) + COUNT_COLUMNS
@@ -425,9 +432,7 @@ def _add_io_flags(
     if needs_csv:
         p.add_argument("csv", help="input CSV (date,tests,confirmed,deaths)")
     if impute:
-        p.add_argument(
-            "--impute", choices=["mean", "forward-fill", "none"], default="mean"
-        )
+        p.add_argument("--impute", choices=[*IMPUTE_POLICIES, "none"], default="mean")
     p.add_argument("--out-dir", dest="out_dir", default=".")
     p.add_argument("--format", choices=["json", "csv", "both"], default="both")
     p.add_argument("--fill-gaps", dest="fill_gaps", action="store_true")
@@ -444,7 +449,7 @@ def _add_split_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--split-mode",
         dest="split_mode",
-        choices=["chronological", "shuffled"],
+        choices=SPLIT_MODES,
         default="chronological",
     )
 
@@ -460,10 +465,8 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
 def _add_mlp_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--hidden-layers", dest="hidden_layers", type=int, default=2)
     p.add_argument("--neurons", type=int, default=16)
-    p.add_argument(
-        "--activation", choices=["tanh", "relu", "logistic"], default="tanh"
-    )
-    p.add_argument("--optimizer", choices=["lbfgs", "sgd", "adam"], default="lbfgs")
+    p.add_argument("--activation", choices=ACTIVATIONS, default="tanh")
+    p.add_argument("--optimizer", choices=OPTIMIZERS, default="lbfgs")
     p.add_argument("--max-iterations", dest="max_iterations", type=int, default=1000)
     p.add_argument("--tolerance", type=float, default=1e-6)
     p.add_argument("--learning-rate", dest="learning_rate", type=float, default=1e-3)
@@ -499,7 +502,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", default=None, help="model file path")
     p.add_argument("--strict", action="store_true", help="exit 4 on non-convergence")
     _add_mlp_flags(p)
-    p.add_argument("--kernel", choices=["linear", "rbf", "poly"], default="rbf")
+    p.add_argument("--kernel", choices=KERNELS, default="rbf")
     p.add_argument("--gamma", type=float, default=None)
     p.add_argument("--degree", type=int, default=3)
     p.add_argument("--coef0", type=float, default=1.0)
@@ -528,7 +531,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=30)
     p.add_argument("--start", default=None, help="first forecast date (ISO)")
     p.add_argument("--last-day-index", dest="last_day_index", type=int, default=None)
-    p.add_argument("--scale", choices=["linear", "log"], default="linear")
+    p.add_argument("--scale", choices=SCALES, default="linear")
     p.add_argument("--label", default="")
     p.set_defaults(func=cmd_forecast)
 
@@ -547,7 +550,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="window_to", default="2021-08-10")
     p.add_argument("--horizon", type=int, default=30)
     p.add_argument("--label", default="critical")
-    p.add_argument("--scale", choices=["linear", "log"], default="linear")
+    p.add_argument("--scale", choices=SCALES, default="linear")
     _add_mlp_flags(p)
     p.set_defaults(func=cmd_scenario)
 

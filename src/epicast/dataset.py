@@ -20,17 +20,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (
-    AllMissingColumn,
-    DuplicateDate,
-    EmptyWindow,
-    GapInDates,
-    InputError,
-    MalformedHeader,
-    UnparseableDate,
-)
+from .errors import InputError
 
 COUNT_COLUMNS = ("tests", "confirmed", "deaths")
+IMPUTE_POLICIES = ("mean", "forward-fill")
 
 
 @dataclass(frozen=True)
@@ -186,12 +179,12 @@ def parse_csv(
 ) -> CaseSeries:
     """Parse CSV text into a CaseSeries.
 
-    Rows are sorted by date. Duplicate dates raise DuplicateDate and a
-    malformed date cell raises UnparseableDate with its 1-based line number
-    (the header is line 1). Calendar gaps raise GapInDates unless
-    ``fill_gaps`` is set, in which case missing days are inserted with all
-    counts missing. Bytes that are not UTF-8 and text the csv module
-    cannot split into rows raise InputError.
+    Rows are sorted by date. Every rejection raises InputError: a missing
+    header or required column, a duplicate or malformed date cell (the
+    message starts with its 1-based line number; the header is line 1),
+    bytes that are not UTF-8, and text the csv module cannot split into
+    rows. Calendar gaps are rejected too unless ``fill_gaps`` is set, in
+    which case missing days are inserted with all counts missing.
     """
     if isinstance(text, bytes):
         try:
@@ -203,7 +196,7 @@ def parse_csv(
     except csv.Error as err:
         raise InputError(f"malformed CSV: {err}") from None
     if not table:
-        raise MalformedHeader("input has no header row")
+        raise InputError("input has no header row")
     header = [h.strip() for h in table[0]]
     required = {
         "date": schema.date,
@@ -213,7 +206,7 @@ def parse_csv(
     }
     missing_cols = [name for name in required.values() if name not in header]
     if missing_cols:
-        raise MalformedHeader(f"missing required columns: {missing_cols}")
+        raise InputError(f"missing required columns: {missing_cols}")
     pos = {key: header.index(name) for key, name in required.items()}
 
     counts: dict[Date, tuple[int | None, int | None, int | None]] = {}
@@ -224,11 +217,11 @@ def parse_csv(
         try:
             day = parse_date(raw_date)
         except ValueError:
-            raise UnparseableDate(
-                f"line {line_no}: cannot parse date {raw_date!r}", line=line_no
+            raise InputError(
+                f"line {line_no}: cannot parse date {raw_date!r}"
             ) from None
         if day in counts:
-            raise DuplicateDate(f"line {line_no}: duplicate date {day.isoformat()}")
+            raise InputError(f"line {line_no}: duplicate date {day.isoformat()}")
 
         def cell(key: str) -> int | None:
             idx = pos[key]
@@ -240,7 +233,7 @@ def parse_csv(
     if not fill_gaps:
         for a, b in zip(days, days[1:]):
             if (b - a).days != 1:
-                raise GapInDates(
+                raise InputError(
                     f"gap between {a.isoformat()} and {b.isoformat()}; "
                     "pre-fill the file or pass fill_gaps=True"
                 )
@@ -305,7 +298,7 @@ def window(series: CaseSeries, start: Date, end: Date) -> CaseSeries:
         lo = max((start - series.first_date).days, 0)
         hi = min((end - series.first_date).days + 1, len(series))
     if lo >= hi:
-        raise EmptyWindow(
+        raise InputError(
             f"no rows between {start.isoformat()} and {end.isoformat()}"
         )
     first = series.first_date + timedelta(days=lo)
@@ -324,14 +317,14 @@ def impute_missing(series: CaseSeries, policy: str = "mean") -> CaseSeries:
     from zero so counts stay integral. ``forward-fill`` carries the last
     present value; leading missings fall back to the first present value.
     """
-    if policy not in ("mean", "forward-fill"):
+    if policy not in IMPUTE_POLICIES:
         raise InputError(f"unknown imputation policy {policy!r}")
     filled: list[list[int]] = []
     for col in COUNT_COLUMNS:
         values = series.column(col)
         present = [v for v in values if v is not None]
         if not present:
-            raise AllMissingColumn(col)
+            raise InputError(f"column {col!r} has no present values")
         if policy == "mean":
             mean = sum(present) / len(present)
             fallback = int(math.floor(mean + 0.5))

@@ -8,6 +8,11 @@ Three branches matter to callers:
 - ``NotConvergedError``: an iterative fit failed to converge in a context
   where that is treated as fatal (CLI exit code 4). Most fits report
   non-convergence as a flag instead of raising.
+
+A subclass exists only where a report or a caller reads its name:
+``NoValidCell`` is caught by name, and the others below are the failures a
+grid cell records as ``"<class name>: <message>"``. Every other failure
+raises its branch class with a message that says what went wrong.
 """
 
 from __future__ import annotations
@@ -29,45 +34,7 @@ class NotConvergedError(EpicastError):
     """An iterative solver did not converge and the caller demanded it."""
 
 
-# -- dataset ----------------------------------------------------------------
-
-class MalformedHeader(InputError):
-    """Required CSV columns are absent from the header row."""
-
-
-class DuplicateDate(InputError):
-    """Two rows share the same calendar date."""
-
-
-class UnparseableDate(InputError):
-    """A date cell could not be parsed; carries the offending line number."""
-
-    def __init__(self, message: str, line: int):
-        super().__init__(message)
-        self.line = line
-
-
-class GapInDates(InputError):
-    """Consecutive rows skip calendar days and gap filling was not requested."""
-
-
-class EmptyWindow(InputError):
-    """A date window selects no rows."""
-
-
-class AllMissingColumn(InputError):
-    """A column holds no present values, so it cannot be imputed."""
-
-    def __init__(self, column: str):
-        super().__init__(f"column {column!r} has no present values")
-        self.column = column
-
-
-# -- preprocess / metrics ----------------------------------------------------
-
-class UnknownFeature(InputError):
-    """A requested feature name is not supported."""
-
+# -- input ------------------------------------------------------------------
 
 class MissingValuesPresent(InputError):
     """A selected column still contains missing values."""
@@ -78,11 +45,7 @@ class EmptyInput(InputError):
 
 
 class DimensionMismatch(InputError):
-    """Operand shapes are inconsistent."""
-
-
-class LengthMismatch(InputError):
-    """Two vectors that must align have different lengths."""
+    """Operand shapes or lengths are inconsistent."""
 
 
 class DegenerateSplit(InputError):
@@ -91,10 +54,6 @@ class DegenerateSplit(InputError):
 
 class ConstantTarget(InputError):
     """R-squared is undefined because the target has zero variance."""
-
-
-class FeatureMismatch(InputError):
-    """A model's feature set cannot be extrapolated over the horizon."""
 
 
 class NoValidCell(InputError):
@@ -121,10 +80,6 @@ class NonFiniteObjective(NumericError):
     def __init__(self, message: str, iteration: int = -1):
         super().__init__(message)
         self.iteration = iteration
-
-
-class SingularMatrix(NumericError):
-    """A linear system has no unique solution."""
 
 
 class DegenerateKernelMatrix(NumericError):

@@ -15,12 +15,13 @@ from datetime import date as Date
 import numpy as np
 
 from .dataset import CaseSeries, horizon_dates, window
-from .errors import FeatureMismatch, InputError
+from .errors import InputError
 from .metrics import EvalResult
 from .models import FamilyConfig, TrainedModel, predict_raw, train_on_split
 from .preprocess import SplitSpec, build_supervised, standardized_split
 
 SCENARIO_TARGETS = ("confirmed", "deaths")
+SCALES = ("linear", "log")
 
 
 @dataclass(frozen=True)
@@ -51,7 +52,7 @@ class ForecastReport:
 
 def _require_day_index_only(model: TrainedModel) -> None:
     if model.feature_names != ("day_index",):
-        raise FeatureMismatch(
+        raise InputError(
             f"cannot extrapolate features {model.feature_names}; horizon "
             "forecasting needs a model trained on day_index alone (future "
             "covariate series are not supported)"
@@ -180,7 +181,7 @@ def emit_plot_series(
     of the two is present; log maps v to log10(v + 1) so zeros plot).
     ``target`` picks the observed column.
     """
-    if scale not in ("linear", "log"):
+    if scale not in SCALES:
         raise InputError(f"unknown scale {scale!r}; use linear or log")
 
     def display(v: float) -> float:

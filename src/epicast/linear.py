@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivergenceError, SingularMatrix
+from .errors import DimensionMismatch, DivergenceError, NumericError
 from .preprocess import as_design, as_xy
 
 
@@ -100,6 +100,6 @@ def ols_closed_form(x: np.ndarray, y: np.ndarray) -> LinRegParams:
     design = np.column_stack([xs, np.ones(xs.shape[0])])
     gram = design.T @ design
     if np.linalg.matrix_rank(gram) < gram.shape[0]:
-        raise SingularMatrix("design matrix with intercept is rank deficient")
+        raise NumericError("design matrix with intercept is rank deficient")
     coef = np.linalg.solve(gram, design.T @ ys)
     return LinRegParams(slope=coef[:-1], intercept=float(coef[-1]))

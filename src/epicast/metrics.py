@@ -6,14 +6,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstantTarget, EmptyInput, LengthMismatch
+from .errors import ConstantTarget, DimensionMismatch, EmptyInput
 
 
 def _paired(y_true: np.ndarray, y_pred: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     t = np.asarray(y_true, dtype=float).ravel()
     p = np.asarray(y_pred, dtype=float).ravel()
     if t.size != p.size:
-        raise LengthMismatch(f"y_true has {t.size} values, y_pred has {p.size}")
+        raise DimensionMismatch(f"y_true has {t.size} values, y_pred has {p.size}")
     if t.size == 0:
         raise EmptyInput("metrics need at least one pair")
     return t, p

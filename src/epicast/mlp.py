@@ -47,20 +47,23 @@ class ActivationKind:
 
     kind: str
 
+    def __post_init__(self) -> None:
+        if self.kind not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.kind!r}")
+
     def f(self, b: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         if self.kind == "tanh":
             return np.tanh(b, out=out)
         if self.kind == "relu":
             return np.maximum(0.0, b, out=out)
-        if self.kind == "logistic":
-            if out is None:
-                out = np.empty_like(b, dtype=float)
-            pos = b >= 0
-            out[pos] = 1.0 / (1.0 + np.exp(-b[pos]))
-            eb = np.exp(b[~pos])
-            out[~pos] = eb / (1.0 + eb)
-            return out
-        raise ValueError(f"unknown activation {self.kind!r}")
+        # logistic
+        if out is None:
+            out = np.empty_like(b, dtype=float)
+        pos = b >= 0
+        out[pos] = 1.0 / (1.0 + np.exp(-b[pos]))
+        eb = np.exp(b[~pos])
+        out[~pos] = eb / (1.0 + eb)
+        return out
 
     def f_prime(self, h: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """1 - h^2 for tanh, h (1 - h) for logistic, [h > 0] for relu."""
@@ -71,10 +74,9 @@ class ActivationKind:
             return np.subtract(1.0, out, out=out)
         if self.kind == "relu":
             return np.greater(h, 0.0, out=out)
-        if self.kind == "logistic":
-            np.subtract(1.0, h, out=out)
-            return np.multiply(h, out, out=out)
-        raise ValueError(f"unknown activation {self.kind!r}")
+        # logistic
+        np.subtract(1.0, h, out=out)
+        return np.multiply(h, out, out=out)
 
 
 @dataclass(frozen=True)

@@ -17,7 +17,7 @@ from typing import Any, Callable, NoReturn
 import numpy as np
 
 from .dataset import read_text
-from .errors import FeatureMismatch, InputError, NumericError
+from .errors import InputError, NumericError
 from .linear import LinRegConfig, LinRegParams, linreg_fit, linreg_predict
 from .metrics import EvalResult, evaluate
 from .mlp import ActivationKind, MlpConfig, MlpParams, forward, train_mlp
@@ -272,7 +272,7 @@ def predict_raw(model: TrainedModel, x_raw: np.ndarray) -> np.ndarray:
     non-finite prediction raises NumericError."""
     xs = as_design(x_raw)
     if xs.shape[1] != len(model.feature_names):
-        raise FeatureMismatch(
+        raise InputError(
             f"model expects features {model.feature_names}, got {xs.shape[1]} columns"
         )
     with np.errstate(over="ignore", invalid="ignore"):

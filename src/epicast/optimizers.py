@@ -50,6 +50,10 @@ class LbfgsConfig:
     max_iterations: int = 500
     grad_tolerance: float = 1e-6
 
+    def __post_init__(self) -> None:
+        if not 0.0 <= self.grad_tolerance < np.inf:
+            raise ValueError("grad_tolerance must be nonnegative and finite")
+
 
 @dataclass
 class MinimizeResult:

@@ -23,9 +23,7 @@ from .errors import (
     DimensionMismatch,
     EmptyInput,
     InputError,
-    LengthMismatch,
     MissingValuesPresent,
-    UnknownFeature,
 )
 
 # Columns constant over a split would otherwise divide by ~0.
@@ -35,6 +33,7 @@ EPSILON_FLOOR = 1e-12
 MAX_SCALE = float(np.sqrt(np.finfo(float).max))
 
 VALID_FEATURES = ("day_index",) + COUNT_COLUMNS
+SPLIT_MODES = ("chronological", "shuffled")
 
 
 @dataclass(frozen=True)
@@ -81,7 +80,7 @@ def as_xy(
     ys = np.asarray(y, dtype=float).ravel()
     n = xs.shape[0]
     if n != ys.size:
-        raise LengthMismatch(f"x has {n} rows but y has {ys.size} values")
+        raise DimensionMismatch(f"x has {n} rows but y has {ys.size} values")
     if n < min_rows:
         raise DimensionMismatch(f"need at least {min_rows} rows to fit, got {n}")
     return xs, ys
@@ -139,7 +138,7 @@ class SplitSpec:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.mode not in ("chronological", "shuffled"):
+        if self.mode not in SPLIT_MODES:
             raise DegenerateSplit(f"unknown split mode {self.mode!r}")
         if not 0.0 < self.train_fraction < 1.0:
             raise DegenerateSplit(
@@ -162,7 +161,7 @@ def build_supervised(
     feature_names = tuple(feature_names)
     for name in feature_names + (target_name,):
         if name not in VALID_FEATURES:
-            raise UnknownFeature(f"unknown column {name!r}; valid: {VALID_FEATURES}")
+            raise InputError(f"unknown column {name!r}; valid: {VALID_FEATURES}")
     if not feature_names:
         raise EmptyInput("at least one feature column is required")
     if len(series) == 0:

@@ -55,6 +55,8 @@ FLOAT_MAX = float(np.finfo(float).max)
 # the same size, and svr_predict in blocks of a quarter of it.
 ROW_CACHE_BYTES = 2 * 2**20
 
+KERNELS = ("linear", "rbf", "poly")
+
 
 @dataclass(frozen=True)
 class KernelSpec:
@@ -72,7 +74,7 @@ class KernelSpec:
     def __post_init__(self) -> None:
         # Bounded by FLOAT_MAX rather than inf, so that an integer too large
         # for a float is rejected here and not by the kernel arithmetic.
-        if self.kind not in ("linear", "rbf", "poly"):
+        if self.kind not in KERNELS:
             raise ValueError(f"unknown kernel kind {self.kind!r}")
         if self.gamma is not None and not 0.0 < self.gamma <= FLOAT_MAX:
             raise ValueError("gamma must be positive and finite")

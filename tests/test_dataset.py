@@ -14,15 +14,7 @@ from epicast import (
     summarize,
     window,
 )
-from epicast.errors import (
-    AllMissingColumn,
-    DuplicateDate,
-    EmptyWindow,
-    GapInDates,
-    InputError,
-    MalformedHeader,
-    UnparseableDate,
-)
+from epicast.errors import InputError
 
 GOOD = """date,tests,confirmed,deaths
 2021-01-01,100,10,1
@@ -137,27 +129,23 @@ class TestParseCsv:
 
     def test_duplicate_date_rejected(self):
         text = "date,tests,confirmed,deaths\n2021-01-01,1,1,1\n2021-01-01,2,2,2\n"
-        with pytest.raises(DuplicateDate):
+        with pytest.raises(InputError, match="line 3: duplicate date"):
             parse_csv(text)
 
     def test_unparseable_date_reports_line(self):
         text = "date,tests,confirmed,deaths\n2021-01-01,1,1,1\nnot-a-date,2,2,2\n"
-        with pytest.raises(UnparseableDate) as exc:
+        with pytest.raises(InputError, match=r"^line 3: cannot parse date"):
             parse_csv(text)
-        assert exc.value.line == 3
-        assert "line 3" in str(exc.value)
 
     @pytest.mark.parametrize("cell", ["20210102", "2021-W01-5"])
     def test_only_yyyy_mm_dd_dates(self, cell):
         text = f"date,tests,confirmed,deaths\n2021-01-01,1,1,1\n{cell},2,2,2\n"
-        with pytest.raises(UnparseableDate) as exc:
+        with pytest.raises(InputError, match=r"^line 3: cannot parse date"):
             parse_csv(text)
-        assert exc.value.line == 3
-        assert "line 3" in str(exc.value)
 
     def test_gap_rejected_without_fill(self):
         text = "date,tests,confirmed,deaths\n2021-01-01,1,1,1\n2021-01-03,2,2,2\n"
-        with pytest.raises(GapInDates):
+        with pytest.raises(InputError, match="gap between"):
             parse_csv(text)
 
     def test_gap_filled_on_request(self):
@@ -169,11 +157,11 @@ class TestParseCsv:
         assert series.tests[2] == 2
 
     def test_missing_header_column(self):
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(InputError, match="missing required columns"):
             parse_csv("date,tests,confirmed\n2021-01-01,1,1\n")
 
     def test_empty_input(self):
-        with pytest.raises(MalformedHeader):
+        with pytest.raises(InputError, match="no header row"):
             parse_csv("")
 
     def test_header_only_gives_empty_series(self):
@@ -242,7 +230,7 @@ class TestWindow:
 
     def test_empty_window(self):
         series = parse_csv(GOOD)
-        with pytest.raises(EmptyWindow):
+        with pytest.raises(InputError, match="no rows between"):
             window(series, Date(2022, 1, 1), Date(2022, 2, 1))
 
     def test_inverted_window(self):
@@ -278,7 +266,7 @@ class TestImpute:
 
     def test_all_missing_column(self):
         text = "date,tests,confirmed,deaths\n2021-01-01,1,5,\n2021-01-02,1,5,\n"
-        with pytest.raises(AllMissingColumn):
+        with pytest.raises(InputError, match="'deaths' has no present values"):
             impute_missing(parse_csv(text), "mean")
 
     def test_unknown_policy(self):

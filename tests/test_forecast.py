@@ -21,7 +21,7 @@ from epicast import (
     scenario_run,
     window,
 )
-from epicast.errors import FeatureMismatch, InputError
+from epicast.errors import InputError
 
 
 def identity_scaler(width=1):
@@ -136,7 +136,7 @@ class TestForecast:
             target_name="confirmed",
             train_meta={},
         )
-        with pytest.raises(FeatureMismatch):
+        with pytest.raises(InputError, match="cannot extrapolate"):
             forecast_raw(model, 0, 5)
 
     def test_deterministic(self):

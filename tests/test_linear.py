@@ -12,7 +12,7 @@ from epicast import (
     standardized_split,
     transform,
 )
-from epicast.errors import DivergenceError, DimensionMismatch, SingularMatrix
+from epicast.errors import DivergenceError, DimensionMismatch, NumericError
 
 
 def standardized_line(rng, n=60, slope=2.0, intercept=1.0, noise=0.0):
@@ -238,5 +238,5 @@ class TestOls:
 
     def test_singular_design(self):
         x = np.column_stack([np.ones(5), np.ones(5)])  # duplicate of intercept
-        with pytest.raises(SingularMatrix):
+        with pytest.raises(NumericError, match="rank deficient"):
             ols_closed_form(x, np.arange(5.0))

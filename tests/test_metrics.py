@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from epicast import evaluate, fit_scaler, mse, r2_score, transform
-from epicast.errors import ConstantTarget, EmptyInput, LengthMismatch
+from epicast.errors import ConstantTarget, DimensionMismatch, EmptyInput
 
 
 class TestMse:
@@ -22,7 +22,7 @@ class TestMse:
             assert mse(rng.normal(size=10), rng.normal(size=10)) >= 0.0
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch, match="y_true has 1 values"):
             mse([1.0], [1.0, 2.0])
 
     def test_empty(self):

@@ -10,7 +10,7 @@ from epicast import (
     loss_and_gradient,
     train_mlp,
 )
-from epicast.errors import DimensionMismatch, InputError, LengthMismatch, NonFiniteLoss
+from epicast.errors import DimensionMismatch, InputError, NonFiniteLoss
 from epicast.mlp import Workspace
 from epicast.optimizers import (
     FunctionObjective,
@@ -150,6 +150,10 @@ class TestActivations:
     def test_relu(self):
         act = ActivationKind("relu")
         assert act.f(np.array([-2.0, 0.0, 3.0])) == pytest.approx([0.0, 0.0, 3.0])
+
+    def test_unknown_kind_rejected_at_construction(self):
+        with pytest.raises(ValueError, match="unknown activation 'bogus'"):
+            ActivationKind("bogus")
 
     @pytest.mark.parametrize("kind", ["tanh", "relu", "logistic"])
     def test_derivative_matches_finite_difference(self, kind, rng):
@@ -316,7 +320,7 @@ class TestLossAndGradient:
     def test_length_mismatch(self):
         cfg = MlpConfig(hidden_layers=1, neurons_per_layer=2)
         p = init_params(cfg, 1)
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch, match="x has 3 rows but y has 4 values"):
             loss_and_gradient(p, ActivationKind("tanh"), np.zeros((3, 1)), np.zeros(4))
 
     @pytest.mark.parametrize("kind", ["tanh", "relu", "logistic"])

@@ -20,7 +20,7 @@ from epicast import (
     standardized_split,
     train_on_split,
 )
-from epicast.errors import FeatureMismatch, InputError, NumericError
+from epicast.errors import InputError, NumericError
 
 
 @pytest.fixture(scope="module")
@@ -97,7 +97,7 @@ class TestPredict:
 
     def test_feature_width_checked(self, std_split):
         model, _ = fit("linreg", LinRegConfig(), std_split)
-        with pytest.raises(FeatureMismatch):
+        with pytest.raises(InputError, match="model expects features"):
             predict_raw(model, np.zeros((3, 2)))
 
     def test_original_space_eval_scales_mse_only(self, std_split):

@@ -83,6 +83,12 @@ class TestLbfgs:
         res = lbfgs_minimize(obj, np.zeros(2), LbfgsConfig(grad_tolerance=0.0))
         assert (res.status, res.iterations) == ("converged", 0)
 
+    @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
+    def test_config_rejects_bad_grad_tolerance(self, tol):
+        # no gradient norm is at most a negative or NaN tolerance
+        with pytest.raises(ValueError, match="grad_tolerance"):
+            LbfgsConfig(grad_tolerance=tol)
+
     def test_trace_non_increasing(self, rng):
         for _ in range(10):
             dim = int(rng.integers(2, 12))

@@ -19,7 +19,6 @@ from epicast.errors import (
     EmptyInput,
     InputError,
     MissingValuesPresent,
-    UnknownFeature,
 )
 from epicast.models import model_from_dict, model_to_dict
 from epicast.preprocess import EPSILON_FLOOR, MAX_SCALE, SupervisedSet, column_product
@@ -45,7 +44,7 @@ class TestBuildSupervised:
         assert data.target_name == "confirmed"
 
     def test_unknown_feature(self):
-        with pytest.raises(UnknownFeature):
+        with pytest.raises(InputError, match="unknown column 'weather'"):
             build_supervised(parse_csv(CSV), ("day_index", "weather"), "confirmed")
 
     def test_missing_values_rejected(self):

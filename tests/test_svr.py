@@ -23,7 +23,7 @@ from epicast import (
     train_on_split,
 )
 from epicast import svr
-from epicast.errors import DegenerateKernelMatrix, DimensionMismatch, LengthMismatch
+from epicast.errors import DegenerateKernelMatrix, DimensionMismatch
 from epicast.svr import ROW_CACHE_BYTES, ZERO_TOL, _row_cache
 
 
@@ -646,7 +646,7 @@ class TestSvrFit:
         assert peak <= ROW_CACHE_BYTES + 16 * n * 8
 
     def test_length_mismatch(self):
-        with pytest.raises(LengthMismatch):
+        with pytest.raises(DimensionMismatch, match="x has 3 rows but y has 4 values"):
             svr_fit(np.zeros((3, 1)), np.zeros(4), SvrConfig())
 
     def test_needs_two_rows(self):
