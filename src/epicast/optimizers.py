@@ -51,6 +51,8 @@ class LbfgsConfig:
     grad_tolerance: float = 1e-6
 
     def __post_init__(self) -> None:
+        if self.max_iterations < 1:
+            raise ValueError("max_iterations must be at least 1")
         if not 0.0 <= self.grad_tolerance < np.inf:
             raise ValueError("grad_tolerance must be nonnegative and finite")
 

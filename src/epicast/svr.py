@@ -5,12 +5,25 @@ The dual is solved in the combined variable beta_i = alpha_i - alpha_i*
 
     minimize  f(beta) = 1/2 beta' K beta - y' beta + eps * ||beta||_1
 
-Pairwise coordinate updates keep the equality constraint exact: each step
-picks the maximally KKT-violating (increase, decrease) pair and moves it to
-the minimum of the pair objective or to the first box bound or zero
-crossing, whichever comes first. Stopping at zero keeps the objective
-smooth along every step, as in the (alpha, alpha*) form of the dual. A
-small brute-force grid oracle (qp_oracle) certifies optimality in tests.
+svr_fit takes three steps.
+
+1. Factor. A pivoted incomplete Cholesky factor K ~ L L' (Fine &
+   Scheinberg 2001, JMLR 2) is built from at most as many Gram rows as the
+   row cache below holds, so it fits the same budget. The factor finds the
+   rank: on one standardized column, the design of every grid cell, it is
+   1 for linear, p + 1 for poly-p and 19 for rbf.
+2. Interior point. The (alpha, alpha*) form of the dual on L L' is solved
+   by Mehrotra's predictor-corrector; each Newton system is one r x r
+   solve by Sherman-Morrison-Woodbury. The solution is snapped onto its
+   bounds and sum(beta) = 0 is restored.
+3. Finish. Pairwise coordinate updates take it from there. Each picks the
+   maximally KKT-violating (increase, decrease) pair and moves it to the
+   minimum of the pair objective or to the first box bound or zero
+   crossing, whichever comes first, so the equality stays exact. Stopping
+   at zero keeps the objective smooth along every step, as in the (alpha,
+   alpha*) form. Their violation test is the one KKT rule behind
+   converged, and passes counts these updates alone. A small brute-force
+   grid oracle (qp_oracle) certifies optimality in tests.
 
 Each pass reads two contiguous rows of the exactly symmetric Gram to
 update K beta. The eps shift that each coefficient adds to its KKT
@@ -20,15 +33,15 @@ only the two entries it moved. The length-n vectors a pass forms
 allocated once per fit; the coefficients, which a pass reads and writes
 one at a time, are Python floats until the fit ends.
 
-A fit never builds the n x n Gram. It builds row i as
-gram_matrix(kernel, xs[i:i+1], xs)[0] when a pass first reads it and keeps
-it in a per-fit row cache (the kernel cache of LIBSVM, Chang & Lin 2011,
-section 5.1): one preallocated block of ROW_CACHE_BYTES, where a miss
-evicts the least recently read row, as LIBSVM does. The working pairs
-reread rows over short distances, so a small block keeps nearly every hit
-(see ROW_CACHE_BYTES). gram_matrix forms each entry from its own two rows
-alone, so such a row is bit-equal to the same row of the full Gram at
-every design width, and the cache size never changes a fit.
+A fit never builds the n x n Gram. The factor builds its pivot rows, and
+the pair loop builds row i as gram_matrix(kernel, xs[i:i+1], xs)[0] when a
+pass first reads it and keeps it in a per-fit row cache (the kernel cache
+of LIBSVM, Chang & Lin 2011, section 5.1): one preallocated block of
+ROW_CACHE_BYTES, where a miss evicts the least recently read row, as
+LIBSVM does. The factor and the interior point's buffers are freed before
+that block is allocated. gram_matrix forms each entry from its own two
+rows alone, so such a row is bit-equal to the same row of the full Gram
+at every design width, and the cache size never changes a fit.
 """
 
 from __future__ import annotations
@@ -47,15 +60,25 @@ from .preprocess import as_design, as_xy, column_product
 ZERO_TOL = 1e-12
 FLOAT_MAX = float(np.finfo(float).max)
 # Byte budget of one fit's Gram row cache: 63 rows at 4160 training rows,
-# and every row up to 512. The maximal-violating-pair solver rereads rows
-# over short distances, so 63 slots keep nearly every hit: evicting the
-# least recently read row, the ten default fits of the 5200-day grid
-# build 12 218 rows here (12 458 first in, first out; 11 075 at 16 MiB),
-# with the same coefficients. The finiteness scan builds rows in blocks of
-# the same size, and svr_predict in blocks of a quarter of it.
+# and every row up to 512. The factor holds at most as many rows, and is
+# freed before the cache is allocated. From the interior-point start the
+# ten default fits of the 5200-day grid build 96 Gram rows in all, factor
+# included. From a zero start the maximal-violating-pair solver rereads
+# rows over short distances, so 63 slots keep nearly every hit: evicting
+# the least recently read row, the same fits build 12 218 rows (12 458
+# first in, first out; 11 075 at 16 MiB), with the same coefficients. The
+# finiteness scan builds rows in blocks of the same size, and svr_predict
+# in blocks of a quarter of it.
 ROW_CACHE_BYTES = 2 * 2**20
 
 KERNELS = ("linear", "rbf", "poly")
+# The factor stops once its largest residual diagonal is at most this
+# fraction of the Gram's mean diagonal.
+FACTOR_TOL = 1e-13
+# The interior point stops after IPM_ITERATIONS, or once its mean
+# complementarity is at most IPM_GAP times the KKT tolerance.
+IPM_ITERATIONS = 100
+IPM_GAP = 1e-8
 
 
 @dataclass(frozen=True)
@@ -98,6 +121,10 @@ class SvrConfig:
             raise ValueError("c must be positive and finite")
         if not 0.0 <= self.epsilon < np.inf:
             raise ValueError("epsilon must be nonnegative and finite")
+        # no violation is at most a NaN or negative tolerance, and an
+        # infinite one certifies any start
+        if not 0.0 <= self.tolerance < np.inf:
+            raise ValueError("tolerance must be nonnegative and finite")
         if self.max_passes < 1:
             raise ValueError("max_passes must be at least 1")
 
@@ -109,8 +136,9 @@ class SvrParams:
     alphas holds beta_i = alpha_i - alpha_i* for every training row;
     support_vectors / support_coefs keep only the rows with nonzero dual
     coefficient, which is all prediction needs. kernel is the resolved
-    spec (gamma filled in). converged False flags a fit stopped by the
-    pass budget; its last iterate is still usable.
+    spec (gamma filled in). passes counts the pair loop's updates after
+    the interior-point start; converged False flags a fit stopped by the
+    pass budget, and its last iterate is still usable.
     """
 
     alphas: np.ndarray
@@ -139,7 +167,18 @@ def gram_matrix(k: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
         raise DimensionMismatch(f"row width mismatch: {d} versus {b.shape[1]}")
     if k.kind != "linear" and k.gamma is None:
         raise ValueError("gamma unresolved; fit resolves it or pass a value")
-    ab = column_product(a, b)
+    return _kernel_values(
+        k,
+        column_product(a, b),
+        lambda: np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :],
+    )
+
+
+def _kernel_values(
+    k: KernelSpec, ab: np.ndarray, norms: Callable[[], np.ndarray]
+) -> np.ndarray:
+    """Kernel k applied in place to the dot products ab. rbf also calls
+    norms() for the matching sums |a|^2 + |b|^2, which it overwrites."""
     if k.kind == "linear":
         return ab
     if k.kind == "poly":
@@ -148,7 +187,7 @@ def gram_matrix(k: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
         ab **= k.degree
         return ab
     ab *= 2.0
-    sq = np.sum(a * a, axis=1)[:, None] + np.sum(b * b, axis=1)[None, :]
+    sq = norms()
     sq -= ab
     np.maximum(sq, 0.0, out=sq)
     sq *= -k.gamma
@@ -247,6 +286,12 @@ def _gram_finite(kernel: KernelSpec, xs: np.ndarray, block: int) -> bool:
         )
 
 
+def _cache_rows(n: int) -> int:
+    """Slots of a fit's row cache at n training rows, which also cap its
+    factor: as many rows of n floats as ROW_CACHE_BYTES holds, 2 to n."""
+    return max(2, min(n, ROW_CACHE_BYTES // (8 * n)))
+
+
 def _row_cache(
     kernel: KernelSpec, xs: np.ndarray, capacity: int
 ) -> Callable[[int], np.ndarray]:
@@ -274,43 +319,274 @@ def _row_cache(
     return row
 
 
-def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
-    """Solve the dual by maximal-violating-pair coordinate updates.
+def _gram_diagonal(kernel: KernelSpec, xs: np.ndarray) -> np.ndarray:
+    """The diagonal of gram_matrix(kernel, xs, xs), by the same arithmetic,
+    without the matrix."""
+    ab = np.zeros(xs.shape[0])
+    for col in xs.T:  # column_product's sum, in its order
+        ab += col * col
+    return _kernel_values(kernel, ab, lambda: 2.0 * np.sum(xs * xs, axis=1))
 
-    Terminates when no pair violates the KKT conditions beyond
-    cfg.tolerance, or flags converged=False after cfg.max_passes updates.
-    The equality constraint holds exactly throughout because every update
-    moves a pair in opposite directions by the same amount.
 
-    Each pass reads rows i and j of the Gram in place of its columns, which
-    relies on the Gram being exactly symmetric. It reads them one after the
-    other from a least-recently-read row cache of ROW_CACHE_BYTES (63 rows
-    at n = 4160, every row up to n = 512), so the read of row j never
-    evicts row i, and it never holds the n x n matrix.
-    DegenerateKernelMatrix is raised when any entry of the full Gram would
-    be non-finite.
+def _factor(
+    kernel: KernelSpec, xs: np.ndarray, capacity: int
+) -> tuple[np.ndarray, float, float]:
+    """(f, scale, residual): K ~ scale * f' f, with f of shape (rank, n) a
+    pivoted incomplete Cholesky factor of at most capacity rows, and the
+    largest |diagonal| of K - scale * f' f.
+
+    Each step builds the Gram row of the largest residual diagonal, the
+    pivot (Fine & Scheinberg 2001, JMLR 2), and the factor stops once that
+    diagonal is at most FACTOR_TOL; scale is the mean |diagonal| of K, the
+    unit of f. For a positive semidefinite K every entry of K - scale * f' f
+    is at most residual. residual is inf when the cap stops the factor
+    first, or when a residual diagonal falls below -FACTOR_TOL, which shows
+    that K is not positive semidefinite.
     """
-    xs, ys = as_xy(x, y, min_rows=2)
     n = xs.shape[0]
+    with np.errstate(over="ignore"):
+        d = _gram_diagonal(kernel, xs)
+    scale = float(np.sum(np.abs(d) / n))  # the mean, without overflow
+    f = np.empty((0, n))
+    if scale == 0.0:  # the zero Gram: rank 0
+        return f, 0.0, 0.0
+    d /= scale
+    rank = 0
+    while rank < capacity and d.max() > FACTOR_TOL:
+        if rank == f.shape[0]:  # grow by doubling, up to capacity rows
+            grown = np.empty((min(capacity, max(8, 2 * rank)), n))
+            grown[:rank] = f
+            f = grown
+        p = int(d.argmax())
+        g = f[rank]
+        with np.errstate(over="ignore"):
+            g[:] = gram_matrix(kernel, xs[p:p + 1], xs)[0]
+        g /= scale
+        g -= f[:rank].T @ f[:rank, p]
+        g /= math.sqrt(d[p])
+        d -= g * g
+        rank += 1
+    top = float(np.max(np.abs(d)))
+    if top > FACTOR_TOL:
+        return f[:rank], scale, math.inf
+    return f[:rank], scale, top * scale
 
-    kernel = resolve_gamma(cfg.kernel, xs)
-    capacity = max(2, min(n, ROW_CACHE_BYTES // (8 * n)))
-    if not _gram_finite(kernel, xs, capacity):
-        raise DegenerateKernelMatrix(
-            "kernel matrix has non-finite entries; standardize the data or "
-            "lower the polynomial degree"
+
+def _interior_point(
+    f: np.ndarray, ys: np.ndarray, c: float, eps: float, stop: float
+) -> np.ndarray:
+    """beta minimizing the dual with K = f' f, by a primal-dual
+    interior-point method with Mehrotra's predictor-corrector (Mehrotra
+    1992, SIAM J. Optim. 2(4)), then snapped to its bounds.
+
+    The variables are z = (alpha, alpha*) in [0, c]^(2 x n), beta = alpha -
+    alpha*, with multipliers w for z >= 0, v for z <= c and lam for
+    sum(beta) = 0. The objective is 1/2 z' V V' z + (eps - y, eps + y)' z
+    with V = (f', -f'). A Newton step solves (D + V V') dz = rho with D
+    diagonal; by Sherman-Morrison-Woodbury that is one r x r system
+    M = I + f diag(1/D_alpha + 1/D_alpha*) f', so it costs O(n r^2) for
+    the r rows of f. The iteration stops once the mean complementarity mu
+    is at most stop, or a thousandth of the dual residual, below which
+    rounding leaves nothing to gain, or after IPM_ITERATIONS.
+
+    A coefficient whose distance to a bound is below that bound's
+    multiplier is then moved onto the bound.
+    """
+    r, n = f.shape
+    z = np.full((2, n), 0.5 * c)
+    w, v = np.ones((2, n)), np.ones((2, n))
+    lam = 0.0
+    # per-fit buffers: c - z, D^-1, the dual residual, the right-hand side,
+    # the direction, its complementarity targets p and t, scratch, and the
+    # solution for the equality's column b = (1, -1)
+    gap, inv, res, rho, dz, dw, dv, p, t, tmp, xb = np.empty((11, 2, n))
+    k_beta, e, ft = np.empty((3, n))
+    # M is summed over blocks of f's columns, so the product (f * e) never
+    # holds a second r x n array next to f
+    block = 512
+
+    def solve(rhs: np.ndarray) -> float:
+        """dz = (D + V V')^-1 (rhs - b dlam) with b' dz = -sum(beta); returns
+        dlam."""
+        np.multiply(rhs, inv, out=dz)
+        np.subtract(dz[0], dz[1], out=ft)
+        np.dot(f.T, np.linalg.solve(m, f @ ft), out=ft)
+        np.subtract(rhs[0], ft, out=dz[0])
+        np.add(rhs[1], ft, out=dz[1])
+        np.multiply(dz, inv, out=dz)
+        dlam = (float(dz[0].sum()) - float(dz[1].sum()) + primal) / sb
+        np.multiply(xb, dlam, out=tmp)
+        np.subtract(dz, tmp, out=dz)
+        return dlam
+
+    def direction(target: float, cw: np.ndarray | float, cv: np.ndarray | float) -> float:
+        """The Newton step to z w = target - cw, (c - z) v = target + cv in
+        (dz, dw, dv); returns dlam."""
+        np.multiply(z, w, out=p)
+        np.subtract(target, p, out=p)
+        np.subtract(p, cw, out=p)
+        np.multiply(gap, v, out=t)
+        np.subtract(target, t, out=t)
+        np.add(t, cv, out=t)
+        np.divide(p, z, out=rho)
+        np.divide(t, gap, out=tmp)
+        np.subtract(rho, tmp, out=rho)
+        np.subtract(rho, res, out=rho)
+        dlam = solve(rho)
+        np.multiply(w, dz, out=dw)  # dw = (p - w dz) / z
+        np.subtract(p, dw, out=dw)
+        np.divide(dw, z, out=dw)
+        np.multiply(v, dz, out=dv)  # dv = (t + v dz) / (c - z)
+        np.add(t, dv, out=dv)
+        np.divide(dv, gap, out=dv)
+        return dlam
+
+    def longest_step() -> float:
+        """The longest step up to 1 along (dz, dw, dv) that stays inside."""
+        top = 1.0
+        for num, den, sign in ((dz, z, -1.0), (dz, gap, 1.0), (dw, w, -1.0), (dv, v, -1.0)):
+            np.divide(num, den, out=tmp)
+            top = max(top, float(tmp.max()) if sign > 0.0 else -float(tmp.min()))
+        return 1.0 / top
+
+    for _ in range(IPM_ITERATIONS):
+        np.subtract(z[0], z[1], out=k_beta)
+        primal = float(k_beta.sum())
+        np.dot(f.T, f @ k_beta, out=k_beta)
+        k_beta -= ys
+        k_beta += lam
+        np.subtract(c, z, out=gap)
+        # res = (K beta - y + lam, -(K beta - y + lam)) + eps - w + v
+        np.subtract(v, w, out=res)
+        res += eps
+        res[0] += k_beta
+        res[1] -= k_beta
+        np.multiply(z, w, out=tmp)
+        mu = float(tmp.sum())
+        np.multiply(gap, v, out=tmp)
+        mu = (mu + float(tmp.sum())) / (4 * n)
+        if mu <= max(stop, 1e-3 * max(float(np.abs(res).max()), abs(primal))):
+            break
+        np.divide(w, z, out=inv)
+        np.divide(v, gap, out=tmp)
+        inv += tmp
+        np.reciprocal(inv, out=inv)
+        np.add(inv[0], inv[1], out=e)
+        m = np.eye(r)
+        for start in range(0, n, block):
+            fc = f[:, start:start + block]
+            m += (fc * e[start:start + block]) @ fc.T
+        # (D + V V')^-1 b = (1 - f' M^-1 f e) * (inv_alpha, -inv_alpha*)
+        np.dot(f.T, np.linalg.solve(m, f @ e), out=ft)
+        np.subtract(1.0, ft, out=ft)
+        np.multiply(ft, inv[0], out=xb[0])
+        np.multiply(ft, inv[1], out=xb[1])
+        np.negative(xb[1], out=xb[1])
+        sb = float(xb[0].sum()) - float(xb[1].sum())
+
+        # predictor: the affine step, to z w = 0
+        direction(0.0, 0.0, 0.0)
+        step = longest_step()
+        np.multiply(dz, step, out=tmp)
+        tmp += z
+        np.multiply(dw, step, out=p)
+        p += w
+        tmp *= p
+        mu_aff = float(tmp.sum())
+        np.multiply(dz, -step, out=tmp)
+        tmp += gap
+        np.multiply(dv, step, out=p)
+        p += v
+        tmp *= p
+        mu_aff = (mu_aff + float(tmp.sum())) / (4 * n)
+        # corrector: centred on mu (mu_aff / mu)^3, with the predictor's
+        # second-order terms dz dw and dz dv
+        dw *= dz
+        dv *= dz
+        dlam = direction(mu * (mu_aff / mu) ** 3, dw, dv)
+        step = min(1.0, 0.99 * longest_step())  # 0.99: stay strictly inside
+        if not math.isfinite(step * dlam + float(dz.sum() + dw.sum() + dv.sum())):
+            break
+        dz *= step
+        z += dz
+        dw *= step
+        w += dw
+        dv *= step
+        v += dv
+        lam += step * dlam
+
+    z[z < w] = 0.0
+    np.subtract(c, z, out=gap)
+    z[gap < v] = c
+    return z[0] - z[1]
+
+
+def _start(
+    kernel: KernelSpec, xs: np.ndarray, ys: np.ndarray, cfg: SvrConfig, capacity: int
+) -> tuple[list[float], np.ndarray]:
+    """(beta, q): a start for the pair loop, a list with sum(beta) = 0 and
+    |beta| <= C, and q = K beta.
+
+    beta is the interior point's solution on K ~ L L', L = sqrt(scale) f'.
+    q is L (L' beta) when the bound on its error, the factor's residual
+    times C n, is at most a hundredth of the KKT tolerance, and is otherwise
+    built exactly, in svr_predict's row blocks. A start that is not finite
+    is replaced by beta = 0, q = 0.
+    """
+    n = xs.shape[0]
+    f, scale, residual = _factor(kernel, xs, capacity)
+    unit = scale if scale > 0.0 else 1.0
+    with np.errstate(all="ignore"):  # a failed solve ends in the check below
+        beta = _interior_point(
+            f, ys / unit, cfg.c, cfg.epsilon / unit, IPM_GAP * cfg.tolerance / unit
         )
-    row = _row_cache(kernel, xs, capacity)
+    excess = float(beta.sum())
+    if not abs(excess) <= cfg.c:  # NaN too
+        return [0.0] * n, np.zeros(n)
+    # restore sum(beta) = 0 on the coefficient with the most room for it
+    beta[int(beta.argmax()) if excess > 0.0 else int(beta.argmin())] -= excess
+    if residual * cfg.c * n <= cfg.tolerance / 100.0:
+        q = scale * (f.T @ (f @ beta))
+    else:
+        del f
+        keep = beta != 0.0
+        q = svr_predict(SvrParams(beta, 0.0, xs[keep], beta[keep], kernel), xs)
+    # equal coefficients share one float, as the zero start's all do
+    shared: dict[float, float] = {}
+    return [shared.setdefault(b, b) for b in beta.tolist()], q
 
-    # A pass reads and writes single coefficients, which Python floats do
-    # without numpy's per-element dispatch; beta becomes an array at the end.
-    beta = [0.0] * n
-    q = np.zeros(n)  # cache of K beta
+
+def _pair_loop(
+    kernel: KernelSpec,
+    xs: np.ndarray,
+    ys: np.ndarray,
+    cfg: SvrConfig,
+    beta: list[float],
+    q: np.ndarray,
+) -> SvrParams:
+    """Maximal-violating-pair coordinate updates from the feasible beta,
+    with q = K beta, until no pair violates the KKT conditions beyond
+    cfg.tolerance (converged) or cfg.max_passes updates are spent. Both
+    are updated in place.
+
+    A pass reads and writes single coefficients, which Python floats do
+    without numpy's per-element dispatch, so beta is a list; it becomes an
+    array at the end. Each pass reads rows i and j of the Gram in place of
+    its columns, which relies on the Gram being exactly symmetric. It reads
+    them one after the other from the least-recently-read row cache, so
+    the read of row j never evicts row i. Every update moves a pair in
+    opposite directions by the same amount, so sum(beta) stays where it
+    started.
+    """
+    n = xs.shape[0]
     c, eps, tolerance = cfg.c, cfg.epsilon, cfg.tolerance
-    # rows up and down of _eps_shift per coefficient; all start at zero
-    shifts = np.empty((2, n))
-    shifts[0], shifts[1] = _eps_shift(0.0, c, eps)
+    # rows up and down of _eps_shift per coefficient, streamed into the
+    # array rather than built as a list of n pairs first
+    shifts = np.fromiter(
+        (e for b in beta for e in _eps_shift(b, c, eps)), float, 2 * n
+    ).reshape(n, 2).T.copy()
     up, down = shifts
+    row = _row_cache(kernel, xs, _cache_rows(n))
     # per-fit buffers of the pass: resid = q - ys, the derivatives d (rows
     # d_up, d_down) and step = t (ri - rj)
     resid, step = np.empty(n), np.empty(n)
@@ -365,6 +641,32 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
         converged=converged,
         passes=passes,
     )
+
+
+def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
+    """Solve the dual: factor the Gram (_factor), start from the interior
+    point on that factor (_start), then finish by maximal-violating-pair
+    updates (_pair_loop).
+
+    The factor holds at most as many Gram rows as the pair loop's row
+    cache, ROW_CACHE_BYTES (63 rows at n = 4160, every row up to n = 512),
+    and is freed before the cache is allocated, so a fit never holds the
+    n x n matrix. converged and passes are the pair loop's: converged when
+    no pair violates the KKT conditions beyond cfg.tolerance, False after
+    cfg.max_passes updates. The interior point's iterations are not passes;
+    IPM_ITERATIONS caps them. DegenerateKernelMatrix is raised when any
+    entry of the full Gram would be non-finite.
+    """
+    xs, ys = as_xy(x, y, min_rows=2)
+    kernel = resolve_gamma(cfg.kernel, xs)
+    capacity = _cache_rows(xs.shape[0])
+    if not _gram_finite(kernel, xs, capacity):
+        raise DegenerateKernelMatrix(
+            "kernel matrix has non-finite entries; standardize the data or "
+            "lower the polynomial degree"
+        )
+    beta, q = _start(kernel, xs, ys, cfg, capacity)
+    return _pair_loop(kernel, xs, ys, cfg, beta, q)
 
 
 def svr_predict(params: SvrParams, x: np.ndarray) -> np.ndarray:

@@ -89,6 +89,12 @@ class TestLbfgs:
         with pytest.raises(ValueError, match="grad_tolerance"):
             LbfgsConfig(grad_tolerance=tol)
 
+    @pytest.mark.parametrize("iterations", [0, -1])
+    def test_config_rejects_fewer_than_one_iteration(self, iterations):
+        # a budget below one would return max_iterations without a step
+        with pytest.raises(ValueError, match="max_iterations"):
+            LbfgsConfig(max_iterations=iterations)
+
     def test_trace_non_increasing(self, rng):
         for _ in range(10):
             dim = int(rng.integers(2, 12))

@@ -11,7 +11,9 @@ from epicast import (
     SupervisedSet,
     SvrConfig,
     SvrParams,
+    SyntheticSpec,
     build_supervised,
+    default_grid,
     dual_objective,
     gram_matrix,
     model_to_dict,
@@ -20,6 +22,7 @@ from epicast import (
     standardized_split,
     svr_fit,
     svr_predict,
+    synthetic_epidemic,
     train_on_split,
 )
 from epicast import svr
@@ -94,6 +97,13 @@ def reference_fit(x, y, cfg):
     else:
         bias = -hi if np.isinf(lo) else -lo if np.isinf(hi) else -0.5 * (lo + hi)
     return beta, bias, passes, converged
+
+
+def pair_loop_from_zero(x, y, cfg):
+    """svr_fit's pair loop alone, from beta = 0 and q = 0: the solver that
+    reference_fit writes plainly."""
+    n = len(y)
+    return svr._pair_loop(resolve_gamma(cfg.kernel, x), x, y, cfg, [0.0] * n, np.zeros(n))
 
 
 class TestKernelEval:
@@ -390,9 +400,12 @@ class TestSvrFit:
         )
 
     def test_pass_budget_flags_not_converged(self, rng):
+        # at zero tolerance a single pass cannot certify any start
         x = rng.normal(size=(15, 1))
         y = rng.normal(size=15)
-        cfg = SvrConfig(kernel=KernelSpec(kind="rbf"), epsilon=0.01, max_passes=1)
+        cfg = SvrConfig(
+            kernel=KernelSpec(kind="rbf"), epsilon=0.01, tolerance=0.0, max_passes=1
+        )
         params = svr_fit(x, y, cfg)
         assert not params.converged
         assert params.passes == 1
@@ -461,7 +474,7 @@ class TestSvrFit:
                 tolerance=1e-8,
                 max_passes=(40, 400)[case // 8 % 2],
             )
-            params = svr_fit(x, y, cfg)
+            params = pair_loop_from_zero(x, y, cfg)
             beta, bias, passes, converged = reference_fit(x, y, cfg)
             assert params.alphas.tobytes() == beta.tobytes(), case
             assert (params.bias, params.passes, params.converged) == (
@@ -472,11 +485,12 @@ class TestSvrFit:
 
     def test_exhausted_grid_cell_matches_reference_loop(self, series, chrono_split):
         # The grid's scale: the 416-row train half of the 520-day series and
-        # the poly-7 slot, which spends its whole default budget.
+        # the poly-7 slot, where the pair loop from zero spends its whole
+        # default budget.
         data = build_supervised(series, ("day_index",), "confirmed")
         train = standardized_split(data, chrono_split).train
         cfg = SvrConfig(kernel=KernelSpec(kind="poly", degree=7))
-        params = svr_fit(train.x, train.y, cfg)
+        params = pair_loop_from_zero(train.x, train.y, cfg)
         assert (train.x.shape[0], params.converged, params.passes) == (416, False, 10000)
         beta, bias, passes, converged = reference_fit(train.x, train.y, cfg)
         assert (params.alphas.tobytes(), params.bias, params.passes, params.converged) == (
@@ -546,7 +560,7 @@ class TestSvrFit:
         x = rng.normal(size=(n, 1))
         y = rng.normal(size=n)
         cfg = SvrConfig(kernel=KernelSpec(kind="linear"), c=0.05, tolerance=1e-8)
-        params = svr_fit(x, y, cfg)
+        params = pair_loop_from_zero(x, y, cfg)
         assert np.count_nonzero(params.alphas) > ROW_CACHE_BYTES // (8 * n)
         beta, bias, passes, converged = reference_fit(x, y, cfg)
         assert (params.alphas.tobytes(), params.bias, params.passes, params.converged) == (
@@ -660,6 +674,84 @@ class TestSvrFit:
             SvrConfig(epsilon=-0.1)
         with pytest.raises(ValueError):
             SvrConfig(max_passes=0)
+
+    @pytest.mark.parametrize("tolerance", [float("nan"), -1.0, float("inf")])
+    def test_config_rejects_bad_tolerance(self, tolerance):
+        # NaN and -1 would spend the whole budget, inf certify any start
+        with pytest.raises(ValueError, match="tolerance"):
+            SvrConfig(tolerance=tolerance)
+        assert SvrConfig(tolerance=0.0).tolerance == 0.0
+
+
+def exact_dual(params, x, y, eps):
+    """The dual objective of a fit, with K beta built in blocks."""
+    beta = params.alphas
+    k_beta = svr_predict(SvrParams(beta, 0.0, x, beta, params.kernel), x)
+    return float(-0.5 * beta @ k_beta + y @ beta - eps * np.sum(np.abs(beta)))
+
+
+@pytest.fixture(scope="module")
+def default_cells(chrono_split):
+    """(label, train x, train y, config) of the grid's ten SVR cells on the
+    520-day series and on the 5200-day one, at seed 11."""
+    cells = []
+    for spec in (SyntheticSpec(), SyntheticSpec(days=5200, midpoint=3900, width=450)):
+        series = synthetic_epidemic(spec)
+        for target in ("confirmed", "deaths"):
+            data = build_supervised(series, ("day_index",), target)
+            train = standardized_split(data, chrono_split).train
+            for slot in default_grid():
+                if slot.model_family == "svr":
+                    label = f"{spec.days}-{target}-svr{slot.slot}"
+                    cells.append((label, train.x, train.y, slot.config))
+    return cells
+
+
+class TestInteriorPointStart:
+    def test_every_default_cell_converges(self, default_cells):
+        assert len(default_cells) == 20
+        for label, x, y, cfg in default_cells:
+            params = svr_fit(x, y, cfg)
+            assert params.converged, label
+            assert params.passes < cfg.max_passes, label
+
+    def test_dual_at_least_the_zero_start_pair_loops(self, default_cells):
+        # where the pair loop from zero exhausts its budget the start's dual
+        # is far higher; where both converge they agree to the tolerance
+        for label, x, y, cfg in default_cells:
+            started = exact_dual(svr_fit(x, y, cfg), x, y, cfg.epsilon)
+            from_zero = exact_dual(pair_loop_from_zero(x, y, cfg), x, y, cfg.epsilon)
+            assert started >= from_zero - 1e-9 * abs(from_zero), label
+
+    @pytest.mark.parametrize(
+        "spec, rank",
+        [
+            (KernelSpec(kind="linear"), 1),
+            (KernelSpec(kind="poly", degree=2), 3),
+            (KernelSpec(kind="poly", degree=5), 6),
+            (KernelSpec(kind="poly", degree=7), 8),
+        ],
+    )
+    def test_factor_finds_the_rank_of_one_column(self, spec, rank):
+        # on one column poly-p is a degree-p polynomial in x x': rank p + 1
+        day = np.arange(416.0)
+        x = ((day - day.mean()) / day.std())[:, None]
+        f, scale, residual = svr._factor(resolve_gamma(spec, x), x, 416)
+        assert f.shape == (rank, 416)
+        assert residual <= svr.FACTOR_TOL * scale
+
+    def test_rank_zero_gram_fits(self):
+        # gamma x x' cancels coef0 on every pair: K = 0, a linear program
+        x = np.ones((4, 1))
+        y = np.array([1.0, 2.0, 3.0, 4.0])
+        spec = KernelSpec(kind="poly", gamma=1.0, degree=3, coef0=-1.0)
+        f, scale, residual = svr._factor(spec, x, 4)
+        assert (f.shape[0], scale, residual) == (0, 0.0, 0.0)
+        cfg = SvrConfig(kernel=spec, tolerance=1e-8)
+        params = svr_fit(x, y, cfg)
+        assert params.converged
+        solved = dual_objective(np.zeros((4, 4)), y, params.alphas, cfg.epsilon)
+        assert solved == pytest.approx(qp_oracle(x, y, cfg), abs=1e-6)
 
 
 class TestSvrPredict:
