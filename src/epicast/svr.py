@@ -53,7 +53,6 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateKernelMatrix, DimensionMismatch
-from .interior_point import solve_svr_dual
 from .preprocess import as_design, as_xy, column_product
 
 # Dual coefficients below this are treated as exactly zero (not a support
@@ -103,6 +102,13 @@ class KernelSpec:
         # A fractional power of a negative base is NaN.
         if not (1 <= self.degree <= FLOAT_MAX and self.degree == int(self.degree)):
             raise ValueError("degree must be a whole number, at least 1 and finite")
+
+    @property
+    def positive_semidefinite(self) -> bool:
+        """Whether every Gram of this kernel is positive semidefinite:
+        linear and rbf always, poly when coef0 >= 0, since (gamma a.b +
+        coef0)^p then sums products of such kernels."""
+        return self.kind != "poly" or self.coef0 >= 0.0
 
 
 @dataclass(frozen=True)
@@ -376,11 +382,17 @@ def _start(
     |beta| <= C, and q = K beta.
 
     beta is the interior point's solution on K ~ L L', L = sqrt(scale) f'.
-    q is L (L' beta) when the bound on its error, the factor's residual
-    times C n, is at most a hundredth of the KKT tolerance, and is otherwise
-    built exactly, in svr_predict's row blocks. A start that is not finite
-    is replaced by beta = 0, q = 0.
+    q is L (L' beta) when the kernel is positive semidefinite and the bound
+    on its error, the factor's residual times C n, is at most a hundredth
+    of the KKT tolerance; otherwise it is built exactly, in svr_predict's
+    row blocks. Without semidefiniteness the bound fails: a poly Gram with
+    coef0 < 0 can have a zero diagonal and nonzero entries. A start that is
+    not finite is replaced by beta = 0, q = 0.
     """
+    # imported by the first fit, so a command that fits no SVR never
+    # compiles the solver
+    from .interior_point import solve_svr_dual
+
     n = xs.shape[0]
     f, scale, residual = _factor(kernel, xs, capacity)
     unit = scale if scale > 0.0 else 1.0
@@ -391,7 +403,7 @@ def _start(
         return [0.0] * n, np.zeros(n)
     # restore sum(beta) = 0 on the coefficient with the most room for it
     beta[int(beta.argmax()) if excess > 0.0 else int(beta.argmin())] -= excess
-    if residual * cfg.c * n <= cfg.tolerance / 100.0:
+    if kernel.positive_semidefinite and residual * cfg.c * n <= cfg.tolerance / 100.0:
         q = scale * (f.T @ (f @ beta))
     else:
         del f

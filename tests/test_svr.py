@@ -740,6 +740,21 @@ class TestInteriorPointStart:
         assert f.shape == (rank, 416)
         assert residual <= svr.FACTOR_TOL * scale
 
+    def test_indefinite_gram_is_certified_on_exact_products(self):
+        # coef0 < 0 with |x| = 1 gives K a zero diagonal but entries of -8,
+        # which no factor error bound sees: K beta must be built exactly
+        x = np.array([[-1.0], [1.0], [-1.0], [1.0], [-1.0], [1.0]])
+        y = np.array([0.0, 1.0, 0.5, 2.0, -1.0, 3.0])
+        spec = KernelSpec(kind="poly", gamma=1.0, degree=3, coef0=-1.0)
+        assert not spec.positive_semidefinite
+        cfg = SvrConfig(kernel=spec, tolerance=1e-6)
+        params = svr_fit(x, y, cfg)
+        assert params.converged
+        resid = gram_matrix(spec, x, x) @ params.alphas - y
+        shifts = np.array([svr._eps_shift(b, cfg.c, cfg.epsilon) for b in params.alphas])
+        violation = np.max(resid + shifts[:, 1]) - np.min(resid + shifts[:, 0])
+        assert violation <= cfg.tolerance
+
     def test_rank_zero_gram_fits(self):
         # gamma x x' cancels coef0 on every pair: K = 0, a linear program
         x = np.ones((4, 1))
