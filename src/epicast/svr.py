@@ -343,15 +343,15 @@ def _factor(
     diagonal is at most FACTOR_TOL; scale is the mean |diagonal| of K, the
     unit of f. For a positive semidefinite K every entry of K - scale * f' f
     is at most residual. residual is inf when the cap stops the factor
-    first, or when a residual diagonal falls below -FACTOR_TOL, which shows
-    that K is not positive semidefinite.
+    first, or when a residual diagonal falls below -FACTOR_TOL, from
+    rounding or because K is not positive semidefinite.
     """
     n = xs.shape[0]
     with np.errstate(over="ignore"):
         d = _gram_diagonal(kernel, xs)
     scale = float(np.sum(np.abs(d) / n))  # the mean, without overflow
     f = np.empty((0, n))
-    if scale == 0.0:  # the zero Gram: rank 0
+    if scale == 0.0:  # a zero diagonal: rank 0
         return f, 0.0, 0.0
     d /= scale
     rank = 0
