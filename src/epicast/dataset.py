@@ -14,7 +14,7 @@ import csv
 import hashlib
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from datetime import date as Date, timedelta
 from pathlib import Path
 
@@ -198,12 +198,7 @@ def parse_csv(
     if not table:
         raise InputError("input has no header row")
     header = [h.strip() for h in table[0]]
-    required = {
-        "date": schema.date,
-        "tests": schema.tests,
-        "confirmed": schema.confirmed,
-        "deaths": schema.deaths,
-    }
+    required = asdict(schema)  # canonical name -> header name, in field order
     missing_cols = [name for name in required.values() if name not in header]
     if missing_cols:
         raise InputError(f"missing required columns: {missing_cols}")

@@ -61,16 +61,15 @@ class Family:
 
     ``fit`` maps (config, standardized train set) to (params, train_meta);
     ``predict`` maps (model, standardized 2-D features) to standardized
-    predictions. The dict converters read and write the "config" and
-    "params" sections of the model document; ``params_from_dict`` also
-    takes the number of features and raises ValueError unless the arrays
-    fit a design that wide.
+    predictions. The dict converters read the "config" and "params"
+    sections of the model document; ``params_from_dict`` also takes the
+    number of features and raises ValueError unless the arrays fit a
+    design that wide.
     """
 
     config_from_dict: Callable[[dict], Any]
     fit: Callable[[Any, SupervisedSet], tuple[Any, dict]]
     predict: Callable[[TrainedModel, np.ndarray], np.ndarray]
-    params_to_dict: Callable[[Any], dict]
     params_from_dict: Callable[[dict, int], Any]
 
 
@@ -111,16 +110,16 @@ def _array(value: Any) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def _svr_params_to_dict(p: SvrParams) -> dict:
-    return {
-        "alphas": p.alphas.tolist(),
-        "bias": p.bias,
-        "support_vectors": p.support_vectors.tolist(),
-        "support_coefs": p.support_coefs.tolist(),
-        "kernel": dataclasses.asdict(p.kernel),
-        "converged": p.converged,
-        "passes": p.passes,
-    }
+def _plain(value: Any) -> Any:
+    """value as the model document writes it: a dataclass as a dict of its
+    fields in order and an ndarray or tuple as a list, walked in turn."""
+    if dataclasses.is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return [_plain(v) for v in value]
+    return value
 
 
 def _mlp_params_from_dict(p: dict, width: int) -> MlpParams:
@@ -193,10 +192,6 @@ FAMILY_TABLE: dict[str, Family] = {
         predict=lambda m, xs: forward(
             m.params, ActivationKind(m.config.activation), xs
         ),
-        params_to_dict=lambda p: {
-            "weights": [w.tolist() for w in p.weights],
-            "biases": [b.tolist() for b in p.biases],
-        },
         params_from_dict=_mlp_params_from_dict,
     ),
     "svr": Family(
@@ -205,17 +200,12 @@ FAMILY_TABLE: dict[str, Family] = {
         ),
         fit=_fit_svr,
         predict=lambda m, xs: svr_predict(m.params, xs),
-        params_to_dict=_svr_params_to_dict,
         params_from_dict=_svr_params_from_dict,
     ),
     "linreg": Family(
         config_from_dict=lambda d: LinRegConfig(**d),
         fit=_fit_linreg,
         predict=lambda m, xs: linreg_predict(m.params, xs),
-        params_to_dict=lambda p: {
-            "slope": p.slope.tolist(),
-            "intercept": p.intercept,
-        },
         params_from_dict=_linreg_params_from_dict,
     ),
 }
@@ -292,16 +282,10 @@ def model_to_dict(model: TrainedModel) -> dict:
     return {
         "version": MODEL_DOC_VERSION,
         "family": model.family,
-        "config": dataclasses.asdict(model.config),
-        "params": lookup_family(model.family).params_to_dict(model.params),
-        "x_scaler": {
-            "mean": model.x_scaler.mean.tolist(),
-            "scale": model.x_scaler.scale.tolist(),
-        },
-        "y_scaler": {
-            "mean": model.y_scaler.mean.tolist(),
-            "scale": model.y_scaler.scale.tolist(),
-        },
+        "config": _plain(model.config),
+        "params": _plain(model.params),
+        "x_scaler": _plain(model.x_scaler),
+        "y_scaler": _plain(model.y_scaler),
         "feature_names": list(model.feature_names),
         "target_name": model.target_name,
         "train_meta": model.train_meta,

@@ -36,12 +36,13 @@ one at a time, are Python floats until the fit ends.
 A fit never builds the n x n Gram. The factor builds its pivot rows, and
 the pair loop builds row i as gram_matrix(kernel, xs[i:i+1], xs)[0] when a
 pass first reads it and keeps it in a per-fit row cache (the kernel cache
-of LIBSVM, Chang & Lin 2011, section 5.1): one preallocated block of
-ROW_CACHE_BYTES, where a miss evicts the least recently read row, as
-LIBSVM does. The factor and the interior point's buffers are freed before
-that block is allocated. gram_matrix forms each entry from its own two
-rows alone, so such a row is bit-equal to the same row of the full Gram
-at every design width, and the cache size never changes a fit.
+of LIBSVM, Chang & Lin 2011, section 5.1) of at most ROW_CACHE_BYTES: a
+miss with the cache full drops the least recently read row, as LIBSVM
+does. The cache holds only the rows built, each its own array, so a fit
+that finishes in a few passes holds a few rows. gram_matrix forms each
+entry from its own two rows alone, so such a row is bit-equal to the same
+row of the full Gram at every design width, and the cache size never
+changes a fit.
 """
 
 from __future__ import annotations
@@ -60,15 +61,12 @@ from .preprocess import as_design, as_xy, column_product
 ZERO_TOL = 1e-12
 FLOAT_MAX = float(np.finfo(float).max)
 # Byte budget of one fit's Gram row cache: 63 rows at 4160 training rows,
-# and every row up to 512. The factor holds at most as many rows, and is
-# freed before the cache is allocated. From the interior-point start the
-# ten default fits of the 5200-day grid build 96 Gram rows in all, factor
-# included. From a zero start the maximal-violating-pair solver rereads
-# rows over short distances, so 63 slots keep nearly every hit: evicting
-# the least recently read row, the same fits build 12 218 rows (12 458
-# first in, first out; 11 075 at 16 MiB), with the same coefficients. The
-# finiteness scan builds rows in blocks of the same size, and svr_predict
-# in blocks of a quarter of it.
+# and every row up to 512. The factor holds at most as many rows. The
+# maximal-violating-pair solver rereads rows over short distances, so 63
+# rows keep nearly every hit even from a zero start; from the
+# interior-point start the ten default fits of the 5200-day grid build 96
+# Gram rows in all, factor included. The finiteness scan builds rows in
+# blocks of the same size, and svr_predict in blocks of a quarter of it.
 ROW_CACHE_BYTES = 2 * 2**20
 
 KERNELS = ("linear", "rbf", "poly")
@@ -290,7 +288,7 @@ def _gram_finite(kernel: KernelSpec, xs: np.ndarray, block: int) -> bool:
 
 
 def _cache_rows(n: int) -> int:
-    """Slots of a fit's row cache at n training rows, which also cap its
+    """Rows a fit's row cache keeps at n training rows, which also cap its
     factor: as many rows of n floats as ROW_CACHE_BYTES holds, 2 to n."""
     return max(2, min(n, ROW_CACHE_BYTES // (8 * n)))
 
@@ -299,25 +297,23 @@ def _row_cache(
     kernel: KernelSpec, xs: np.ndarray, capacity: int
 ) -> Callable[[int], np.ndarray]:
     """row(i) -> row i of gram_matrix(kernel, xs, xs), built when first read
-    and kept in one of capacity (>= 2) slots of a preallocated block. A miss
-    takes a free slot, or else the slot of the least recently read row, so
-    it never overwrites the row read just before it: ri, rj = row(i), row(j)
+    and kept while it is among the capacity (>= 2) most recently read rows:
+    a miss with capacity rows kept drops the least recently read one. Each
+    row is its own array, never written over, so ri, rj = row(i), row(j)
     stay valid together."""
-    block = np.empty((capacity, xs.shape[0]))
-    views = list(block)  # the row view of each slot, made once
-    slot_of: dict[int, int] = {}  # cached row -> slot, least recently read first
+    rows: dict[int, np.ndarray] = {}  # least recently read first
 
     def row(i: int) -> np.ndarray:
-        s = slot_of.pop(i, None)
-        if s is None:
-            full = len(slot_of) == capacity
-            s = slot_of.pop(next(iter(slot_of))) if full else len(slot_of)
+        r = rows.pop(i, None)
+        if r is None:
+            if len(rows) == capacity:
+                del rows[next(iter(rows))]
             # _gram_finite has ruled out a non-finite entry, not an
             # overflowing intermediate such as an rbf |a|^2 + |b|^2
             with np.errstate(over="ignore"):
-                block[s] = gram_matrix(kernel, xs[i:i + 1], xs)[0]
-        slot_of[i] = s
-        return views[s]
+                r = gram_matrix(kernel, xs[i:i + 1], xs)[0]
+        rows[i] = r
+        return r
 
     return row
 
@@ -421,20 +417,20 @@ def _pair_loop(
     cfg: SvrConfig,
     beta: list[float],
     q: np.ndarray,
+    capacity: int,
 ) -> SvrParams:
     """Maximal-violating-pair coordinate updates from the feasible beta,
     with q = K beta, until no pair violates the KKT conditions beyond
     cfg.tolerance (converged) or cfg.max_passes updates are spent. Both
-    are updated in place.
+    are updated in place; the row cache keeps up to capacity Gram rows.
 
     A pass reads and writes single coefficients, which Python floats do
     without numpy's per-element dispatch, so beta is a list; it becomes an
     array at the end. Each pass reads rows i and j of the Gram in place of
-    its columns, which relies on the Gram being exactly symmetric. It reads
-    them one after the other from the least-recently-read row cache, so
-    the read of row j never evicts row i. Every update moves a pair in
-    opposite directions by the same amount, so sum(beta) stays where it
-    started.
+    its columns, which relies on the Gram being exactly symmetric. It
+    reads them from _row_cache, whose rows stay valid after eviction.
+    Every update moves a pair in opposite directions by the same amount,
+    so sum(beta) stays where it started.
     """
     n = xs.shape[0]
     c, eps, tolerance = cfg.c, cfg.epsilon, cfg.tolerance
@@ -444,7 +440,7 @@ def _pair_loop(
         (e for b in beta for e in _eps_shift(b, c, eps)), float, 2 * n
     ).reshape(n, 2).T.copy()
     up, down = shifts
-    row = _row_cache(kernel, xs, _cache_rows(n))
+    row = _row_cache(kernel, xs, capacity)
     # per-fit buffers of the pass: resid = q - ys, the derivatives d (rows
     # d_up, d_down) and step = t (ri - rj)
     resid, step = np.empty(n), np.empty(n)
@@ -506,12 +502,12 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
     point on that factor (_start), then finish by maximal-violating-pair
     updates (_pair_loop).
 
-    The factor holds at most as many Gram rows as the pair loop's row
-    cache, ROW_CACHE_BYTES (63 rows at n = 4160, every row up to n = 512),
-    and is freed before the cache is allocated, so a fit never holds the
-    n x n matrix. converged and passes are the pair loop's: converged when
-    no pair violates the KKT conditions beyond cfg.tolerance, False after
-    cfg.max_passes updates. The interior point's iterations are not passes;
+    The factor and the pair loop's row cache each hold at most capacity
+    Gram rows, ROW_CACHE_BYTES (63 rows at n = 4160, every row up to
+    n = 512), and the factor is freed before the pair loop starts, so a fit
+    never holds the n x n matrix. converged and passes are the pair loop's:
+    converged when no pair violates the KKT conditions beyond
+    cfg.tolerance, False after cfg.max_passes updates. The interior point's iterations are not passes;
     interior_point.ITERATIONS caps them. DegenerateKernelMatrix is raised
     when any entry of the full Gram would be non-finite.
     """
@@ -524,7 +520,7 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
             "lower the polynomial degree"
         )
     beta, q = _start(kernel, xs, ys, cfg, capacity)
-    return _pair_loop(kernel, xs, ys, cfg, beta, q)
+    return _pair_loop(kernel, xs, ys, cfg, beta, q, capacity)
 
 
 def svr_predict(params: SvrParams, x: np.ndarray) -> np.ndarray:

@@ -103,7 +103,9 @@ def pair_loop_from_zero(x, y, cfg):
     """svr_fit's pair loop alone, from beta = 0 and q = 0: the solver that
     reference_fit writes plainly."""
     n = len(y)
-    return svr._pair_loop(resolve_gamma(cfg.kernel, x), x, y, cfg, [0.0] * n, np.zeros(n))
+    return svr._pair_loop(
+        resolve_gamma(cfg.kernel, x), x, y, cfg, [0.0] * n, np.zeros(n), svr._cache_rows(n)
+    )
 
 
 class TestKernelEval:
@@ -658,6 +660,27 @@ class TestSvrFit:
         finally:
             tracemalloc.stop()
         assert peak <= ROW_CACHE_BYTES + 16 * n * 8
+
+    @pytest.mark.parametrize(
+        "spec", [KernelSpec(kind="linear"), KernelSpec(kind="poly", degree=5)]
+    )
+    def test_fit_of_a_few_passes_holds_less_than_the_row_cache(self, spec):
+        # the row cache keeps only the rows a fit builds, so a fit that
+        # finishes in a few passes never holds ROW_CACHE_BYTES of rows
+        # (about 1.3 MiB measured on either kernel)
+        n = 4000
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(n, 1))
+        y = np.sin(x[:, 0]) + 0.1 * rng.normal(size=n)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            params = svr_fit(x, y, SvrConfig(kernel=spec, max_passes=300))
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert params.converged and params.passes <= 10
+        assert peak < ROW_CACHE_BYTES
 
     def test_length_mismatch(self):
         with pytest.raises(DimensionMismatch, match="x has 3 rows but y has 4 values"):
