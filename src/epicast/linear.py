@@ -54,29 +54,31 @@ def linreg_fit(x: np.ndarray, y: np.ndarray, cfg: LinRegConfig) -> LinRegParams:
     n = xs.shape[0]
     design = np.column_stack([xs, np.ones(n)])
     step = cfg.learning_rate * (2.0 / n)
-    # overflow here is the signal for DivergenceError, not a numpy warning
+    # overflow here and in the steps is the signal for DivergenceError, not
+    # a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         gram = design.T @ design
         c = (design.T @ ys).tolist()
         yy = float(ys @ ys)
-    # G theta stays numpy's product (dot takes the list as it is), and the
-    # fit's bytes follow its rounding; the rest of a step works on the d+1
-    # entries as plain floats, which skips numpy's per-call dispatch.
-    theta = [0.0] * len(c)
-    for it in range(1, cfg.iterations + 1):
-        g = gram.dot(theta).tolist()
-        tg = tc = 0.0
-        for tk, gk, ck in zip(theta, g, c):
-            tg += tk * gk
-            tc += tk * ck
-        loss = (tg - 2.0 * tc + yy) / n
-        if not math.isfinite(loss):
-            raise DivergenceError(
-                f"loss became non-finite at iteration {it}; "
-                "lower the learning rate or standardize the data",
-                iteration=it,
-            )
-        theta = [tk - (gk - ck) * step for tk, gk, ck in zip(theta, g, c)]
+        # G theta stays numpy's product (dot takes the list as it is), and
+        # the fit's bytes follow its rounding; the rest of a step works on
+        # the d+1 entries as plain floats, which skips numpy's per-call
+        # dispatch.
+        theta = [0.0] * len(c)
+        for it in range(1, cfg.iterations + 1):
+            g = gram.dot(theta).tolist()
+            tg = tc = 0.0
+            for tk, gk, ck in zip(theta, g, c):
+                tg += tk * gk
+                tc += tk * ck
+            loss = (tg - 2.0 * tc + yy) / n
+            if not math.isfinite(loss):
+                raise DivergenceError(
+                    f"loss became non-finite at iteration {it}; "
+                    "lower the learning rate or standardize the data",
+                    iteration=it,
+                )
+            theta = [tk - (gk - ck) * step for tk, gk, ck in zip(theta, g, c)]
     if not all(map(math.isfinite, theta)):
         raise DivergenceError(
             "parameters became non-finite on the final step",

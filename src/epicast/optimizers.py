@@ -216,31 +216,30 @@ def lbfgs_minimize(
     trace = [f]
     s_pairs: deque[np.ndarray] = deque(maxlen=MEMORY)
     y_pairs: deque[np.ndarray] = deque(maxlen=MEMORY)
-    status = "max_iterations"
     stall = 0
     iterations = 0
 
-    for _ in range(cfg.max_iterations):
+    while True:
         if float(np.max(np.abs(g))) <= cfg.grad_tolerance:
             status = "converged"
             break
+        if iterations == cfg.max_iterations:
+            status = "max_iterations"
+            break
         d = two_loop_direction(g, list(s_pairs), list(y_pairs))
-        dphi0 = float(g @ d)
-        if dphi0 >= 0.0:  # numerically lost positive definiteness
+        if float(g @ d) >= 0.0:  # numerically lost positive definiteness
             d = -g
-            dphi0 = float(g @ d)
-        # Gradient-sized first trial step before any curvature is known.
-        alpha0 = min(1.0, 1.0 / float(np.sum(np.abs(g)))) if not s_pairs else 1.0
-        search = _LineSearch(obj, theta, d, f, dphi0)
-        hit = search.run(alpha0)
-        if hit is None:
-            d = -g
-            dphi0 = float(g @ d)
-            search = _LineSearch(obj, theta, d, f, dphi0)
-            hit = search.run(min(1.0, 1.0 / float(np.sum(np.abs(g)))))
-            if hit is None:
-                status = "line_search_failed"
+        # The two-loop direction from its usual first step (gradient-sized
+        # before any curvature is known), then steepest descent from the
+        # gradient-sized step.
+        for d, curved in ((d, bool(s_pairs)), (-g, False)):
+            alpha0 = 1.0 if curved else min(1.0, 1.0 / float(np.sum(np.abs(g))))
+            hit = _LineSearch(obj, theta, d, f, float(g @ d)).run(alpha0)
+            if hit is not None:
                 break
+        if hit is None:
+            status = "line_search_failed"
+            break
         alpha, f_new, g_new = hit
         s = alpha * d
         y = g_new - g
@@ -259,9 +258,6 @@ def lbfgs_minimize(
             if stall >= PATIENCE:
                 status = "stalled"
                 break
-    else:
-        if float(np.max(np.abs(g))) <= cfg.grad_tolerance:
-            status = "converged"
 
     return MinimizeResult(
         theta=theta,

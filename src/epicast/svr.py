@@ -35,18 +35,19 @@ one at a time, are Python floats until the fit ends.
 
 A fit never builds the n x n Gram. The factor builds its pivot rows, and
 the pair loop builds row i as gram_matrix(kernel, xs[i:i+1], xs)[0] when a
-pass first reads it and keeps it in a per-fit row cache (the kernel cache
-of LIBSVM, Chang & Lin 2011, section 5.1) of at most ROW_CACHE_BYTES: a
-miss with the cache full drops the least recently read row, as LIBSVM
-does. The cache holds only the rows built, each its own array, so a fit
-that finishes in a few passes holds a few rows. gram_matrix forms each
-entry from its own two rows alone, so such a row is bit-equal to the same
-row of the full Gram at every design width, and the cache size never
-changes a fit.
+pass first reads it. A per-fit functools.lru_cache of at most
+ROW_CACHE_BYTES of rows keeps it (the kernel cache of LIBSVM, Chang & Lin
+2011, section 5.1): a miss with the cache full drops the least recently
+read row, as LIBSVM does. The cache holds only the rows built, each its
+own array, so a fit that finishes in a few passes holds a few rows.
+gram_matrix forms each entry from its own two rows alone, so such a row is
+bit-equal to the same row of the full Gram at every design width, and the
+cache size never changes a fit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from collections.abc import Callable
 from dataclasses import dataclass, replace
@@ -60,13 +61,14 @@ from .preprocess import as_design, as_xy, column_product
 # vector), and a coefficient this close to +-C cannot move further out.
 ZERO_TOL = 1e-12
 FLOAT_MAX = float(np.finfo(float).max)
-# Byte budget of one fit's Gram row cache: 63 rows at 4160 training rows,
-# and every row up to 512. The factor holds at most as many rows. The
-# maximal-violating-pair solver rereads rows over short distances, so 63
-# rows keep nearly every hit even from a zero start; from the
-# interior-point start the ten default fits of the 5200-day grid build 96
-# Gram rows in all, factor included. The finiteness scan builds rows in
-# blocks of the same size, and svr_predict in blocks of a quarter of it.
+# Byte budget of one fit's Gram row cache, an lru_cache of as many rows
+# as fit in it: 63 rows at 4160 training rows, and every row up to 512.
+# The factor holds at most as many rows. The maximal-violating-pair
+# solver rereads rows over short distances, so 63 rows keep nearly every
+# hit even from a zero start; from the interior-point start the ten
+# default fits of the 5200-day grid build 96 Gram rows in all, factor
+# included. The finiteness scan builds rows in blocks of the same size,
+# and svr_predict in blocks of a quarter of it.
 ROW_CACHE_BYTES = 2 * 2**20
 
 KERNELS = ("linear", "rbf", "poly")
@@ -297,23 +299,17 @@ def _row_cache(
     kernel: KernelSpec, xs: np.ndarray, capacity: int
 ) -> Callable[[int], np.ndarray]:
     """row(i) -> row i of gram_matrix(kernel, xs, xs), built when first read
-    and kept while it is among the capacity (>= 2) most recently read rows:
-    a miss with capacity rows kept drops the least recently read one. Each
-    row is its own array, never written over, so ri, rj = row(i), row(j)
-    stay valid together."""
-    rows: dict[int, np.ndarray] = {}  # least recently read first
+    and kept by functools.lru_cache while it is among the capacity (>= 2)
+    most recently read rows: a miss with capacity rows kept drops the least
+    recently read one. Each row is its own array, never written over, so
+    ri, rj = row(i), row(j) stay valid together."""
 
+    @functools.lru_cache(maxsize=capacity)
     def row(i: int) -> np.ndarray:
-        r = rows.pop(i, None)
-        if r is None:
-            if len(rows) == capacity:
-                del rows[next(iter(rows))]
-            # _gram_finite has ruled out a non-finite entry, not an
-            # overflowing intermediate such as an rbf |a|^2 + |b|^2
-            with np.errstate(over="ignore"):
-                r = gram_matrix(kernel, xs[i:i + 1], xs)[0]
-        rows[i] = r
-        return r
+        # _gram_finite has ruled out a non-finite entry, not an
+        # overflowing intermediate such as an rbf |a|^2 + |b|^2
+        with np.errstate(over="ignore"):
+            return gram_matrix(kernel, xs[i:i + 1], xs)[0]
 
     return row
 
@@ -428,9 +424,9 @@ def _pair_loop(
     without numpy's per-element dispatch, so beta is a list; it becomes an
     array at the end. Each pass reads rows i and j of the Gram in place of
     its columns, which relies on the Gram being exactly symmetric. It
-    reads them from _row_cache, whose rows stay valid after eviction.
-    Every update moves a pair in opposite directions by the same amount,
-    so sum(beta) stays where it started.
+    reads them through _row_cache's lru_cache, whose rows stay valid after
+    eviction. Every update moves a pair in opposite directions by the same
+    amount, so sum(beta) stays where it started.
     """
     n = xs.shape[0]
     c, eps, tolerance = cfg.c, cfg.epsilon, cfg.tolerance

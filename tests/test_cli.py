@@ -142,6 +142,20 @@ class TestStats:
         assert not {"seed", "split_fraction", "split_mode", "impute"} & set(config)
         assert manifest["seed"] is None
 
+    def test_replay_appends_out_dir(self, tiny_csv, tmp_path, monkeypatch):
+        # the recorded argv has no --out-dir, so the replay appends one
+        monkeypatch.chdir(tmp_path)
+        assert main(["stats", str(tiny_csv)]) == 0
+        original = strip_timestamps(read_json(tmp_path / "stats.json"))
+        replay_dir = str(tmp_path / "replay")
+        assert replay_manifest(original["manifest"], replay_dir) == 0
+        replayed = strip_timestamps(read_json(Path(replay_dir) / "stats.json"))
+        manifest = dict(original["manifest"])
+        manifest["argv"] = [*manifest["argv"], "--out-dir", replay_dir]
+        manifest["config"] = {**manifest["config"], "out_dir": replay_dir}
+        assert manifest["argv"] == ["stats", str(tiny_csv), "--out-dir", replay_dir]
+        assert replayed == {**original, "manifest": manifest}
+
     def test_custom_column_names(self, tmp_path):
         path = tmp_path / "renamed.csv"
         path.write_text(
@@ -1083,6 +1097,19 @@ class TestOutOfRangeModelFile:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "input"
         assert "y_scaler means must lie between" in err["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_eval_y_mean_that_cancels_the_targets_exit_3(
+        self, short_model_docs, short_csv, tmp_path, capsys
+    ):
+        # every target minus 1e25 rounds to -1e25: one value, which would
+        # read as a constant target column
+        doc = copy.deepcopy(short_model_docs["linreg"])
+        doc["y_scaler"]["mean"] = [1e25]
+        assert _run_on_model(doc, "eval", short_csv, tmp_path) == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numeric"
+        assert "maps every target to one value" in err["message"]
         assert not (tmp_path / "o").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")

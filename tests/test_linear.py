@@ -166,6 +166,25 @@ class TestFit:
             linreg_fit(x, y, cfg)
         assert exc.value.iteration == expected
 
+    # On x = [-1, 1, -1, 1] the Gram statistics are exact, and a rate of
+    # 2e290 sends theta past the largest float within three steps.
+    TINY_X = np.array([-1.0, 1.0, -1.0, 1.0])
+    TINY_Y = np.array([1e-140, 0.0, 0.0, 0.0])
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_overflowing_step_raises_without_a_warning(self):
+        # the third step's G theta multiplies infinite parameters
+        with pytest.raises(DivergenceError, match="at iteration 3") as exc:
+            linreg_fit(self.TINY_X, self.TINY_Y, LinRegConfig(2e290, 3))
+        assert exc.value.iteration == 3
+
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
+    def test_parameters_that_overflow_on_the_final_step(self):
+        # every loss is finite, and the last step leaves theta infinite
+        with pytest.raises(DivergenceError, match="on the final step") as exc:
+            linreg_fit(self.TINY_X, self.TINY_Y, LinRegConfig(2e290, 2))
+        assert exc.value.iteration == 2
+
     def test_multivariate(self, rng):
         x = rng.normal(size=(80, 3))
         y = x @ np.array([1.0, -2.0, 0.5]) + 0.3

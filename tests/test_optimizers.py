@@ -9,6 +9,7 @@ from epicast import (
     sgd_minimize,
     two_loop_direction,
 )
+from epicast import optimizers
 from epicast.errors import NonFiniteObjective
 from epicast.optimizers import WOLFE_C1, WOLFE_C2
 
@@ -149,6 +150,34 @@ class TestLbfgs:
     def test_two_loop_without_pairs_is_steepest_descent(self):
         g = np.array([1.0, -2.0])
         assert two_loop_direction(g, [], []) == pytest.approx(-g)
+
+    def test_non_descent_direction_falls_back_to_steepest_descent(self, monkeypatch):
+        # A two-loop direction that points uphill is replaced by -g, so
+        # returning +g runs exactly as returning -g does.
+        def run(sign):
+            evals = []
+
+            def fn(theta):
+                evals.append(theta.tobytes())
+                return rosenbrock().fn(theta)
+
+            monkeypatch.setattr(
+                optimizers, "two_loop_direction", lambda g, s, y: sign * g
+            )
+            res = lbfgs_minimize(
+                FunctionObjective(2, fn), np.array([-1.2, 1.0]),
+                LbfgsConfig(max_iterations=40),
+            )
+            return res, evals
+
+        uphill, uphill_evals = run(1.0)
+        downhill, downhill_evals = run(-1.0)
+        assert uphill.iterations == downhill.iterations == 40
+        assert uphill_evals == downhill_evals
+        assert uphill.theta.tobytes() == downhill.theta.tobytes()
+        assert (uphill.trace, uphill.status, uphill.grad_norm) == (
+            downhill.trace, downhill.status, downhill.grad_norm
+        )
 
     def test_line_search_failure_flagged(self):
         # a pure linear objective never satisfies the curvature condition

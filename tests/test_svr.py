@@ -645,7 +645,7 @@ class TestSvrFit:
         [KernelSpec(kind="linear"), KernelSpec(kind="rbf"), KernelSpec(kind="poly", degree=5)],
     )
     def test_fit_holds_the_row_cache_and_vectors(self, spec):
-        # the row cache's block plus at most 16 length-n vectors: the data,
+        # the row cache's rows plus at most 16 length-n vectors: the data,
         # beta, K beta, the eps shifts, the pass buffers, the row being built
         # and the support vectors (about 14 measured on one feature)
         n = 4000
@@ -790,6 +790,25 @@ class TestInteriorPointStart:
         assert params.converged
         solved = dual_objective(np.zeros((4, 4)), y, params.alphas, cfg.epsilon)
         assert solved == pytest.approx(qp_oracle(x, y, cfg), abs=1e-6)
+
+    def test_failed_solve_starts_from_zero(self, monkeypatch):
+        # an interior point that ends in NaN is replaced by beta = 0, q = 0,
+        # so the fit is the pair loop from zero (246 passes here, where the
+        # interior-point start needs 1)
+        from epicast import interior_point
+
+        monkeypatch.setattr(
+            interior_point, "solve_svr_dual", lambda f, *args: np.full(f.shape[1], np.nan)
+        )
+        rng = np.random.default_rng(8)
+        x = rng.normal(size=(40, 1))
+        y = 2.0 * x[:, 0] + 0.1 * rng.normal(size=40)
+        cfg = SvrConfig(kernel=KernelSpec(kind="linear"), tolerance=1e-6)
+        params = svr_fit(x, y, cfg)
+        expected = pair_loop_from_zero(x, y, cfg)
+        assert params.converged and params.passes > 1
+        assert params.alphas.tobytes() == expected.alphas.tobytes()
+        assert (params.bias, params.passes) == (expected.bias, expected.passes)
 
 
 class TestSvrPredict:
