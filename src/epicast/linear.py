@@ -40,7 +40,7 @@ class LinRegParams:
 
 
 def linreg_fit(x: np.ndarray, y: np.ndarray, cfg: LinRegConfig) -> LinRegParams:
-    """Gradient descent from zero parameters, exactly cfg.iterations steps.
+    """Gradient descent from zero parameters: cfg.iterations steps or a fixed point.
 
     With theta = (w, b) and D = [x 1], the gradient of (1/n)*|D theta - y|^2
     is (2/n)(G theta - c) for G = D^T D and c = D^T y, so the fit forms G,
@@ -78,7 +78,12 @@ def linreg_fit(x: np.ndarray, y: np.ndarray, cfg: LinRegConfig) -> LinRegParams:
                     "lower the learning rate or standardize the data",
                     iteration=it,
                 )
-            theta = [tk - (gk - ck) * step for tk, gk, ck in zip(theta, g, c)]
+            stepped = [tk - (gk - ck) * step for tk, gk, ck in zip(theta, g, c)]
+            # a step that returns theta would repeat forever; == compares bits,
+            # since x - y is -0.0 only for x = -0.0 and theta starts at +0.0
+            if stepped == theta:
+                break
+            theta = stepped
     if not all(map(math.isfinite, theta)):
         raise DivergenceError(
             "parameters became non-finite on the final step",

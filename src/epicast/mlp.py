@@ -10,10 +10,10 @@ format both rely on that layout.
 An evaluation runs feature-major: each layer's activations are an H x n
 array, one row per unit, so every elementwise loop, bias add and row sum
 runs n long. They live in a Workspace that train_mlp allocates once per
-fit. Backprop reuses the forward activations, since every derivative is
-written in terms of h = f(b). The input layer's W0 x' and the output
-layer's rank-1 backprop are column_product's fixed-order sums; the
-hidden-to-hidden products are BLAS matmuls.
+fit. Backprop reads them (every derivative is written in terms of
+h = f(b)) and then writes each layer's delta over them; the gradient goes
+through views into one flat vector. W0 x' and the output layer's rank-1
+backprop are column_product's fixed-order sums, the rest BLAS matmuls.
 """
 
 from __future__ import annotations
@@ -126,11 +126,8 @@ class MlpParams:
         return self.weights[0].shape[1]
 
     def flatten(self) -> np.ndarray:
-        chunks: list[np.ndarray] = []
-        for w, b in zip(self.weights, self.biases):
-            chunks.append(w.ravel())
-            chunks.append(b.ravel())
-        return np.concatenate(chunks)
+        pairs = zip(self.weights, self.biases)
+        return np.concatenate([a.ravel() for pair in pairs for a in pair])
 
     @staticmethod
     def shapes(cfg: MlpConfig, n_features: int) -> list[tuple[int, int]]:
@@ -145,7 +142,7 @@ class MlpParams:
         for rows, cols in shapes:
             weights.append(theta[pos : pos + rows * cols].reshape(rows, cols))
             pos += rows * cols
-            biases.append(theta[pos : pos + rows].copy())
+            biases.append(theta[pos : pos + rows])
             pos += rows
         if pos != theta.size:
             raise DimensionMismatch(
@@ -178,25 +175,22 @@ class Workspace:
     """The H x n buffers of one evaluation on n rows, for hidden layers of
     one width H as MlpParams lays them out.
 
-    post holds each hidden layer's activations, back the two buffers that
-    backprop alternates between, out the output row and then its delta,
-    resid the residuals.
+    post holds each hidden layer's activations after the forward pass and
+    its delta after loss_and_gradient, back the f' that backprop forms,
+    out the output row, then its residuals and then its delta.
     """
 
     post: tuple[np.ndarray, ...]
-    back: tuple[np.ndarray, np.ndarray]
+    back: np.ndarray
     out: np.ndarray
-    resid: np.ndarray
 
     @staticmethod
     def allocate(shapes: list[tuple[int, int]], n: int) -> "Workspace":
         """Buffers for the layer shapes of MlpParams.shapes."""
-        width = shapes[0][0]
         return Workspace(
             post=tuple(np.empty((rows, n)) for rows, _ in shapes[:-1]),
-            back=(np.empty((width, n)), np.empty((width, n))),
+            back=np.empty((shapes[0][0], n)),
             out=np.empty((1, n)),
-            resid=np.empty(n),
         )
 
 
@@ -235,45 +229,47 @@ def loss_and_gradient(
     x: np.ndarray,
     y: np.ndarray,
     work: Workspace | None = None,
+    out: np.ndarray | None = None,
 ) -> tuple[float, MlpParams]:
     """Batch MSE and its gradient via backpropagation.
 
-    The gradient comes back in parameter shape: a MlpParams whose entries
-    are d(loss)/d(entry), in arrays of its own. The intermediates go into
-    ``work``, or into a Workspace of this call when none is given.
+    The gradient comes back in parameter shape: a MlpParams of views into
+    ``out``, the flat vector of d(loss)/d(entry) in MlpParams.flatten's
+    layout. The intermediates go into ``work``. Either is new when None.
     """
     xs, ys = as_xy(x, y)
     n = xs.shape[0]
+    shapes = [w.shape for w in params.weights]
     if work is None:
-        work = Workspace.allocate([w.shape for w in params.weights], n)
+        work = Workspace.allocate(shapes, n)
+    if out is None:
+        out = np.empty(sum(rows * (cols + 1) for rows, cols in shapes))
+    grad = MlpParams.unflatten(out, shapes)
     yhat = _forward_batch(params, act, xs, work)
-    resid = np.subtract(yhat, ys, out=work.resid)
+    resid = np.subtract(yhat, ys, out=yhat)
     loss = float(resid @ resid) / n
     if not np.isfinite(loss):
         raise NonFiniteLoss("batch loss is not finite")
 
-    last = len(params.weights) - 1
-    g_w = [np.empty(0)] * (last + 1)
-    g_b = [np.empty(0)] * (last + 1)
-    inputs = (xs.T, *work.post)
+    last = len(shapes) - 1
     # delta holds d(loss)/d(pre-activation) for the layer being processed,
     # one row per unit, first the output layer's one row. Each step forms
-    # W' delta into the free back buffer and f' into the other, whose delta
-    # that product has just consumed.
+    # f' of its input h into work.back (never over h: logistic's reads h
+    # after writing 1 - h), then W' delta over h, now read for the last time.
     delta = np.multiply(2.0 / n, resid, out=work.out)
-    free, scratch = work.back
-    for layer in range(last, -1, -1):
-        g_w[layer] = delta @ inputs[layer].T
-        g_b[layer] = delta.sum(axis=1)
-        if layer == 0:
-            break
+    for layer in range(last, 0, -1):
+        h = work.post[layer - 1]
+        np.matmul(delta, h.T, out=grad.weights[layer])
+        delta.sum(axis=1, out=grad.biases[layer])
+        act.f_prime(h, out=work.back)
         if layer == last:  # rank 1
-            column_product(params.weights[layer].T, delta.T, out=free)
+            column_product(params.weights[layer].T, delta.T, out=h)
         else:
-            np.matmul(params.weights[layer].T, delta, out=free)
-        free *= act.f_prime(inputs[layer], out=scratch)
-        delta, free, scratch = free, scratch, free
-    return loss, MlpParams(weights=tuple(g_w), biases=tuple(g_b))
+            np.matmul(params.weights[layer].T, delta, out=h)
+        delta = np.multiply(h, work.back, out=h)
+    np.matmul(delta, xs, out=grad.weights[0])
+    delta.sum(axis=1, out=grad.biases[0])
+    return loss, grad
 
 
 def train_mlp(
@@ -303,10 +299,9 @@ def train_mlp(
         ) from None
 
     def eval_flat(theta: np.ndarray) -> tuple[float, np.ndarray]:
-        loss, grad = loss_and_gradient(
-            MlpParams.unflatten(theta, shapes), act, xs, ys, work
-        )
-        return loss, grad.flatten()
+        grad = np.empty(theta.size)
+        params = MlpParams.unflatten(theta, shapes)
+        return loss_and_gradient(params, act, xs, ys, work, grad)[0], grad
 
     obj = FunctionObjective(dim=theta0.size, fn=eval_flat)
     with np.errstate(over="ignore", invalid="ignore"):

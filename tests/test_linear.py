@@ -59,6 +59,21 @@ def reference_divergence_step(xs, y, cfg):
     return None
 
 
+def reference_fixed_point(xs, y, cfg):
+    """The first step of reference_fit that returns theta unchanged bit for
+    bit, or None."""
+    n = xs.shape[0]
+    design = np.column_stack([xs, np.ones(n)])
+    gram, c = design.T @ design, design.T @ y
+    theta = np.zeros(design.shape[1])
+    for it in range(1, cfg.iterations + 1):
+        stepped = theta - cfg.learning_rate * (2.0 / n) * (gram @ theta - c)
+        if stepped.tobytes() == theta.tobytes():
+            return it
+        theta = stepped
+    return None
+
+
 def residual_reference_fit(xs, y, cfg, product):
     """The same loop written on the residuals: a fresh residual each step,
     x w formed by ``product``, and the gradient (2/n) [x 1]' r."""
@@ -91,6 +106,22 @@ class TestFit:
         assert got.intercept == pytest.approx(b, rel=1e-12)
         if width == 0:  # intercept-only: gradient descent on the mean
             assert got.intercept == pytest.approx(float(np.mean(y)), abs=1e-12)
+
+    @pytest.mark.parametrize("width", [1, 3])
+    @pytest.mark.parametrize("lr, reaches", [(0.2, True), (0.001, False)])
+    def test_fixed_point_stop_equals_every_step(self, width, lr, reaches, rng):
+        # On standardized columns theta stops changing bit for bit after
+        # about 80 steps at rate 0.2, and the fit ends there; at 0.001 it
+        # still moves on the last of the 4000.
+        x = 3.0 * rng.normal(size=(50, width))
+        xs = transform(x, fit_scaler(x))
+        y = xs @ np.linspace(1.0, -1.0, width) + 0.4 + 0.2 * rng.normal(size=50)
+        cfg = LinRegConfig(lr, 4000)
+        fixed = reference_fixed_point(xs, y, cfg)
+        assert (fixed is not None and fixed < cfg.iterations // 2) == reaches
+        got = linreg_fit(xs, y, cfg)
+        w, b = reference_fit(xs, y, cfg)
+        assert (got.slope.tobytes(), got.intercept) == (w.tobytes(), b)
 
     @pytest.mark.parametrize("target", ["confirmed", "deaths"])
     def test_grid_slots_equal_reference_loop_byte_for_byte(self, series, chrono_split, target):

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -18,6 +20,7 @@ from epicast.optimizers import (
     lbfgs_minimize,
     sgd_minimize,
 )
+from epicast.preprocess import column_product
 
 
 def flat_loss(params_shapes, act, x, y):
@@ -93,6 +96,41 @@ def reference_objective(params, kind, x, y):
         delta = (params.weights[layer + 1].T @ delta) * reference_activation(kind, pre[layer])[1]
         g_w.insert(0, delta @ post[layer].T)
         g_b.insert(0, delta.sum(axis=1))
+    return loss, MlpParams(weights=tuple(g_w), biases=tuple(g_b))
+
+
+def two_buffer_objective(params, kind, x, y):
+    """Batch MSE and gradient as loss_and_gradient computed them with two
+    backprop buffers: each step forms W' delta into the free one and f'
+    into the other, whose delta that product has just consumed, and the
+    activations stay untouched. Gradients go into arrays of their own."""
+    act = ActivationKind(kind)
+    n = x.shape[0]
+    post = []
+    for layer, (w, b) in enumerate(zip(params.weights[:-1], params.biases[:-1])):
+        z = column_product(w, x) if layer == 0 else np.matmul(w, post[-1])
+        z += b[:, None]
+        post.append(act.f(z, out=z))
+    out = np.matmul(params.weights[-1], post[-1])
+    out += params.biases[-1]
+    resid = out[0] - y
+    loss = float(resid @ resid) / n
+    last = len(params.weights) - 1
+    g_w, g_b = [None] * (last + 1), [None] * (last + 1)
+    inputs = (x.T, *post)
+    delta = np.multiply(2.0 / n, resid, out=np.empty((1, n)))
+    free, scratch = np.empty_like(post[0]), np.empty_like(post[0])
+    for layer in range(last, -1, -1):
+        g_w[layer] = delta @ inputs[layer].T
+        g_b[layer] = delta.sum(axis=1)
+        if layer == 0:
+            break
+        if layer == last:
+            column_product(params.weights[layer].T, delta.T, out=free)
+        else:
+            np.matmul(params.weights[layer].T, delta, out=free)
+        free *= act.f_prime(inputs[layer], out=scratch)
+        delta, free, scratch = free, scratch, free
     return loss, MlpParams(weights=tuple(g_w), biases=tuple(g_b))
 
 
@@ -336,10 +374,13 @@ class TestLossAndGradient:
         x = rng.normal(size=(40, width))
         y = rng.normal(size=40)
         loss, grad = loss_and_gradient(p, ActivationKind(kind), x, y)
-        ref_loss, ref_grad = reference_objective(p, kind, x, y)
-        assert loss == ref_loss
-        for got, want in zip(grad.weights + grad.biases, ref_grad.weights + ref_grad.biases):
-            assert same_bytes(got, want)
+        for reference in (reference_objective, two_buffer_objective):
+            ref_loss, ref_grad = reference(p, kind, x, y)
+            assert loss == ref_loss
+            for got, want in zip(
+                grad.weights + grad.biases, ref_grad.weights + ref_grad.biases
+            ):
+                assert same_bytes(got, want)
         assert_matches_row_major(loss, grad, p, kind, x, y)
 
     def test_equals_reference_at_grid_size(self):
@@ -350,10 +391,25 @@ class TestLossAndGradient:
         y = np.tanh(3.0 * x[:, 0])
         for kind in ("tanh", "relu"):
             loss, grad = loss_and_gradient(p, ActivationKind(kind), x, y)
-            ref_loss, ref_grad = reference_objective(p, kind, x, y)
-            assert loss == ref_loss
-            assert same_bytes(grad.flatten(), ref_grad.flatten())
+            for reference in (reference_objective, two_buffer_objective):
+                ref_loss, ref_grad = reference(p, kind, x, y)
+                assert loss == ref_loss
+                assert same_bytes(grad.flatten(), ref_grad.flatten())
             assert_matches_row_major(loss, grad, p, kind, x, y)
+
+    def test_gradient_is_written_into_out(self, rng):
+        cfg = MlpConfig(hidden_layers=2, neurons_per_layer=4, seed=2)
+        p = init_params(cfg, 1)
+        x = rng.normal(size=(20, 1))
+        y = rng.normal(size=20)
+        out = np.full(p.flatten().size, np.nan)
+        loss, grad = loss_and_gradient(p, ActivationKind("logistic"), x, y, out=out)
+        want_loss, want = loss_and_gradient(p, ActivationKind("logistic"), x, y)
+        assert loss == want_loss
+        assert same_bytes(out, want.flatten())
+        assert all(np.shares_memory(a, out) for a in grad.weights + grad.biases)
+        with pytest.raises(DimensionMismatch):
+            loss_and_gradient(p, ActivationKind("logistic"), x, y, out=out[:-1])
 
     def test_workspace_reuse_leaves_earlier_results_alone(self, rng):
         cfg = MlpConfig(hidden_layers=3, neurons_per_layer=6, seed=4)
@@ -367,7 +423,7 @@ class TestLossAndGradient:
         other = MlpParams.unflatten(p.flatten() + 0.5, shapes)
         loss2, grad2 = loss_and_gradient(other, act, x, rng.normal(size=30), work)
         assert loss1 != loss2
-        buffers = [*work.post, *work.back, work.out, work.resid]
+        buffers = [*work.post, work.back, work.out]
         for got, want in zip(grad1.weights + grad1.biases, kept):
             assert same_bytes(got, want)
             assert not any(np.shares_memory(got, buf) for buf in buffers)
@@ -468,6 +524,25 @@ class TestTrainMlp:
         cfg = MlpConfig(hidden_layers=2, neurons_per_layer=3)
         with pytest.raises(InputError, match="on a 5 x 1 design does not fit"):
             train_mlp(cfg, np.zeros((5, 1)), np.arange(5.0))
+
+    def test_fit_holds_three_hidden_buffers(self):
+        # Two hidden layers of 16 units on 4000 rows: the activations of
+        # each, which backprop overwrites with its deltas, and one f'
+        # scratch, 512 000 B apiece. Backprop through two scratch buffers
+        # held a fourth; the rest of the peak is under a third of one.
+        x = np.linspace(-1.0, 1.0, 4000)[:, None]
+        y = np.sin(3.0 * x[:, 0])
+        cfg = MlpConfig(hidden_layers=2, neurons_per_layer=16, max_iterations=3)
+        train_mlp(cfg, x[:40], y[:40])  # lazy imports of a first fit stay out
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            train_mlp(cfg, x, y)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        buffer = 16 * 4000 * 8
+        assert 3 * buffer <= peak < 3.5 * buffer
 
     def test_needs_two_rows(self):
         cfg = MlpConfig(hidden_layers=1, neurons_per_layer=2)

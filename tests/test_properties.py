@@ -336,46 +336,83 @@ def _huge_csv(tests: str, confirmed: str, test_rows_tests: str | None = None) ->
     return "\n".join(lines) + "\n", 0, 11, "day_index,tests", "confirmed"
 
 
+def _keeps_the_exit_contract(argv: list[str], tmp: str) -> int:
+    """Run one command with its --out-dir under tmp and check that it exits
+    0, 2, 3 or 4, and on failure prints exactly one JSON error line on
+    stderr; returns the exit code."""
+    stderr = io.StringIO()
+    with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
+        code = main([*argv, "--out-dir", str(Path(tmp) / "out")])
+    assert code in (0, 2, 3, 4), (argv[:4], code)
+    if code:
+        lines = stderr.getvalue().splitlines()
+        assert len(lines) == 1, (argv[:4], lines)
+        assert "error" in json.loads(lines[0])
+    return code
+
+
+def _huge_examples(test):
+    """The count_csvs cases with counts beyond what the scaler accepts."""
+    for case in (
+        _huge_csv(tests="5", confirmed=HUGE),  # a target beyond the scaler bound
+        _huge_csv(tests=HUGE, confirmed="7"),  # a constant feature beyond it
+        # a feature constant on the train rows that scales to inf on the test rows
+        _huge_csv(tests="5", confirmed="7", test_rows_tests="1e300"),
+    ):
+        test = example(case)(test)
+    return test
+
+
 @settings(derandomize=True, database=None, deadline=None, max_examples=40)
 @given(count_csvs())
-@example(_huge_csv(tests="5", confirmed=HUGE))  # a target beyond the scaler bound
-@example(_huge_csv(tests=HUGE, confirmed="7"))  # a constant feature beyond it
-# a feature constant on the train rows that scales to inf on the test rows
-@example(_huge_csv(tests="5", confirmed="7", test_rows_tests="1e300"))
+@_huge_examples
 def test_count_csvs_through_the_cli_keep_the_exit_contract(case):
-    """stats, train of each family and scenario on CSVs with counts up to
-    1e300 exit 0, 2, 3 or 4 with no warning (the suite turns numpy
-    RuntimeWarnings into errors), a failure prints exactly one JSON error
-    line on stderr, and a model file train writes is one its loader
-    accepts."""
+    """stats, train of each family, forecast of each model file and
+    scenario on CSVs with counts up to 1e300 keep the exit contract with
+    no warning (the suite turns numpy RuntimeWarnings into errors), and a
+    model file train writes is one its loader accepts."""
     text, lo, hi, features, target = case
     with tempfile.TemporaryDirectory() as tmp:
         csv_path = Path(tmp) / "counts.csv"
         csv_path.write_text(text, encoding="utf-8")
         window = [(START + timedelta(days=d)).isoformat() for d in (lo, hi)]
+        _keeps_the_exit_contract(["stats", str(csv_path)], tmp)
         trains = {
             "linreg": ["--iterations", "50"],
             "svr": ["--max-passes", "200"],
             "mlp": ["--hidden-layers", "1", "--neurons", "2", "--max-iterations", "5"],
         }
-        for argv in (
-            ["stats", str(csv_path)],
-            *(
-                ["train", str(csv_path), "--model", family, *flags, "--features", features,
-                 "--target", target, "--out", str(Path(tmp) / f"model_{family}.json")]
-                for family, flags in trains.items()
-            ),
+        for family, flags in trains.items():
+            model_file = str(Path(tmp) / f"model_{family}.json")
+            argv = ["train", str(csv_path), "--model", family, *flags, "--features",
+                    features, "--target", target, "--out", model_file]
+            if _keeps_the_exit_contract(argv, tmp) == 0:
+                load_model(model_file)
+                _keeps_the_exit_contract(
+                    ["forecast", model_file, "--csv", str(csv_path), "--horizon", "3"], tmp
+                )
+        _keeps_the_exit_contract(
             ["scenario", str(csv_path), "--from", window[0], "--to", window[1],
              "--horizon", "3", "--hidden-layers", "1", "--neurons", "2",
              "--max-iterations", "5"],
-        ):
-            stderr = io.StringIO()
-            with redirect_stdout(io.StringIO()), redirect_stderr(stderr):
-                code = main([*argv, "--out-dir", str(Path(tmp) / "out")])
-            assert code in (0, 2, 3, 4), (argv[:4], code)
-            if code:
-                lines = stderr.getvalue().splitlines()
-                assert len(lines) == 1, (argv[:4], lines)
-                assert "error" in json.loads(lines[0])
-            elif argv[0] == "train":
-                load_model(argv[-1])
+            tmp,
+        )
+
+
+# A grid on 10-24 rows takes about 0.15 s and compare runs one more, so
+# this test draws fewer CSVs than the one above.
+@settings(derandomize=True, database=None, deadline=None, max_examples=12)
+@given(count_csvs())
+@_huge_examples
+def test_count_csvs_through_grid_and_compare_keep_the_exit_contract(case):
+    """grid and compare --horizon 3 of small MLP slots keep the exit
+    contract on the CSVs of the test above."""
+    text, _, _, _, target = case
+    mlp = ["--mlp-hidden-layers", "1", "--mlp-neurons", "2"]
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = Path(tmp) / "counts.csv"
+        csv_path.write_text(text, encoding="utf-8")
+        _keeps_the_exit_contract(["grid", str(csv_path), *mlp], tmp)
+        _keeps_the_exit_contract(
+            ["compare", str(csv_path), "--horizon", "3", "--target", target, *mlp], tmp
+        )
