@@ -90,9 +90,7 @@ from .svr import (
     KernelSpec,
     SvrConfig,
     SvrParams,
-    dual_objective,
     gram_matrix,
-    qp_oracle,
     resolve_gamma,
     svr_fit,
     svr_predict,

@@ -171,7 +171,7 @@ def read_text(path: str | Path) -> str:
 
 
 def parse_csv(
-    text: str | bytes,
+    text: str,
     schema: CsvSchema = DEFAULT_SCHEMA,
     *,
     fill_gaps: bool = False,
@@ -181,16 +181,11 @@ def parse_csv(
 
     Rows are sorted by date. Every rejection raises InputError: a missing
     header or required column, a duplicate or malformed date cell (the
-    message starts with its 1-based line number; the header is line 1),
-    bytes that are not UTF-8, and text the csv module cannot split into
-    rows. Calendar gaps are rejected too unless ``fill_gaps`` is set, in
-    which case missing days are inserted with all counts missing.
+    message starts with its 1-based line number; the header is line 1)
+    and text the csv module cannot split into rows. Calendar gaps are
+    rejected too unless ``fill_gaps`` is set, in which case missing days
+    are inserted with all counts missing.
     """
-    if isinstance(text, bytes):
-        try:
-            text = text.decode("utf-8")
-        except UnicodeDecodeError as err:
-            raise InputError(f"input is not UTF-8 text: {err}") from None
     try:
         table = list(csv.reader(io.StringIO(text)))
     except csv.Error as err:

@@ -52,7 +52,7 @@ class TrainedModel:
 
     @property
     def converged(self) -> bool:
-        return bool(self.train_meta.get("converged", True))
+        return self.train_meta["converged"]
 
 
 @dataclass(frozen=True)
@@ -307,6 +307,9 @@ def model_from_dict(doc: dict) -> TrainedModel:
     try:
         feature_names = tuple(doc["feature_names"])
         width = len(feature_names)
+        meta = doc["train_meta"]
+        if not isinstance(meta, dict) or not isinstance(meta.get("converged"), bool):
+            raise ValueError('train_meta needs a boolean "converged"')
         return TrainedModel(
             family=name,
             config=family.config_from_dict(doc["config"]),
@@ -315,7 +318,7 @@ def model_from_dict(doc: dict) -> TrainedModel:
             y_scaler=_scaler_from_dict(doc, "y_scaler", 1),
             feature_names=feature_names,
             target_name=doc["target_name"],
-            train_meta=dict(doc.get("train_meta", {})),
+            train_meta=dict(meta),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise InputError(f"malformed model document: {err!r}") from None

@@ -244,8 +244,8 @@ def split(data: SupervisedSet, spec: SplitSpec) -> tuple[SupervisedSet, Supervis
 
     def take(idx: np.ndarray) -> SupervisedSet:
         return SupervisedSet(
-            x=data.x[idx].copy(),
-            y=data.y[idx].copy(),
+            x=data.x[idx],
+            y=data.y[idx],
             feature_names=data.feature_names,
             target_name=data.target_name,
         )

@@ -22,8 +22,7 @@ svr_fit takes three steps.
    crossing, whichever comes first, so the equality stays exact. Stopping
    at zero keeps the objective smooth along every step, as in the (alpha,
    alpha*) form. Their violation test is the one KKT rule behind
-   converged, and passes counts these updates alone. A small brute-force
-   grid oracle (qp_oracle) certifies optimality in tests.
+   converged, and passes counts these updates alone.
 
 Each pass reads two contiguous rows of the exactly symmetric Gram to
 update K beta. The eps shift that each coefficient adds to its KKT
@@ -211,17 +210,6 @@ def resolve_gamma(k: KernelSpec, x: np.ndarray) -> KernelSpec:
     if not 0.0 < gamma <= FLOAT_MAX:
         raise DegenerateKernelMatrix("no finite gamma for this data; standardize it")
     return replace(k, gamma=gamma)
-
-
-def dual_objective(
-    k_matrix: np.ndarray, y: np.ndarray, beta: np.ndarray, eps: float
-) -> float:
-    """W(beta) = -1/2 beta' K beta + y' beta - eps ||beta||_1 (maximized)."""
-    return float(
-        -0.5 * beta @ (k_matrix @ beta)
-        + y @ beta
-        - eps * np.sum(np.abs(beta))
-    )
 
 
 def _eps_shift(b: float, c: float, eps: float) -> tuple[float, float]:
@@ -546,54 +534,3 @@ def svr_predict(params: SvrParams, x: np.ndarray) -> np.ndarray:
         del block  # so that the next block is built without it
     out += params.bias
     return out
-
-
-def qp_oracle(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> float:
-    """Brute-force maximum of the dual objective, for tiny instances only.
-
-    Grids the first n-1 coordinates (the equality constraint fixes the
-    last), then repeatedly shrinks the grid window around the best point.
-    Independent of the solver: no KKT conditions, no pair logic.
-    """
-    xs, ys = as_xy(x, y)
-    n = xs.shape[0]
-    if n > 5:
-        raise ValueError("oracle is exhaustive; use n <= 5")
-    kernel = resolve_gamma(cfg.kernel, xs)
-    k_matrix = gram_matrix(kernel, xs, xs)
-    c, eps = cfg.c, cfg.epsilon
-
-    if n == 1:
-        return 0.0  # sum constraint forces beta = 0
-    free = n - 1
-    points_per_dim = {1: 1025, 2: 129, 3: 41, 4: 21}[free]
-    center = np.zeros(free)
-    half = c
-    best_val = dual_objective(k_matrix, ys, np.zeros(n), eps)
-    for _ in range(26):
-        axes = [
-            np.linspace(
-                max(-c, center[d] - half), min(c, center[d] + half), points_per_dim
-            )
-            for d in range(free)
-        ]
-        mesh = np.stack(
-            [m.ravel() for m in np.meshgrid(*axes, indexing="ij")], axis=1
-        )
-        last = -mesh.sum(axis=1)
-        ok = np.abs(last) <= c
-        if not np.any(ok):
-            half *= 0.65
-            continue
-        betas = np.column_stack([mesh[ok], last[ok]])
-        vals = (
-            -0.5 * np.einsum("bi,ij,bj->b", betas, k_matrix, betas)
-            + betas @ ys
-            - eps * np.sum(np.abs(betas), axis=1)
-        )
-        top = int(np.argmax(vals))
-        if vals[top] > best_val:
-            best_val = float(vals[top])
-            center = mesh[ok][top]
-        half *= 0.65
-    return best_val

@@ -24,7 +24,6 @@ from epicast import (
     SplitSpec,
     SvrConfig,
     build_supervised,
-    dual_objective,
     evaluate,
     fit_scaler,
     forward,
@@ -40,7 +39,6 @@ from epicast import (
     mse,
     ols_closed_form,
     predict_scaled,
-    qp_oracle,
     r2_score,
     replay_manifest,
     run_grid,
@@ -53,6 +51,7 @@ from epicast import (
 from epicast.cli import main
 from epicast.models import TrainedModel
 from epicast.preprocess import ScalerParams
+from oracles import dual_objective, qp_oracle
 
 
 def _min_preactivation(params, act, x):

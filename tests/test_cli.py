@@ -3,13 +3,15 @@ import csv
 import dataclasses
 import json
 import os
+import subprocess
+import sys
 import threading
 import time
 from datetime import datetime
 from pathlib import Path
 
 import pytest
-from jsonschema import Draft202012Validator
+from jsonschema import Draft202012Validator, ValidationError
 from referencing import Registry, Resource
 
 from epicast import (
@@ -1054,6 +1056,40 @@ class TestInconsistentModelFile:
         assert not (tmp_path / "o").exists()
 
 
+# train_meta sections that do not say whether the fit converged; a model
+# loaded from one used to read as converged.
+NO_CONVERGED_FLAG = {
+    "train-meta-missing": None,
+    "train-meta-empty": {},
+    "train-meta-list-of-pairs": [["converged", True]],
+    "converged-not-boolean": {"status": "converged", "converged": "true"},
+}
+
+
+class TestTrainMetaWithoutConvergedFlag:
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    @pytest.mark.parametrize(
+        "meta", NO_CONVERGED_FLAG.values(), ids=NO_CONVERGED_FLAG.keys()
+    )
+    def test_exit_2_with_json_error(
+        self, meta, command, short_model_docs, short_csv, tmp_path, capsys,
+        check, registry,
+    ):
+        doc = copy.deepcopy(short_model_docs["svr"])
+        if meta is None:
+            del doc["train_meta"]
+        else:
+            doc["train_meta"] = meta
+        assert _run_on_model(doc, command, short_csv, tmp_path) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert "train_meta" in err["message"]
+        assert not (tmp_path / "o").exists()
+        # the schema rejects what the reader rejects
+        with pytest.raises(ValidationError):
+            check(doc, "model.schema.json", registry)
+
+
 class TestOutOfRangeModelFile:
     @pytest.mark.parametrize("command", MODEL_COMMANDS)
     def test_fractional_poly_degree_exit_2(
@@ -1165,3 +1201,32 @@ class TestNonFiniteNumbers:
         ])
         assert code == 3
         assert json.loads(capsys.readouterr().err)["error"] == "numeric"
+
+
+class TestSolverImport:
+    """The first SVR fit imports the interior-point solver, so a command
+    that fits no SVR never compiles it."""
+
+    @pytest.mark.parametrize(
+        "flags, imported",
+        [(["stats"], False), (["train", "--model", "svr"], True)],
+        ids=["stats", "train-svr"],
+    )
+    def test_in_a_fresh_interpreter(self, flags, imported, short_csv, tmp_path):
+        argv = [*flags, str(short_csv), "--out-dir", str(tmp_path)]
+        code = (
+            "import sys\n"
+            "from epicast.cli import main\n"
+            f"assert main({argv!r}) == 0\n"
+            "print('epicast.interior_point' in sys.modules)\n"
+        )
+        src = str(Path(cli.__file__).resolve().parents[1])
+        path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+        done = subprocess.run(
+            [sys.executable, "-c", code],
+            env={**os.environ, "PYTHONPATH": path},
+            capture_output=True,
+            text=True,
+            check=True,
+        )
+        assert done.stdout.splitlines()[-1] == str(imported)

@@ -14,10 +14,8 @@ from epicast import (
     SyntheticSpec,
     build_supervised,
     default_grid,
-    dual_objective,
     gram_matrix,
     model_to_dict,
-    qp_oracle,
     resolve_gamma,
     standardized_split,
     svr_fit,
@@ -28,6 +26,7 @@ from epicast import (
 from epicast import svr
 from epicast.errors import DegenerateKernelMatrix, DimensionMismatch
 from epicast.svr import ROW_CACHE_BYTES, ZERO_TOL, _row_cache
+from oracles import dual_objective, qp_oracle
 
 
 def kernel_eval(k, u, v):
