@@ -66,7 +66,6 @@ from .models import (
     train_on_split,
 )
 from .optimizers import (
-    FunctionObjective,
     LbfgsConfig,
     MinimizeResult,
     adam_minimize,

@@ -13,6 +13,10 @@ A subclass exists only where a report or a caller reads its name:
 ``NoValidCell`` is caught by name, and the others below are the failures a
 grid cell records as ``"<class name>: <message>"``. Every other failure
 raises its branch class with a message that says what went wrong.
+
+A fit whose loss or gradient is NaN or infinite raises one class,
+``NonFiniteObjective``, whatever the family or optimizer: the MLP's
+optimizers and linear regression's gradient descent decide alike.
 """
 
 from __future__ import annotations
@@ -62,20 +66,9 @@ class NoValidCell(InputError):
 
 # -- numeric -----------------------------------------------------------------
 
-class DivergenceError(NumericError):
-    """Gradient descent produced a non-finite loss."""
-
-    def __init__(self, message: str, iteration: int):
-        super().__init__(message)
-        self.iteration = iteration
-
-
-class NonFiniteLoss(NumericError):
-    """A training loss became NaN or infinite."""
-
-
 class NonFiniteObjective(NumericError):
-    """An optimizer objective became NaN or infinite at the current iterate."""
+    """A fit's loss or gradient became NaN or infinite; ``iteration`` is the
+    step that produced it, or -1 at the starting point."""
 
     def __init__(self, message: str, iteration: int = -1):
         super().__init__(message)

@@ -16,11 +16,11 @@ import numpy as np
 
 from .dataset import CaseSeries, horizon_dates, window
 from .errors import InputError
+from .harness import GRID_TARGETS
 from .metrics import EvalResult
 from .models import FamilyConfig, TrainedModel, predict_raw, train_on_split
 from .preprocess import SplitSpec, build_supervised, standardized_split
 
-SCENARIO_TARGETS = ("confirmed", "deaths")
 SCALES = ("linear", "log")
 
 
@@ -145,7 +145,7 @@ def scenario_run(
     models: dict[str, TrainedModel] = {}
     evals: dict[str, EvalResult] = {}
     reports: dict[str, ForecastReport] = {}
-    for target in SCENARIO_TARGETS:
+    for target in GRID_TARGETS:
         data = build_supervised(part, ("day_index",), target)
         std = standardized_split(data, split_spec)
         models[target], evals[target] = train_on_split(

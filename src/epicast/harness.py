@@ -91,12 +91,6 @@ class ScoreTable:
         default_factory=dict, compare=False, repr=False
     )
 
-    def cell(self, family: str, slot: int, target: str) -> GridCell:
-        for c in self.cells:
-            if (c.family, c.slot, c.target) == (family, slot, target):
-                return c
-        raise KeyError((family, slot, target))
-
     def family_cells(self, family: str) -> list[GridCell]:
         return [c for c in self.cells if c.family == family]
 

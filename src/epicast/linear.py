@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, DivergenceError, NumericError
+from .errors import DimensionMismatch, NonFiniteObjective, NumericError
 from .preprocess import as_design, as_xy
 
 
@@ -54,7 +54,7 @@ def linreg_fit(x: np.ndarray, y: np.ndarray, cfg: LinRegConfig) -> LinRegParams:
     n = xs.shape[0]
     design = np.column_stack([xs, np.ones(n)])
     step = cfg.learning_rate * (2.0 / n)
-    # overflow here and in the steps is the signal for DivergenceError, not
+    # overflow here and in the steps is the signal for NonFiniteObjective, not
     # a numpy warning
     with np.errstate(over="ignore", invalid="ignore"):
         gram = design.T @ design
@@ -73,7 +73,7 @@ def linreg_fit(x: np.ndarray, y: np.ndarray, cfg: LinRegConfig) -> LinRegParams:
                 tc += tk * ck
             loss = (tg - 2.0 * tc + yy) / n
             if not math.isfinite(loss):
-                raise DivergenceError(
+                raise NonFiniteObjective(
                     f"loss became non-finite at iteration {it}; "
                     "lower the learning rate or standardize the data",
                     iteration=it,
@@ -85,7 +85,7 @@ def linreg_fit(x: np.ndarray, y: np.ndarray, cfg: LinRegConfig) -> LinRegParams:
                 break
             theta = stepped
     if not all(map(math.isfinite, theta)):
-        raise DivergenceError(
+        raise NonFiniteObjective(
             "parameters became non-finite on the final step",
             iteration=cfg.iterations,
         )

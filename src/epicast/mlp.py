@@ -22,9 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DimensionMismatch, InputError, NonFiniteLoss
+from .errors import DimensionMismatch, InputError
 from .optimizers import (
-    FunctionObjective,
     LbfgsConfig,
     MinimizeResult,
     adam_minimize,
@@ -87,7 +86,9 @@ class MlpConfig:
     optimizer: str = "lbfgs"
     max_iterations: int = 1000
     seed: int = 0
-    tolerance: float = 1e-6  # loss-improvement early stop, 10-step patience
+    # early stop after 10 steps in a row that each move the loss, up or
+    # down, by less than this; 0 never stops
+    tolerance: float = 1e-6
     learning_rate: float = 1e-3  # sgd/adam only
 
     def __post_init__(self) -> None:
@@ -236,6 +237,8 @@ def loss_and_gradient(
     The gradient comes back in parameter shape: a MlpParams of views into
     ``out``, the flat vector of d(loss)/d(entry) in MlpParams.flatten's
     layout. The intermediates go into ``work``. Either is new when None.
+    The loss comes back as computed, inf or NaN included: the optimizers
+    decide what a non-finite value means.
     """
     xs, ys = as_xy(x, y)
     n = xs.shape[0]
@@ -248,8 +251,6 @@ def loss_and_gradient(
     yhat = _forward_batch(params, act, xs, work)
     resid = np.subtract(yhat, ys, out=yhat)
     loss = float(resid @ resid) / n
-    if not np.isfinite(loss):
-        raise NonFiniteLoss("batch loss is not finite")
 
     last = len(shapes) - 1
     # delta holds d(loss)/d(pre-activation) for the layer being processed,
@@ -278,11 +279,12 @@ def train_mlp(
     """Fit from a seeded Glorot init with the configured optimizer.
 
     Standardized inputs are strongly recommended. Training stops at
-    max_iterations or when the loss improves by less than cfg.tolerance
-    over 10 consecutive steps; the returned MinimizeResult carries the
-    loss trace and stop status. Overflow while training is not a warning:
-    a non-finite loss raises NonFiniteLoss or NonFiniteObjective. A shape
-    whose parameters or Workspace cannot be allocated raises InputError.
+    max_iterations or after 10 consecutive steps that each move the loss
+    by less than cfg.tolerance, up or down; the returned MinimizeResult
+    carries the loss trace and stop status. Overflow while training is not
+    a warning: a non-finite loss at the start, or after an sgd or Adam
+    step, raises NonFiniteObjective. A shape whose parameters or Workspace
+    cannot be allocated raises InputError.
     """
     xs, ys = as_xy(x, y, min_rows=2)
     act = ActivationKind(cfg.activation)
@@ -303,11 +305,10 @@ def train_mlp(
         params = MlpParams.unflatten(theta, shapes)
         return loss_and_gradient(params, act, xs, ys, work, grad)[0], grad
 
-    obj = FunctionObjective(dim=theta0.size, fn=eval_flat)
     with np.errstate(over="ignore", invalid="ignore"):
         if cfg.optimizer == "lbfgs":
             result = lbfgs_minimize(
-                obj,
+                eval_flat,
                 theta0,
                 LbfgsConfig(max_iterations=cfg.max_iterations),
                 tolerance=cfg.tolerance,
@@ -315,7 +316,7 @@ def train_mlp(
         else:
             descend = sgd_minimize if cfg.optimizer == "sgd" else adam_minimize
             result = descend(
-                obj,
+                eval_flat,
                 theta0,
                 learning_rate=cfg.learning_rate,
                 iterations=cfg.max_iterations,

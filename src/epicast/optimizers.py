@@ -1,9 +1,14 @@
 """Unconstrained minimizers over flattened parameter vectors.
 
 Three methods: L-BFGS with a strong-Wolfe line search, full-batch gradient
-descent (sgd), and Adam. All operate on a FunctionObjective, whose
-``eval(theta)`` returns (value, gradient), and are deterministic:
-identical inputs give identical traces.
+descent (sgd), and Adam. Each takes an objective ``theta -> (value,
+gradient)`` and is deterministic: identical inputs give identical traces.
+
+The minimizers alone decide what a non-finite value or gradient means. At
+the starting point it raises NonFiniteObjective; in a line-search trial it
+fails the sufficient-decrease test, so the search backs off; after an sgd
+or Adam step it raises NonFiniteObjective naming the iteration. Objectives
+return what they compute and never raise for it.
 """
 
 from __future__ import annotations
@@ -26,23 +31,15 @@ WOLFE_C1 = 1e-4
 WOLFE_C2 = 0.9
 # Function-evaluation budget for one line search, bracket plus zoom.
 MAX_EVALS_PER_SEARCH = 25
-# Consecutive steps below the improvement tolerance before an early stop.
+# Consecutive steps that move the loss by less than the tolerance, up or
+# down, before an early stop.
 PATIENCE = 10
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
-@dataclass
-class FunctionObjective:
-    """A plain (value, gradient) function over vectors of length ``dim``."""
-
-    dim: int
-    fn: Callable[[np.ndarray], tuple[float, np.ndarray]]
-
-    def eval(self, theta: np.ndarray) -> tuple[float, np.ndarray]:
-        value, grad = self.fn(theta)
-        return float(value), np.asarray(grad, dtype=float)
+Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
 @dataclass(frozen=True)
@@ -66,9 +63,17 @@ class MinimizeResult:
     grad_norm: float
 
 
-def _check_initial(value: float, grad: np.ndarray) -> None:
-    if not (np.isfinite(value) and np.all(np.isfinite(grad))):
+def _finite(value: float, grad: np.ndarray) -> bool:
+    return bool(np.isfinite(value) and np.all(np.isfinite(grad)))
+
+
+def _start(obj: Objective, theta0: np.ndarray) -> tuple[np.ndarray, float, np.ndarray]:
+    """A copy of theta0 and the objective there, which must be finite."""
+    theta = np.asarray(theta0, dtype=float).copy()
+    f, g = obj(theta)
+    if not _finite(f, g):
         raise NonFiniteObjective("objective is not finite at the starting point")
+    return theta, f, g
 
 
 def two_loop_direction(
@@ -130,7 +135,7 @@ class _LineSearch:
 
     def __init__(
         self,
-        obj: FunctionObjective,
+        obj: Objective,
         x: np.ndarray,
         d: np.ndarray,
         f0: float,
@@ -142,8 +147,8 @@ class _LineSearch:
 
     def _phi(self, alpha: float) -> tuple[float, np.ndarray, float]:
         self.evals += 1
-        f, g = self.obj.eval(self.x + alpha * self.d)
-        ok = np.isfinite(f) and np.all(np.isfinite(g))
+        f, g = self.obj(self.x + alpha * self.d)
+        ok = _finite(f, g)
         dphi = float(g @ self.d) if ok else np.nan
         return (f if ok else np.inf), g, dphi
 
@@ -194,25 +199,23 @@ class _LineSearch:
 
 
 def lbfgs_minimize(
-    obj: FunctionObjective,
+    obj: Objective,
     theta0: np.ndarray,
     cfg: LbfgsConfig = LbfgsConfig(),
     *,
-    tolerance: float | None = None,
+    tolerance: float = 0.0,
 ) -> MinimizeResult:
     """L-BFGS with a strong-Wolfe line search.
 
     Stops when the gradient inf-norm is at most cfg.grad_tolerance, the
-    iteration budget runs out, or (when ``tolerance`` is given) the loss
-    fails to improve by at least that amount over PATIENCE consecutive
-    accepted steps. A failed line search falls back to the steepest-descent
-    direction once; if that also fails, the best point so far is returned
-    flagged with status "line_search_failed". The trace of accepted losses
-    never increases.
+    iteration budget runs out, or PATIENCE consecutive accepted steps each
+    move the loss by less than ``tolerance``; a tolerance of 0 never stops.
+    A failed line search falls back to the steepest-descent direction once;
+    if that also fails, the best point so far is returned flagged with
+    status "line_search_failed". The trace of accepted losses never
+    increases.
     """
-    theta = np.asarray(theta0, dtype=float).copy()
-    f, g = obj.eval(theta)
-    _check_initial(f, g)
+    theta, f, g = _start(obj, theta0)
     trace = [f]
     s_pairs: deque[np.ndarray] = deque(maxlen=MEMORY)
     y_pairs: deque[np.ndarray] = deque(maxlen=MEMORY)
@@ -249,15 +252,13 @@ def lbfgs_minimize(
             s_pairs.append(s)
             y_pairs.append(y)
         theta = theta + s
-        improvement = f - f_new
+        stall = stall + 1 if abs(f - f_new) < tolerance else 0
         f, g = f_new, g_new
         trace.append(f)
         iterations += 1
-        if tolerance is not None:
-            stall = stall + 1 if improvement < tolerance else 0
-            if stall >= PATIENCE:
-                status = "stalled"
-                break
+        if stall >= PATIENCE:
+            status = "stalled"
+            break
 
     return MinimizeResult(
         theta=theta,
@@ -269,57 +270,56 @@ def lbfgs_minimize(
 
 
 def _descend(
-    obj: FunctionObjective,
+    obj: Objective,
     theta0: np.ndarray,
     step: Callable[[np.ndarray, int], np.ndarray],
     iterations: int,
-    tolerance: float | None,
+    tolerance: float,
 ) -> MinimizeResult:
     """The sgd/adam loop: theta <- theta - step(grad, iteration) until the
     budget or the early stop; a non-finite loss or gradient raises."""
-    theta = np.asarray(theta0, dtype=float).copy()
-    f, g = obj.eval(theta)
-    _check_initial(f, g)
+    theta, f, g = _start(obj, theta0)
     trace = [f]
     status = "max_iterations"
     stall = 0
     it = 0
     for it in range(1, iterations + 1):
         theta -= step(g, it)
-        f_new, g = obj.eval(theta)
-        if not (np.isfinite(f_new) and np.all(np.isfinite(g))):
+        f_new, g = obj(theta)
+        if not _finite(f_new, g):
             raise NonFiniteObjective(
                 f"objective became non-finite at iteration {it}", iteration=it
             )
         trace.append(f_new)
-        improvement = f - f_new
+        stall = stall + 1 if abs(f - f_new) < tolerance else 0
         f = f_new
-        if tolerance is not None:
-            stall = stall + 1 if improvement < tolerance else 0
-            if stall >= PATIENCE:
-                status = "stalled"
-                break
+        if stall >= PATIENCE:
+            status = "stalled"
+            break
     return MinimizeResult(
         theta=theta,
         trace=trace,
-        iterations=it if iterations > 0 else 0,
+        iterations=it,
         status=status,
         grad_norm=float(np.max(np.abs(g))),
     )
 
 
 def sgd_minimize(
-    obj: FunctionObjective,
+    obj: Objective,
     theta0: np.ndarray,
     learning_rate: float,
     iterations: int,
     *,
-    tolerance: float | None = None,
+    tolerance: float = 0.0,
 ) -> MinimizeResult:
     """Full-batch gradient descent, theta <- theta - lr * grad.
 
-    Runs the exact iteration count unless ``tolerance`` enables the
-    loss-improvement early stop. lr = 0 is allowed and leaves theta fixed.
+    Runs the exact iteration count unless PATIENCE consecutive steps each
+    move the loss by less than ``tolerance``; a tolerance of 0 never stops,
+    and a rising loss is not a stall. A non-finite loss or gradient after a
+    step raises NonFiniteObjective naming the iteration. lr = 0 is allowed
+    and leaves theta fixed.
     """
     if learning_rate < 0.0:
         raise ValueError("learning_rate must be nonnegative")
@@ -329,14 +329,15 @@ def sgd_minimize(
 
 
 def adam_minimize(
-    obj: FunctionObjective,
+    obj: Objective,
     theta0: np.ndarray,
     learning_rate: float = 1e-3,
     iterations: int = 1000,
     *,
-    tolerance: float | None = None,
+    tolerance: float = 0.0,
 ) -> MinimizeResult:
-    """Adam with bias-corrected first and second moment estimates."""
+    """Adam with bias-corrected first and second moment estimates; stops
+    and raises as sgd_minimize does."""
     if learning_rate < 0.0:
         raise ValueError("learning_rate must be nonnegative")
     m = np.zeros_like(np.asarray(theta0, dtype=float))

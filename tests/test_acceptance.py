@@ -15,7 +15,6 @@ import pytest
 
 from epicast import (
     ActivationKind,
-    FunctionObjective,
     KernelSpec,
     LbfgsConfig,
     LinRegConfig,
@@ -137,7 +136,7 @@ def test_criterion_02_lbfgs_quadratics_and_rosenbrock():
             delta = theta - target
             return 0.5 * delta @ (a @ delta), a @ delta
 
-        result = lbfgs_minimize(FunctionObjective(dim, quad), rng.normal(size=dim), cfg)
+        result = lbfgs_minimize(quad, rng.normal(size=dim), cfg)
         assert result.iterations <= 50
         assert result.grad_norm < 1e-8, f"dim {dim}: grad {result.grad_norm:.3e}"
         assert np.max(np.abs(result.theta - target)) < 1e-6
@@ -151,7 +150,7 @@ def test_criterion_02_lbfgs_quadratics_and_rosenbrock():
         return f, g
 
     result = lbfgs_minimize(
-        FunctionObjective(2, rosenbrock),
+        rosenbrock,
         np.array([-1.2, 1.0]),
         LbfgsConfig(max_iterations=200, grad_tolerance=1e-12),
     )

@@ -281,6 +281,20 @@ class TestTrain:
         assert err["error"] == "not_converged"
         assert "max_iterations" in err["message"]
 
+    def test_diverging_sgd_fit_exits_3_and_names_the_iteration(
+        self, series_csv_path, tmp_path, capsys
+    ):
+        # the loss rises until it overflows; a rising loss is not a stall,
+        # so the fit cannot end as a converged "stalled" one
+        code = main([
+            "train", str(series_csv_path), "--model", "mlp", "--optimizer", "sgd",
+            "--learning-rate", "1", "--strict", "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "numeric"
+        assert "at iteration 103" in err["message"]
+
 
 class TestEval:
     def test_scores_saved_model_on_full_file(

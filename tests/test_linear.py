@@ -12,7 +12,7 @@ from epicast import (
     standardized_split,
     transform,
 )
-from epicast.errors import DivergenceError, DimensionMismatch, NumericError
+from epicast.errors import DimensionMismatch, NonFiniteObjective, NumericError
 
 
 def standardized_line(rng, n=60, slope=2.0, intercept=1.0, noise=0.0):
@@ -180,7 +180,7 @@ class TestFit:
         x = np.arange(500, dtype=float)[:, None]
         y = 3.0 * x[:, 0]
         cfg = LinRegConfig(0.5, 2500)
-        with pytest.raises(DivergenceError) as exc:
+        with pytest.raises(NonFiniteObjective) as exc:
             linreg_fit(x, y, cfg)
         assert exc.value.iteration >= 1
         assert exc.value.iteration == reference_divergence_step(x, y, cfg)
@@ -193,7 +193,7 @@ class TestFit:
         cfg = LinRegConfig(lr, 3000)
         expected = reference_divergence_step(x, y, cfg)
         assert expected is not None
-        with pytest.raises(DivergenceError) as exc:
+        with pytest.raises(NonFiniteObjective) as exc:
             linreg_fit(x, y, cfg)
         assert exc.value.iteration == expected
 
@@ -205,14 +205,14 @@ class TestFit:
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_step_raises_without_a_warning(self):
         # the third step's G theta multiplies infinite parameters
-        with pytest.raises(DivergenceError, match="at iteration 3") as exc:
+        with pytest.raises(NonFiniteObjective, match="at iteration 3") as exc:
             linreg_fit(self.TINY_X, self.TINY_Y, LinRegConfig(2e290, 3))
         assert exc.value.iteration == 3
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_parameters_that_overflow_on_the_final_step(self):
         # every loss is finite, and the last step leaves theta infinite
-        with pytest.raises(DivergenceError, match="on the final step") as exc:
+        with pytest.raises(NonFiniteObjective, match="on the final step") as exc:
             linreg_fit(self.TINY_X, self.TINY_Y, LinRegConfig(2e290, 2))
         assert exc.value.iteration == 2
 

@@ -12,10 +12,9 @@ from epicast import (
     loss_and_gradient,
     train_mlp,
 )
-from epicast.errors import DimensionMismatch, InputError, NonFiniteLoss
+from epicast.errors import DimensionMismatch, InputError, NonFiniteObjective
 from epicast.mlp import Workspace
 from epicast.optimizers import (
-    FunctionObjective,
     LbfgsConfig,
     lbfgs_minimize,
     sgd_minimize,
@@ -428,15 +427,16 @@ class TestLossAndGradient:
             assert same_bytes(got, want)
             assert not any(np.shares_memory(got, buf) for buf in buffers)
 
-    def test_non_finite_loss_raises(self):
+    def test_non_finite_loss_comes_back_as_computed(self):
+        # the optimizers, not the objective, decide what an inf loss means
         cfg = MlpConfig(hidden_layers=1, neurons_per_layer=2)
         p = init_params(cfg, 1)
         huge = np.full(4, 1e200)
         with np.errstate(over="ignore"):
-            with pytest.raises(NonFiniteLoss):
-                loss_and_gradient(
-                    p, ActivationKind("tanh"), np.zeros((4, 1)), huge
-                )
+            loss, _ = loss_and_gradient(
+                p, ActivationKind("tanh"), np.zeros((4, 1)), huge
+            )
+        assert loss == np.inf
 
 
 class TestTrainMlp:
@@ -496,18 +496,24 @@ class TestTrainMlp:
             return loss, grad.flatten()
 
         theta0 = init_params(cfg, 1).flatten()
-        obj = FunctionObjective(dim=theta0.size, fn=reference_flat)
         with np.errstate(over="ignore", invalid="ignore"):
             if optimizer == "lbfgs":
                 want = lbfgs_minimize(
-                    obj, theta0, LbfgsConfig(max_iterations=60), tolerance=0.0
+                    reference_flat, theta0, LbfgsConfig(max_iterations=60), tolerance=0.0
                 )
             else:
-                want = sgd_minimize(obj, theta0, 0.05, 60, tolerance=0.0)
+                want = sgd_minimize(reference_flat, theta0, 0.05, 60, tolerance=0.0)
         params, got = train_mlp(cfg, x, y)
         assert got.iterations == want.iterations > 0
         assert got.trace == want.trace
         assert same_bytes(params.flatten(), want.theta)
+
+    @pytest.mark.parametrize("optimizer", ["lbfgs", "sgd"])
+    def test_overflowing_start_raises_non_finite_objective(self, optimizer):
+        cfg = MlpConfig(hidden_layers=1, neurons_per_layer=2, optimizer=optimizer)
+        x = np.linspace(-1.0, 1.0, 4)[:, None]
+        with pytest.raises(NonFiniteObjective, match="starting point"):
+            train_mlp(cfg, x, np.full(4, 1e200))
 
     def test_shape_beyond_memory_is_an_input_error(self):
         # 1e14 neurons: the first weight matrix alone is 800 TB, more than

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from epicast import (
-    FunctionObjective,
     LbfgsConfig,
     adam_minimize,
     lbfgs_minimize,
@@ -21,7 +20,7 @@ def quadratic(center):
         d = theta - c
         return 0.5 * float(d @ d), d
 
-    return FunctionObjective(dim=c.size, fn=fn)
+    return fn
 
 
 def spd_quadratic(a_matrix, b):
@@ -29,7 +28,7 @@ def spd_quadratic(a_matrix, b):
         g = a_matrix @ theta - b
         return 0.5 * float(theta @ a_matrix @ theta) - float(b @ theta), g
 
-    return FunctionObjective(dim=b.size, fn=fn)
+    return fn
 
 
 def rosenbrock():
@@ -44,7 +43,7 @@ def rosenbrock():
         )
         return f, g
 
-    return FunctionObjective(dim=2, fn=fn)
+    return fn
 
 
 def random_spd(rng, dim, cond=10.0):
@@ -80,8 +79,9 @@ class TestLbfgs:
 
     def test_stationary_start_at_zero_tolerance(self):
         # g = 0 meets a zero tolerance; no step is sized by 1 / sum|g|
-        obj = FunctionObjective(2, lambda t: (float(t @ t), 2 * t))
-        res = lbfgs_minimize(obj, np.zeros(2), LbfgsConfig(grad_tolerance=0.0))
+        res = lbfgs_minimize(
+            lambda t: (float(t @ t), 2 * t), np.zeros(2), LbfgsConfig(grad_tolerance=0.0)
+        )
         assert (res.status, res.iterations) == ("converged", 0)
 
     @pytest.mark.parametrize("tol", [-1.0, float("nan"), float("inf")])
@@ -123,8 +123,8 @@ class TestLbfgs:
                 thetas.append(res.theta)
             assert len(thetas) > 2, "expected several accepted steps"
             for before, after in zip(thetas, thetas[1:]):
-                f0, g0 = obj.eval(before)
-                f1, g1 = obj.eval(after)
+                f0, g0 = obj(before)
+                f1, g1 = obj(after)
                 s = after - before
                 assert f1 <= f0 + WOLFE_C1 * float(g0 @ s) + 1e-12
                 assert abs(float(g1 @ s)) <= WOLFE_C2 * abs(float(g0 @ s)) + 1e-12
@@ -159,13 +159,13 @@ class TestLbfgs:
 
             def fn(theta):
                 evals.append(theta.tobytes())
-                return rosenbrock().fn(theta)
+                return rosenbrock()(theta)
 
             monkeypatch.setattr(
                 optimizers, "two_loop_direction", lambda g, s, y: sign * g
             )
             res = lbfgs_minimize(
-                FunctionObjective(2, fn), np.array([-1.2, 1.0]),
+                fn, np.array([-1.2, 1.0]),
                 LbfgsConfig(max_iterations=40),
             )
             return res, evals
@@ -184,7 +184,7 @@ class TestLbfgs:
         def fn(theta):
             return float(-theta[0]), np.array([-1.0])
 
-        res = lbfgs_minimize(FunctionObjective(1, fn), np.zeros(1))
+        res = lbfgs_minimize(fn, np.zeros(1))
         assert res.status == "line_search_failed"
         assert res.status != "converged"
         assert np.isfinite(res.theta).all()
@@ -198,7 +198,7 @@ class TestLbfgs:
                 return np.inf, np.array([np.nan])
             return -np.log(1.0 - x) + 0.5 * x * x, np.array([1.0 / (1.0 - x) + x])
 
-        res = lbfgs_minimize(FunctionObjective(1, fn), np.array([0.0]))
+        res = lbfgs_minimize(fn, np.array([0.0]))
         assert np.all(np.isfinite(res.trace))
         assert np.all(np.diff(res.trace) <= 1e-12)
 
@@ -207,7 +207,7 @@ class TestLbfgs:
             return np.nan, theta
 
         with pytest.raises(NonFiniteObjective):
-            lbfgs_minimize(FunctionObjective(2, fn), np.zeros(2))
+            lbfgs_minimize(fn, np.zeros(2))
 
     def test_determinism(self, rng):
         a = random_spd(rng, 5)
@@ -224,7 +224,7 @@ class TestLbfgs:
             return 1.0 + 1e-12 * float(theta[0] ** 2), np.array([2e-12 * theta[0]])
 
         res = lbfgs_minimize(
-            FunctionObjective(1, fn),
+            fn,
             np.array([1.0]),
             LbfgsConfig(max_iterations=500, grad_tolerance=1e-30),
             tolerance=1e-9,
@@ -259,8 +259,25 @@ class TestSgd:
                 return float(theta[0] ** 2), np.array([2.0 * theta[0]])
 
         with pytest.raises(NonFiniteObjective) as exc:
-            sgd_minimize(FunctionObjective(1, fn), np.array([1.0]), 1e6, 10000)
+            sgd_minimize(fn, np.array([1.0]), 1e6, 10000)
         assert exc.value.iteration > 0
+
+    @staticmethod
+    def rising(theta):
+        # at learning rate 1, sgd steps theta <- -3 theta on f = 2 theta^2,
+        # so the loss grows 9-fold a step and overflows at step 323
+        # (2 * 9^323 > 1.8e308)
+        with np.errstate(over="ignore"):
+            return float(2.0 * theta[0] ** 2), np.array([4.0 * theta[0]])
+
+    def test_rising_loss_is_not_a_stall(self):
+        with pytest.raises(NonFiniteObjective, match="at iteration 323") as exc:
+            sgd_minimize(self.rising, np.array([1.0]), 1.0, 1000, tolerance=1e-6)
+        assert exc.value.iteration == 323
+
+    def test_zero_tolerance_never_stops(self):
+        res = sgd_minimize(self.rising, np.array([1.0]), 1.0, 40, tolerance=0.0)
+        assert (res.status, res.iterations) == ("max_iterations", 40)
 
     def test_negative_lr_rejected(self):
         with pytest.raises(ValueError):

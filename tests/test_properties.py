@@ -37,6 +37,7 @@ from epicast import (
 )
 from epicast.cli import main
 from epicast.errors import EpicastError, InputError
+from epicast.mlp import ACTIVATIONS, OPTIMIZERS
 
 # Seeded search keeps the suite deterministic; no example database is kept.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -392,6 +393,31 @@ def test_count_csvs_through_the_cli_keep_the_exit_contract(case):
             ["scenario", str(csv_path), "--from", window[0], "--to", window[1],
              "--horizon", "3", "--hidden-layers", "1", "--neurons", "2",
              "--max-iterations", "5"],
+            tmp,
+        )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=20)
+@given(
+    count_csvs(),
+    st.sampled_from(OPTIMIZERS),
+    st.sampled_from(["1e-3", "1", "1e3"]),
+    st.sampled_from(ACTIVATIONS),
+)
+# an sgd fit whose loss rises until it overflows at iteration 43
+@example(_huge_csv(tests="5", confirmed="7"), "sgd", "1e3", "tanh")
+def test_mlp_optimizer_flags_keep_the_exit_contract(case, optimizer, rate, activation):
+    """train --model mlp --strict with each optimizer, a learning rate from
+    tame to diverging and each activation exits 0, 2, 3 or 4 with no
+    warning, on the CSVs of the test above."""
+    text, _, _, features, target = case
+    with tempfile.TemporaryDirectory() as tmp:
+        csv_path = Path(tmp) / "counts.csv"
+        csv_path.write_text(text, encoding="utf-8")
+        _keeps_the_exit_contract(
+            ["train", str(csv_path), "--model", "mlp", "--strict", "--hidden-layers", "1",
+             "--neurons", "2", "--optimizer", optimizer, "--learning-rate", rate,
+             "--activation", activation, "--features", features, "--target", target],
             tmp,
         )
 
