@@ -3,7 +3,10 @@ selection, and cross-family comparison series.
 
 Grid cells are isolated jobs: a diverging or non-converging fit becomes a
 flagged cell in the table instead of aborting the run, so the grid is
-always total. Identical seed and data give an identical table.
+always total. Identical seed and data give an identical table. MLP slots
+that differ only in their iteration budget share one fit per target when
+the fit stops before its budget: the optimizers read the budget only to
+stop, so every larger budget would take the same steps.
 """
 
 from __future__ import annotations
@@ -193,6 +196,35 @@ def _run_cell(
     return cell, fit
 
 
+# (target, MLP config with its budget erased) -> (budget, cell, fit) of the
+# smallest-budget fit of that trajectory that stopped before its budget
+EarlyStops = dict[tuple[str, MlpConfig], tuple[int, GridCell, TrainedModel]]
+
+
+def _run_shared(
+    early: EarlyStops,
+    std: StandardizedSplit | EpicastError,
+    slot: RegressorSlot,
+    target: str,
+) -> tuple[GridCell, TrainedModel | EpicastError]:
+    """_run_cell, except that an MLP slot whose trajectory is in ``early``
+    under a budget no larger than its own takes that cell and fit."""
+    if slot.model_family != "mlp":
+        return _run_cell(std, slot, target)
+    budget = slot.config.max_iterations
+    key = target, dataclasses.replace(slot.config, max_iterations=1)
+    if key in early and early[key][0] <= budget:
+        _, cell, fit = early[key]
+        return (
+            dataclasses.replace(cell, slot=slot.slot, config=slot.config_dict()),
+            dataclasses.replace(fit, config=slot.config, train_meta=dict(fit.train_meta)),
+        )
+    cell, fit = _run_cell(std, slot, target)
+    if isinstance(fit, TrainedModel) and fit.train_meta["status"] != "max_iterations":
+        early[key] = budget, cell, fit
+    return cell, fit
+
+
 def run_grid(
     series: CaseSeries,
     split_spec: SplitSpec,
@@ -205,11 +237,22 @@ def run_grid(
     is flagged. The cells run in order on the calling thread, one fit at a
     time, and the output is sorted by (family, slot, target). The table
     keeps every cell's fit for ``compare_models``.
+
+    An MLP fit that stops before its budget (any status but
+    "max_iterations") took the steps every larger budget would take, so a
+    later MLP slot on the same target whose config differs only in a
+    budget at least as large takes that cell and fit under its own slot
+    and config instead of fitting again. Every other cell is fitted,
+    including one whose fit ran out its budget or raised. SVR and linreg
+    slots always fit: the default grid has no budget-only variants of them.
     """
     if slots is None:
         slots = default_grid(seed=split_spec.seed)
     prepared = {t: _prepare(series, split_spec, t) for t in GRID_TARGETS}
-    runs = [_run_cell(prepared[t], slot, t) for slot in slots for t in GRID_TARGETS]
+    early: EarlyStops = {}
+    runs = [
+        _run_shared(early, prepared[t], slot, t) for slot in slots for t in GRID_TARGETS
+    ]
     cells = sorted((c for c, _ in runs), key=lambda c: (c.family, c.slot, c.target))
     metadata = {
         "split": dataclasses.asdict(split_spec),

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 from dataclasses import dataclass
 from typing import Any, Callable, NoReturn
 
@@ -324,13 +325,33 @@ def model_from_dict(doc: dict) -> TrainedModel:
         raise InputError(f"malformed model document: {err!r}") from None
 
 
+def _non_finite(node: Any, path: str = "") -> str | None:
+    """'<dotted path> is <value>' for the first NaN or infinite float in
+    node, walked in the order json.dumps writes it; None if there is none."""
+    if isinstance(node, float) and not math.isfinite(node):
+        return f"{path} is {float(node)!r}"
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, (list, tuple)):
+        children = enumerate(node)
+    else:
+        return None
+    for key, child in children:
+        found = _non_finite(child, f"{path}.{key}" if path else str(key))
+        if found is not None:
+            return found
+    return None
+
+
 def json_text(document: dict) -> str:
     """Indented JSON with a final newline; a NaN or infinite number in the
-    document raises NumericError, before any file is opened for it."""
+    document raises NumericError naming its dotted path, before any file
+    is opened for it."""
     try:
         return json.dumps(document, indent=2, allow_nan=False) + "\n"
     except ValueError as err:
-        raise NumericError(f"cannot write a non-finite number as JSON: {err}") from None
+        where = _non_finite(document) or str(err)
+        raise NumericError(f"cannot write a non-finite number as JSON: {where}") from None
 
 
 def save_model(model: TrainedModel, path: str) -> None:

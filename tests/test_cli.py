@@ -386,7 +386,8 @@ class TestGrid:
         assert main([
             "grid", str(short_csv), "--workers", "4", "--out-dir", str(tmp_path),
         ]) == 0
-        assert threads == [threading.get_ident()] * 30
+        # 30 cells, of which MLP slots 2 and 3 take slot 1's early-stopped fits
+        assert threads == [threading.get_ident()] * 26
 
     def test_negative_seed_fails_before_any_fit(
         self, short_csv, tmp_path, monkeypatch
@@ -631,7 +632,8 @@ class TestCompare:
 
         monkeypatch.setattr(harness, "train_on_split", spy)
         assert main(["compare", str(short_csv), "--out-dir", str(tmp_path)]) == 0
-        assert len(fits) == 30
+        # 30 cells, of which MLP slots 2 and 3 take slot 1's early-stopped fits
+        assert len(fits) == 26
 
     def test_constant_deaths_exit_2_only_for_deaths(self, short_csv, tmp_path, capsys):
         rows = read_csv(short_csv)
@@ -1206,6 +1208,27 @@ class TestNonFiniteNumbers:
         assert err["error"] == "numeric"
         assert "non-finite" in err["message"]
         assert not (tmp_path / "o").exists()
+
+    def test_infinite_score_names_its_field(self, tmp_path, capsys):
+        # A last count of 1e160 squares past the float range in the test MSE.
+        rows = [f"2021-01-{d:02d},100,{10 + 3 * d},1" for d in range(1, 15)]
+        csv_path = tmp_path / "huge.csv"
+        csv_path.write_text(
+            "\n".join(["date,tests,confirmed,deaths", *rows, "2021-01-15,100,1e160,1"])
+            + "\n",
+            encoding="utf-8",
+        )
+        code = main([
+            "train", str(csv_path), "--model", "mlp", "--optimizer", "adam",
+            "--learning-rate", "1", "--activation", "logistic",
+            "--out-dir", str(tmp_path / "o"),
+        ])
+        assert code == 3
+        assert json.loads(capsys.readouterr().err) == {
+            "error": "numeric",
+            "message": "cannot write a non-finite number as JSON: eval.scaled.mse is inf",
+        }
+        assert not (tmp_path / "o" / "train_eval.json").exists()
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_sgd_fit_warns_nothing(self, short_csv, tmp_path, capsys):

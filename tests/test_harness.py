@@ -1,4 +1,5 @@
 import dataclasses
+import json
 from datetime import date as Date, timedelta
 
 import numpy as np
@@ -22,8 +23,8 @@ from epicast import (
     synthetic_epidemic,
 )
 from epicast import harness
-from epicast.errors import InputError, NoValidCell
-from epicast.models import predict_raw, train_on_split
+from epicast.errors import EpicastError, InputError, NoValidCell
+from epicast.models import model_to_dict, predict_raw, train_on_split
 from epicast.preprocess import build_supervised, split_indices, standardized_split
 
 
@@ -193,6 +194,98 @@ class TestRunGrid:
         assert set(doc) == {"cells", "metadata", "reference_best_r2"}
         assert len(doc["cells"]) == 30
         assert set(doc["reference_best_r2"]) == {"mlp", "svr", "linreg"}
+
+
+def tiny_mlp(optimizer="lbfgs", budget=1000, **overrides):
+    return MlpConfig(
+        hidden_layers=1, neurons_per_layer=4, optimizer=optimizer,
+        max_iterations=budget, **overrides,
+    )
+
+
+def fit_text(fit):
+    """A cell's fit as bytes to compare: the model document, or the error."""
+    if isinstance(fit, EpicastError):
+        return f"{type(fit).__name__}: {fit}"
+    return json.dumps(model_to_dict(fit))
+
+
+class TestBudgetOnlySlotsShareOneFit:
+    """run_grid equals every slot run on its own through _run_cell, byte for
+    byte, while it fits each early-stopped MLP trajectory once per target."""
+
+    @staticmethod
+    def grid_and_fit_count(series, spec, slots, monkeypatch):
+        fits = []
+        fit = harness.train_on_split
+
+        def spy(*args):
+            fits.append(args[0])
+            return fit(*args)
+
+        monkeypatch.setattr(harness, "train_on_split", spy)
+        table = run_grid(series, spec, slots)
+        monkeypatch.undo()
+        return table, len(fits)
+
+    @staticmethod
+    def assert_equals_each_slot_alone(table, series, spec, slots):
+        runs = [
+            harness._run_cell(harness._prepare(series, spec, t), slot, t)
+            for slot in slots
+            for t in harness.GRID_TARGETS
+        ]
+        alone = ScoreTable(
+            cells=tuple(sorted(
+                (c for c, _ in runs), key=lambda c: (c.family, c.slot, c.target)
+            )),
+            metadata=table.metadata,
+        )
+        assert json.dumps(table.as_dict()) == json.dumps(alone.as_dict())
+        assert {key: fit_text(fit) for key, fit in table.fits.items()} == {
+            (c.family, c.slot, c.target): fit_text(fit) for c, fit in runs
+        }
+
+    @pytest.mark.parametrize("seed", [0, 11])
+    def test_default_grid(self, series, seed, monkeypatch):
+        # MLP slots 1-3 differ only in budget and stall long before 1000
+        # iterations, so slots 2 and 3 take slot 1's fits.
+        spec = SplitSpec(mode="chronological", train_fraction=0.8, seed=seed)
+        slots = default_grid(seed=seed)
+        table, fitted = self.grid_and_fit_count(series, spec, slots, monkeypatch)
+        assert fitted == 26
+        self.assert_equals_each_slot_alone(table, series, spec, slots)
+        for target in harness.GRID_TARGETS:
+            meta = [table.fits[("mlp", s, target)].train_meta for s in (1, 2, 3)]
+            assert meta[0]["status"] == "stalled"
+            assert meta[0] == meta[1] == meta[2] and meta[1] is not meta[0]
+
+    @pytest.mark.parametrize(
+        "configs, fitted",
+        [
+            # budget 3 runs out, so 1000 refits; 1000 stalls and 2000 shares it
+            ([tiny_mlp(budget=3), tiny_mlp(budget=1000), tiny_mlp(budget=2000)], 4),
+            # descending budgets: nothing comes before a smaller budget
+            ([tiny_mlp(budget=2000), tiny_mlp(budget=1000), tiny_mlp(budget=500)], 6),
+            # a stalling sgd pair shares one fit
+            ([tiny_mlp("sgd", 500, learning_rate=0.1, tolerance=1e-3),
+              tiny_mlp("sgd", 1000, learning_rate=0.1, tolerance=1e-3)], 2),
+            # an sgd pair whose smaller budget runs out fits twice
+            ([tiny_mlp("sgd", 20), tiny_mlp("sgd", 40)], 4),
+            # the other settings are part of the trajectory
+            ([tiny_mlp(budget=1000), tiny_mlp(budget=2000, seed=1),
+              tiny_mlp(budget=2000, activation="relu")], 6),
+        ],
+        ids=["exhausted-then-shared", "descending", "sgd-stalls", "sgd-exhausted",
+             "other-settings"],
+    )
+    def test_custom_slots(self, short_series, chrono_split, configs, fitted, monkeypatch):
+        slots = [RegressorSlot(i, "mlp", c) for i, c in enumerate(configs, start=1)]
+        table, count = self.grid_and_fit_count(
+            short_series, chrono_split, slots, monkeypatch
+        )
+        assert count == fitted
+        self.assert_equals_each_slot_alone(table, short_series, chrono_split, slots)
 
 
 class TestSelectBest:

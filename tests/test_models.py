@@ -21,6 +21,7 @@ from epicast import (
     train_on_split,
 )
 from epicast.errors import InputError, NumericError
+from epicast.models import json_text
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +264,19 @@ class TestNonFinite:
         model, _ = fit("linreg", LinRegConfig(), std_split)
         model.train_meta["final_loss"] = float("inf")
         path = tmp_path / "model.json"
-        with pytest.raises(NumericError):
+        with pytest.raises(NumericError, match=r"train_meta\.final_loss is inf$"):
             save_model(model, str(path))
         assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "document, where",
+        [
+            ({"a": [1.0, {"b": float("nan")}], "c": float("inf")}, "a.1.b is nan"),
+            ({"a": (2.0, -float("inf"))}, "a.1 is -inf"),
+            ({"eval": {"scaled": {"mse": np.float64("inf")}}}, "eval.scaled.mse is inf"),
+        ],
+    )
+    def test_json_text_names_the_first_non_finite_field(self, document, where):
+        with pytest.raises(NumericError) as raised:
+            json_text(document)
+        assert str(raised.value) == f"cannot write a non-finite number as JSON: {where}"

@@ -1,9 +1,12 @@
 """Property tests: the parser and the model-document reader accept any
 input and either return a value or raise an InputError subclass, never a
 raw Python error; a model the reader returns predicts a row or raises an
-EpicastError, and eval never blames the CSV for what is wrong with it."""
+EpicastError, and eval never blames the CSV for what is wrong with it. An
+MLP fit that stops before its iteration budget is the fit of every larger
+budget, which lets the grid share one fit between budget-only slots."""
 
 import copy
+import dataclasses
 import io
 import json
 import tempfile
@@ -37,7 +40,7 @@ from epicast import (
 )
 from epicast.cli import main
 from epicast.errors import EpicastError, InputError
-from epicast.mlp import ACTIVATIONS, OPTIMIZERS
+from epicast.mlp import ACTIVATIONS, OPTIMIZERS, train_mlp
 
 # Seeded search keeps the suite deterministic; no example database is kept.
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=300)
@@ -439,3 +442,55 @@ def test_count_csvs_through_grid_and_compare_keep_the_exit_contract(case):
         _keeps_the_exit_contract(
             ["compare", str(csv_path), "--horizon", "3", "--target", target, *mlp], tmp
         )
+
+
+BUDGET_X = np.linspace(-1.5, 1.5, 12)[:, None]
+BUDGET_Y = np.tanh(2.0 * BUDGET_X[:, 0]) + 0.1 * BUDGET_X[:, 0] ** 2
+
+
+def _fit_bytes(config: MlpConfig) -> tuple:
+    """What train_mlp returns on the tiny design, as bytes to compare, or
+    the error it raises."""
+    try:
+        _, result = train_mlp(config, BUDGET_X, BUDGET_Y)
+    except EpicastError as err:
+        return (type(err).__name__, str(err))
+    return (
+        result.theta.tobytes(),
+        np.asarray(result.trace).tobytes(),
+        result.status,
+        result.iterations,
+        np.float64(result.grad_norm).tobytes(),
+    )
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(
+    st.sampled_from(OPTIMIZERS),
+    st.sampled_from(ACTIVATIONS),
+    st.sampled_from([0.0, 1e-6, 1e-3, 1e-1]),
+    st.sampled_from([1e-2, 0.1, 1.0]),
+    st.integers(min_value=1, max_value=40),
+    st.integers(min_value=1, max_value=60),
+)
+# one early stop for each optimizer
+@example("lbfgs", "tanh", 1e-3, 1e-2, 40, 1)
+@example("sgd", "logistic", 1e-1, 0.1, 30, 30)
+@example("adam", "relu", 1e-1, 1e-2, 25, 5)
+def test_an_early_stop_is_the_fit_of_every_larger_budget(
+    optimizer, activation, tolerance, rate, budget, extra
+):
+    """Whenever the fit at one budget ends with a status other than
+    max_iterations, a larger budget gives byte-equal theta, trace, status,
+    iteration count and grad_norm: the optimizers read the budget only to
+    stop."""
+    config = MlpConfig(
+        hidden_layers=1, neurons_per_layer=3, activation=activation,
+        optimizer=optimizer, max_iterations=budget, tolerance=tolerance,
+        learning_rate=rate,
+    )
+    small = _fit_bytes(config)
+    if "max_iterations" in small:
+        return
+    larger = dataclasses.replace(config, max_iterations=budget + extra)
+    assert _fit_bytes(larger) == small
