@@ -53,6 +53,7 @@ from .models import (
     json_text,
     load_model,
     original_space_eval,
+    plain,
     predict_scaled,
     save_model,
     train_on_split,
@@ -66,7 +67,6 @@ from .preprocess import (
 )
 from .svr import KERNELS, KernelSpec, SvrConfig
 
-STAT_ROWS = ("count", "mean", "std", "min", "25%", "50%", "75%", "max")
 STAT_COLUMNS = ("day_index",) + COUNT_COLUMNS
 
 
@@ -102,15 +102,23 @@ def _emit(
     name: str,
     document: dict,
     tables: dict[str, Table],
+    model: tuple[TrainedModel, Path] | None = None,
 ) -> None:
-    """Finish the run manifest that ``main`` started, write ``<name>.json``
-    (the document plus that manifest) and the CSV tables that --format
-    selects under --out-dir, and print the document. A document holding a
-    non-finite number raises NumericError before anything is written."""
+    """Write every file a command leaves, then print its document.
+
+    Finish the run manifest that ``main`` started and form ``<name>.json``
+    (the document plus that manifest); then save ``model`` to its path, if
+    given; then write the report and the CSV tables that --format selects
+    under --out-dir. A report or model document holding a non-finite number
+    raises NumericError before any file is written."""
     manifest = args._manifest
     manifest["input_fingerprint"] = fp
     manifest["timestamps"]["finished"] = _now()
     text = json_text({**document, "manifest": manifest})
+    if model is not None:
+        trained, model_path = model
+        with _output(model_path):
+            save_model(trained, str(model_path))
     out = Path(args.out_dir)
     if args.format in ("json", "both"):
         path = out / f"{name}.json"
@@ -211,32 +219,28 @@ def _grid_table(
     return run_grid(series, spec, slots)
 
 
-def _blank(value):
-    return "" if value is None else value
-
-
 def _plot_table(
     history: CaseSeries, report: ForecastReport, scale: str, target: str
 ) -> Table:
     header = ["date", "observed", "predicted", "scale"]
     rows = emit_plot_series(history, report, scale, target=target)
-    return header, [[_blank(r[k]) for k in header] for r in rows]
+    return header, [[r[k] for k in header] for r in rows]
 
 
 def _eval_section(model: TrainedModel, result: EvalResult) -> dict:
     return {
-        "scaled": result.as_dict(),
-        "original": original_space_eval(model, result).as_dict(),
+        "scaled": plain(result),
+        "original": plain(original_space_eval(model, result)),
     }
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
     series = _load_series(args, impute=False)
     stats = summarize_series(series)
-    columns = {col: stats[col].as_dict() for col in STAT_COLUMNS}
+    columns = {col: plain(stats[col]) for col in STAT_COLUMNS}
     rows = [
-        [stat] + [_blank(columns[col][stat]) for col in STAT_COLUMNS]
-        for stat in STAT_ROWS
+        [stat, *(columns[col][stat] for col in STAT_COLUMNS)]
+        for stat in columns["day_index"]
     ]
     _emit(
         args,
@@ -261,8 +265,6 @@ def cmd_train(args: argparse.Namespace) -> int:
         if args.out
         else Path(args.out_dir) / f"model_{args.model}_{args.target}.json"
     )
-    with _output(model_path):
-        save_model(model, str(model_path))
     document = {
         "model_file": str(model_path),
         "family": args.model,
@@ -270,7 +272,9 @@ def cmd_train(args: argparse.Namespace) -> int:
         "eval": _eval_section(model, result),
         "train_meta": model.train_meta,
     }
-    _emit(args, fingerprint(series), "train_eval", document, {})
+    _emit(
+        args, fingerprint(series), "train_eval", document, {}, (model, model_path)
+    )
     if args.strict and not model.converged:
         raise NotConvergedError(
             f"fit did not converge (status {model.train_meta.get('status')!r})"
@@ -312,16 +316,16 @@ def cmd_grid(args: argparse.Namespace) -> int:
             c.family,
             c.slot,
             c.target,
-            _blank(c.r2),
-            _blank(c.mse),
+            c.r2,
+            c.mse,
             int(c.flagged),
-            c.flag_reason or "",
+            c.flag_reason,
         ]
         for c in table.cells
     ]
     _emit(
         args,
-        fingerprint(series),
+        table.metadata["dataset"],
         "scoretable",
         table.as_dict(),
         {"scoretable.csv": (header, rows)},
@@ -361,7 +365,7 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         scenario_label=args.label,
     )
     table = _plot_table(history, report, args.scale, model.target_name)
-    _emit(args, fp, "forecast", report.as_dict(), {"forecast.csv": table})
+    _emit(args, fp, "forecast", plain(report), {"forecast.csv": table})
     return 0
 
 
@@ -375,15 +379,15 @@ def cmd_compare(args: argparse.Namespace) -> int:
     best = {fam: select_best(table, fam) for fam in FAMILIES}
     report = compare_models(series, table, best, args.target, args.horizon)
     rows = [
-        [d.isoformat(), _blank(report.observed[i])]
+        [d.isoformat(), report.observed[i]]
         + [report.predicted[fam][i] for fam in FAMILIES]
         for i, d in enumerate(report.dates)
     ]
     _emit(
         args,
-        fingerprint(series),
+        table.metadata["dataset"],
         "comparison",
-        report.as_dict(),
+        plain(report),
         {"comparison.csv": (["date", "observed", *FAMILIES], rows)},
     )
     return 0
@@ -411,7 +415,7 @@ def cmd_scenario(args: argparse.Namespace) -> int:
         "targets": {
             target: {
                 "eval": _eval_section(result.models[target], result.evals[target]),
-                "forecast": report.as_dict(),
+                "forecast": plain(report),
             }
             for target, report in result.reports.items()
         },

@@ -14,7 +14,7 @@ import csv
 import hashlib
 import io
 import math
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, field
 from datetime import date as Date, timedelta
 from pathlib import Path
 
@@ -94,29 +94,18 @@ class SummaryStats:
     ``std`` uses the sample convention (ddof=1); quartiles interpolate
     linearly between closest ranks. For an empty input only ``count`` is
     defined and every other field is None. A single observation leaves
-    ``std`` undefined as well.
+    ``std`` undefined as well. Reports key the quartiles "25%", "50%" and
+    "75%".
     """
 
     count: int
     mean: float | None = None
     std: float | None = None
     min: float | None = None
-    q25: float | None = None
-    q50: float | None = None
-    q75: float | None = None
+    q25: float | None = field(default=None, metadata={"key": "25%"})
+    q50: float | None = field(default=None, metadata={"key": "50%"})
+    q75: float | None = field(default=None, metadata={"key": "75%"})
     max: float | None = None
-
-    def as_dict(self) -> dict:
-        return {
-            "count": self.count,
-            "mean": self.mean,
-            "std": self.std,
-            "min": self.min,
-            "25%": self.q25,
-            "50%": self.q50,
-            "75%": self.q75,
-            "max": self.max,
-        }
 
 
 def _parse_count(cell: str) -> int | None:

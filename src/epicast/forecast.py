@@ -4,6 +4,8 @@ Forecasting is direct, not recursive: the models map day_index to a count,
 so every future day is predicted independently from its own index and no
 prediction is fed back in. Reports present clamped (at zero) and rounded
 integer counts; raw real-valued predictions stay available for metrics.
+A ForecastReport is written as JSON field by field by ``models.plain``,
+each prediction as a {"date", "predicted"} object.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from datetime import date as Date
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,30 +27,24 @@ from .preprocess import SplitSpec, build_supervised, standardized_split
 SCALES = ("linear", "log")
 
 
+class Prediction(NamedTuple):
+    """One forecast day: its date and its clamped, rounded count."""
+
+    date: Date
+    predicted: int
+
+
 @dataclass(frozen=True)
 class ForecastReport:
     """Integer per-day predictions over a horizon plus their min/max range."""
 
     start_date: Date
     horizon_days: int
-    predictions: tuple[tuple[Date, int], ...]
+    predictions: tuple[Prediction, ...]
     range_min: int
     range_max: int
     model_id: str
     scenario_label: str = ""
-
-    def as_dict(self) -> dict:
-        return {
-            "start_date": self.start_date.isoformat(),
-            "horizon_days": self.horizon_days,
-            "predictions": [
-                {"date": d.isoformat(), "predicted": v} for d, v in self.predictions
-            ],
-            "range_min": self.range_min,
-            "range_max": self.range_max,
-            "model_id": self.model_id,
-            "scenario_label": self.scenario_label,
-        }
 
 
 def _require_day_index_only(model: TrainedModel) -> None:
@@ -89,11 +86,10 @@ def forecast(
     raw = forecast_raw(model, last_day_index, horizon)
     clamped = np.maximum(raw, 0.0)
     counts = [int(math.floor(v + 0.5)) for v in clamped]
-    predictions = tuple(zip(dates, counts))
     return ForecastReport(
         start_date=start_date,
         horizon_days=horizon,
-        predictions=predictions,
+        predictions=tuple(map(Prediction, dates, counts)),
         range_min=min(counts),
         range_max=max(counts),
         model_id=f"{model.family}:{model.target_name}",

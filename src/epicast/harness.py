@@ -25,6 +25,7 @@ from .models import (
     FamilyConfig,
     TrainedModel,
     lookup_family,
+    plain,
     predict_raw,
     train_on_split,
 )
@@ -57,9 +58,6 @@ class RegressorSlot:
     model_family: str
     config: FamilyConfig
 
-    def config_dict(self) -> dict:
-        return dataclasses.asdict(self.config)
-
 
 @dataclass(frozen=True)
 class GridCell:
@@ -79,9 +77,6 @@ class GridCell:
     flag_reason: str | None
     config: dict
 
-    def as_dict(self) -> dict:
-        return dataclasses.asdict(self)
-
 
 @dataclass(frozen=True)
 class ScoreTable:
@@ -99,7 +94,7 @@ class ScoreTable:
 
     def as_dict(self) -> dict:
         return {
-            "cells": [c.as_dict() for c in self.cells],
+            "cells": plain(self.cells),
             "metadata": self.metadata,
             "reference_best_r2": REFERENCE_BEST_R2,
         }
@@ -191,7 +186,7 @@ def _run_cell(
         mse=mse,
         flagged=flag_reason is not None,
         flag_reason=flag_reason,
-        config=slot.config_dict(),
+        config=plain(slot.config),
     )
     return cell, fit
 
@@ -216,7 +211,7 @@ def _run_shared(
     if key in early and early[key][0] <= budget:
         _, cell, fit = early[key]
         return (
-            dataclasses.replace(cell, slot=slot.slot, config=slot.config_dict()),
+            dataclasses.replace(cell, slot=slot.slot, config=plain(slot.config)),
             dataclasses.replace(fit, config=slot.config, train_meta=dict(fit.train_meta)),
         )
     cell, fit = _run_cell(std, slot, target)
@@ -255,7 +250,7 @@ def run_grid(
     ]
     cells = sorted((c for c, _ in runs), key=lambda c: (c.family, c.slot, c.target))
     metadata = {
-        "split": dataclasses.asdict(split_spec),
+        "split": plain(split_spec),
         "seed": split_spec.seed,
         "targets": list(GRID_TARGETS),
         "standardized": True,  # every cell fits on standardized data
@@ -304,15 +299,6 @@ class ComparisonReport:
     predicted: dict[str, tuple[float, ...]]
     metadata: dict
 
-    def as_dict(self) -> dict:
-        return {
-            "target": self.target,
-            "dates": [d.isoformat() for d in self.dates],
-            "observed": list(self.observed),
-            "predicted": {f: list(v) for f, v in self.predicted.items()},
-            "metadata": self.metadata,
-        }
-
 
 def compare_models(
     series: CaseSeries,
@@ -353,7 +339,7 @@ def compare_models(
         "split": table.metadata["split"],
         "horizon": horizon,
         "slots": {f: s.slot for f, s in best_slots.items()},
-        "configs": {f: s.config_dict() for f, s in best_slots.items()},
+        "configs": {f: plain(s.config) for f, s in best_slots.items()},
         "dataset": table.metadata["dataset"],
         "reference_best_r2": REFERENCE_BEST_R2,
     }

@@ -53,9 +53,6 @@ class EvalResult:
     n: int
     space: str = "scaled"
 
-    def as_dict(self) -> dict:
-        return {"mse": self.mse, "r2": self.r2, "n": self.n, "space": self.space}
-
 
 def evaluate(y_true: np.ndarray, y_pred: np.ndarray, space: str = "scaled") -> EvalResult:
     """Scores of y_pred against y_true; an overflow gives an infinite score,

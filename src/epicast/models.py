@@ -4,7 +4,8 @@ A TrainedModel bundles the fitted parameters with the scalers and column
 names it was trained against, so prediction from raw feature values and
 faithful save/load round trips are possible without extra context. The
 on-disk form is a JSON envelope, version 1, with all arrays as nested
-row-major lists.
+row-major lists. ``plain`` is the one way from a result to JSON: it writes
+model documents and every command's report, field by field.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ import dataclasses
 import json
 import math
 from dataclasses import dataclass
+from datetime import date as Date
 from typing import Any, Callable, NoReturn
 
 import numpy as np
@@ -111,15 +113,27 @@ def _array(value: Any) -> np.ndarray:
     return np.asarray(value, dtype=float)
 
 
-def _plain(value: Any) -> Any:
-    """value as the model document writes it: a dataclass as a dict of its
-    fields in order and an ndarray or tuple as a list, walked in turn."""
+def plain(value: Any) -> Any:
+    """value as the reports and model documents write it, walked in turn: a
+    dataclass as a dict of its fields in order, each keyed by its
+    ``metadata["key"]`` or else its name; a named tuple as a dict of its
+    fields; a dict by its values; an ndarray, tuple or list as a list; a
+    date in ISO form."""
     if dataclasses.is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in dataclasses.fields(value)}
+        return {
+            f.metadata.get("key", f.name): plain(getattr(value, f.name))
+            for f in dataclasses.fields(value)
+        }
+    if isinstance(value, tuple) and hasattr(value, "_fields"):
+        return {k: plain(v) for k, v in zip(value._fields, value)}
+    if isinstance(value, dict):
+        return {k: plain(v) for k, v in value.items()}
     if isinstance(value, np.ndarray):
         return value.tolist()
-    if isinstance(value, tuple):
-        return [_plain(v) for v in value]
+    if isinstance(value, (tuple, list)):
+        return [plain(v) for v in value]
+    if isinstance(value, Date):
+        return value.isoformat()
     return value
 
 
@@ -280,17 +294,7 @@ def original_space_eval(model: TrainedModel, scaled: EvalResult) -> EvalResult:
 
 
 def model_to_dict(model: TrainedModel) -> dict:
-    return {
-        "version": MODEL_DOC_VERSION,
-        "family": model.family,
-        "config": _plain(model.config),
-        "params": _plain(model.params),
-        "x_scaler": _plain(model.x_scaler),
-        "y_scaler": _plain(model.y_scaler),
-        "feature_names": list(model.feature_names),
-        "target_name": model.target_name,
-        "train_meta": model.train_meta,
-    }
+    return {"version": MODEL_DOC_VERSION, **plain(model)}
 
 
 def model_from_dict(doc: dict) -> TrainedModel:

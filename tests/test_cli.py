@@ -1229,6 +1229,9 @@ class TestNonFiniteNumbers:
             "message": "cannot write a non-finite number as JSON: eval.scaled.mse is inf",
         }
         assert not (tmp_path / "o" / "train_eval.json").exists()
+        # The model file is saved only after the report passes, so the
+        # out-dir holds nothing at all.
+        assert not list((tmp_path / "o").rglob("*"))
 
     @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_overflowing_sgd_fit_warns_nothing(self, short_csv, tmp_path, capsys):

@@ -22,6 +22,7 @@ from epicast import (
     window,
 )
 from epicast.errors import InputError
+from epicast.models import plain
 
 
 def identity_scaler(width=1):
@@ -152,7 +153,7 @@ class TestForecast:
 
     def test_as_dict_shape(self):
         report = forecast(linear_model(1.0, 0.0), 0, Date(2021, 1, 2), horizon=2)
-        doc = report.as_dict()
+        doc = plain(report)
         assert doc["start_date"] == "2021-01-02"
         assert doc["horizon_days"] == 2
         assert doc["predictions"][0] == {"date": "2021-01-02", "predicted": 1}

@@ -24,7 +24,7 @@ from epicast import (
 )
 from epicast import harness
 from epicast.errors import EpicastError, InputError, NoValidCell
-from epicast.models import model_to_dict, predict_raw, train_on_split
+from epicast.models import model_to_dict, plain, predict_raw, train_on_split
 from epicast.preprocess import build_supervised, split_indices, standardized_split
 
 
@@ -443,7 +443,7 @@ class TestCompareModels:
     def test_as_dict_round_trip_types(self, best_slots):
         series = linear_series(days=60)
         spec = SplitSpec(mode="chronological", train_fraction=0.8, seed=0)
-        doc = compare(series, spec, best_slots, horizon=2).as_dict()
+        doc = plain(compare(series, spec, best_slots, horizon=2))
         assert doc["target"] == "confirmed"
         assert isinstance(doc["dates"][0], str)
         assert doc["observed"][-1] is None

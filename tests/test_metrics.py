@@ -3,6 +3,7 @@ import pytest
 
 from epicast import evaluate, fit_scaler, mse, r2_score, transform
 from epicast.errors import ConstantTarget, DimensionMismatch, EmptyInput
+from epicast.models import plain
 
 
 class TestMse:
@@ -84,4 +85,4 @@ class TestEvaluate:
         assert result.space == "scaled"
         assert result.r2 == pytest.approx(0.5)
         assert result.mse == pytest.approx(1.0 / 3.0)
-        assert set(result.as_dict()) == {"mse", "r2", "n", "space"}
+        assert set(plain(result)) == {"mse", "r2", "n", "space"}

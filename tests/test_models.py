@@ -1,4 +1,5 @@
 import json
+from datetime import date as Date
 
 import numpy as np
 import pytest
@@ -20,8 +21,14 @@ from epicast import (
     standardized_split,
     train_on_split,
 )
+from epicast.dataset import SummaryStats
 from epicast.errors import InputError, NumericError
-from epicast.models import json_text
+from epicast.forecast import ForecastReport, Prediction
+from epicast.harness import ComparisonReport, GridCell
+from epicast.linear import LinRegParams
+from epicast.metrics import EvalResult
+from epicast.models import TrainedModel, json_text, plain
+from epicast.preprocess import ScalerParams
 
 
 @pytest.fixture(scope="module")
@@ -280,3 +287,72 @@ class TestNonFinite:
         with pytest.raises(NumericError) as raised:
             json_text(document)
         assert str(raised.value) == f"cannot write a non-finite number as JSON: {where}"
+
+
+class TestPlain:
+    # Key order decides the bytes of every report file, and a digest over
+    # sorted keys cannot see it.
+    @pytest.mark.parametrize(
+        "value, text",
+        [
+            (
+                ForecastReport(
+                    Date(2021, 1, 2), 1, (Prediction(Date(2021, 1, 2), 5),), 5, 5,
+                    "linreg:confirmed",
+                ),
+                '{"start_date": "2021-01-02", "horizon_days": 1, "predictions": '
+                '[{"date": "2021-01-02", "predicted": 5}], "range_min": 5, '
+                '"range_max": 5, "model_id": "linreg:confirmed", "scenario_label": ""}',
+            ),
+            (
+                ComparisonReport(
+                    "deaths", (Date(2021, 1, 1), Date(2021, 1, 2)), (3, None),
+                    {"svr": (1.5, 2.5)}, {"horizon": 1},
+                ),
+                '{"target": "deaths", "dates": ["2021-01-01", "2021-01-02"], '
+                '"observed": [3, null], "predicted": {"svr": [1.5, 2.5]}, '
+                '"metadata": {"horizon": 1}}',
+            ),
+            (
+                EvalResult(mse=0.25, r2=0.5, n=4),
+                '{"mse": 0.25, "r2": 0.5, "n": 4, "space": "scaled"}',
+            ),
+            (
+                GridCell(
+                    1, "linreg", "deaths", None, None, True, "not_converged",
+                    plain(LinRegConfig()),
+                ),
+                '{"slot": 1, "family": "linreg", "target": "deaths", "r2": null, '
+                '"mse": null, "flagged": true, "flag_reason": "not_converged", '
+                '"config": {"learning_rate": 0.5, "iterations": 2500}}',
+            ),
+            (
+                SummaryStats(2, 1.5, 0.5, 1.0, 1.25, 1.5, 1.75, 2.0),
+                '{"count": 2, "mean": 1.5, "std": 0.5, "min": 1.0, "25%": 1.25, '
+                '"50%": 1.5, "75%": 1.75, "max": 2.0}',
+            ),
+            (
+                model_to_dict(
+                    TrainedModel(
+                        family="linreg",
+                        config=LinRegConfig(),
+                        params=LinRegParams(slope=np.array([2.0]), intercept=0.5),
+                        x_scaler=ScalerParams(np.array([1.0]), np.array([2.0])),
+                        y_scaler=ScalerParams(np.array([3.0]), np.array([4.0])),
+                        feature_names=("day_index",),
+                        target_name="confirmed",
+                        train_meta={"status": "completed", "converged": True},
+                    )
+                ),
+                '{"version": 1, "family": "linreg", "config": {"learning_rate": '
+                '0.5, "iterations": 2500}, "params": {"slope": [2.0], "intercept": '
+                '0.5}, "x_scaler": {"mean": [1.0], "scale": [2.0]}, "y_scaler": '
+                '{"mean": [3.0], "scale": [4.0]}, "feature_names": ["day_index"], '
+                '"target_name": "confirmed", "train_meta": {"status": "completed", '
+                '"converged": true}}',
+            ),
+        ],
+        ids=["forecast", "comparison", "eval", "grid_cell", "summary", "model"],
+    )
+    def test_key_order(self, value, text):
+        assert json.dumps(plain(value)) == text
