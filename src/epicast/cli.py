@@ -34,9 +34,10 @@ from .dataset import (
     summarize_series,
 )
 from .errors import InputError, NotConvergedError, NumericError
-from .forecast import SCALES, ForecastReport, emit_plot_series, forecast, scenario_run
+from .forecast import SCALES, emit_plot_series, forecast, scenario_run
 from .harness import (
     GRID_TARGETS,
+    REFERENCE_BEST_R2,
     ScoreTable,
     compare_models,
     default_grid,
@@ -68,28 +69,33 @@ from .preprocess import (
 from .svr import KERNELS, KernelSpec, SvrConfig
 
 STAT_COLUMNS = ("day_index",) + COUNT_COLUMNS
+GRID_COLUMNS = ("family", "slot", "target", "r2", "mse", "flagged", "flag_reason")
+
+# A CSV table as records: one dict per row, keyed by column in column order.
+Records = list[dict]
 
 
 @contextmanager
 def _output(path: Path):
-    """Create the directory of an output file around the block that writes
-    it; an OSError while creating, opening or writing the file is an
-    InputError that names it."""
+    """An OSError in the block, which makes the directory of the output file
+    at path or opens or writes that file, is an InputError that names it."""
     try:
-        path.parent.mkdir(parents=True, exist_ok=True)
         yield
     except OSError as err:
         raise InputError(f"cannot write {path}: {err}") from None
 
 
-def _write_csv(path: Path, header: list[str], rows: list[list]) -> None:
+def _write_csv(path: Path, records: Records) -> None:
+    """Write records under a header of the first record's keys, one cell
+    rule for every table: None is an empty cell, a date its ISO form (the
+    ``str`` of a date) and a bool 0 or 1."""
     with _output(path), open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-Table = tuple[list[str], list[list]]
+        writer = csv.DictWriter(fh, list(records[0]), lineterminator="\n")
+        writer.writeheader()
+        writer.writerows(
+            {k: int(v) if isinstance(v, bool) else v for k, v in r.items()}
+            for r in records
+        )
 
 
 def _now() -> str:
@@ -100,33 +106,40 @@ def _emit(
     args: argparse.Namespace,
     fp: dict | None,
     name: str,
-    document: dict,
-    tables: dict[str, Table],
+    document: object,
+    tables: dict[str, Records],
     model: tuple[TrainedModel, Path] | None = None,
 ) -> None:
     """Write every file a command leaves, then print its document.
 
-    Finish the run manifest that ``main`` started and form ``<name>.json``
-    (the document plus that manifest); then save ``model`` to its path, if
-    given; then write the report and the CSV tables that --format selects
+    ``document`` is the command's result as values; ``models.plain`` turns
+    it into JSON here, once. Finish the run manifest that ``main`` started
+    and form ``<name>.json`` (the document plus that manifest); then create
+    the directory of every file to write; then save ``model`` to its path,
+    if given, and write the report and the CSV tables that --format selects
     under --out-dir. A report or model document holding a non-finite number
-    raises NumericError before any file is written."""
+    raises NumericError, and a directory that cannot be created an
+    InputError, before any file is written."""
     manifest = args._manifest
     manifest["input_fingerprint"] = fp
     manifest["timestamps"]["finished"] = _now()
+    document = plain(document)
     text = json_text({**document, "manifest": manifest})
-    if model is not None:
-        trained, model_path = model
-        with _output(model_path):
-            save_model(trained, str(model_path))
     out = Path(args.out_dir)
-    if args.format in ("json", "both"):
-        path = out / f"{name}.json"
+    models = [model] if model is not None else []
+    reports = [out / f"{name}.json"] if args.format != "csv" else []
+    csvs = {out / file: t for file, t in tables.items()} if args.format != "json" else {}
+    for path in [*(path for _, path in models), *reports, *csvs]:
+        with _output(path):
+            path.parent.mkdir(parents=True, exist_ok=True)
+    for trained, path in models:
+        with _output(path):
+            save_model(trained, str(path))
+    for path in reports:
         with _output(path), open(path, "w", encoding="utf-8") as fh:
             fh.write(text)
-    if args.format in ("csv", "both"):
-        for file, (header, rows) in tables.items():
-            _write_csv(out / file, header, rows)
+    for path, records in csvs.items():
+        _write_csv(path, records)
     print(json.dumps(document, indent=2))
 
 
@@ -219,19 +232,8 @@ def _grid_table(
     return run_grid(series, spec, slots)
 
 
-def _plot_table(
-    history: CaseSeries, report: ForecastReport, scale: str, target: str
-) -> Table:
-    header = ["date", "observed", "predicted", "scale"]
-    rows = emit_plot_series(history, report, scale, target=target)
-    return header, [[r[k] for k in header] for r in rows]
-
-
 def _eval_section(model: TrainedModel, result: EvalResult) -> dict:
-    return {
-        "scaled": plain(result),
-        "original": plain(original_space_eval(model, result)),
-    }
+    return {"scaled": result, "original": original_space_eval(model, result)}
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -239,7 +241,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     stats = summarize_series(series)
     columns = {col: plain(stats[col]) for col in STAT_COLUMNS}
     rows = [
-        [stat, *(columns[col][stat] for col in STAT_COLUMNS)]
+        {"statistic": stat, **{col: columns[col][stat] for col in STAT_COLUMNS}}
         for stat in columns["day_index"]
     ]
     _emit(
@@ -247,7 +249,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
         fingerprint(series) if len(series) else None,
         "stats",
         {"columns": columns, "rows": len(series)},
-        {"stats.csv": (["statistic", *STAT_COLUMNS], rows)},
+        {"stats.csv": rows},
     )
     return 0
 
@@ -310,26 +312,13 @@ def cmd_eval(args: argparse.Namespace) -> int:
 def cmd_grid(args: argparse.Namespace) -> int:
     series = _load_series(args)
     table = _grid_table(args, series, _split_spec(args))
-    header = ["family", "slot", "target", "r2", "mse", "flagged", "flag_reason"]
-    rows = [
-        [
-            c.family,
-            c.slot,
-            c.target,
-            c.r2,
-            c.mse,
-            int(c.flagged),
-            c.flag_reason,
-        ]
-        for c in table.cells
-    ]
-    _emit(
-        args,
-        table.metadata["dataset"],
-        "scoretable",
-        table.as_dict(),
-        {"scoretable.csv": (header, rows)},
-    )
+    document = {
+        "cells": table.cells,
+        "metadata": table.metadata,
+        "reference_best_r2": REFERENCE_BEST_R2,
+    }
+    rows = [{k: getattr(c, k) for k in GRID_COLUMNS} for c in table.cells]
+    _emit(args, table.metadata["dataset"], "scoretable", document, {"scoretable.csv": rows})
     return 0
 
 
@@ -364,8 +353,8 @@ def cmd_forecast(args: argparse.Namespace) -> int:
         horizon=args.horizon,
         scenario_label=args.label,
     )
-    table = _plot_table(history, report, args.scale, model.target_name)
-    _emit(args, fp, "forecast", plain(report), {"forecast.csv": table})
+    rows = emit_plot_series(history, report, args.scale, target=model.target_name)
+    _emit(args, fp, "forecast", report, {"forecast.csv": rows})
     return 0
 
 
@@ -379,17 +368,14 @@ def cmd_compare(args: argparse.Namespace) -> int:
     best = {fam: select_best(table, fam) for fam in FAMILIES}
     report = compare_models(series, table, best, args.target, args.horizon)
     rows = [
-        [d.isoformat(), report.observed[i]]
-        + [report.predicted[fam][i] for fam in FAMILIES]
+        {
+            "date": d,
+            "observed": report.observed[i],
+            **{fam: report.predicted[fam][i] for fam in FAMILIES},
+        }
         for i, d in enumerate(report.dates)
     ]
-    _emit(
-        args,
-        table.metadata["dataset"],
-        "comparison",
-        plain(report),
-        {"comparison.csv": (["date", "observed", *FAMILIES], rows)},
-    )
+    _emit(args, table.metadata["dataset"], "comparison", report, {"comparison.csv": rows})
     return 0
 
 
@@ -408,21 +394,18 @@ def cmd_scenario(args: argparse.Namespace) -> int:
     )
     document = {
         "label": result.label,
-        "window": {
-            "from": result.window_start.isoformat(),
-            "to": result.window_end.isoformat(),
-        },
+        "window": {"from": result.window_start, "to": result.window_end},
         "targets": {
             target: {
                 "eval": _eval_section(result.models[target], result.evals[target]),
-                "forecast": plain(report),
+                "forecast": report,
             }
             for target, report in result.reports.items()
         },
     }
     tables = {
-        f"scenario_{target}.csv": _plot_table(
-            result.windowed, report, args.scale, target
+        f"scenario_{target}.csv": emit_plot_series(
+            result.windowed, report, args.scale, target=target
         )
         for target, report in result.reports.items()
     }

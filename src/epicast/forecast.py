@@ -4,8 +4,10 @@ Forecasting is direct, not recursive: the models map day_index to a count,
 so every future day is predicted independently from its own index and no
 prediction is fed back in. Reports present clamped (at zero) and rounded
 integer counts; raw real-valued predictions stay available for metrics.
-A ForecastReport is written as JSON field by field by ``models.plain``,
-each prediction as a {"date", "predicted"} object.
+Reports and plot rows hold values (dates as ``date`` objects) until the CLI
+writes them: a ForecastReport goes to JSON field by field through
+``models.plain``, each prediction as a {"date", "predicted"} object, and
+plot rows go to CSV as records.
 """
 
 from __future__ import annotations
@@ -170,12 +172,12 @@ def emit_plot_series(
     *,
     target: str,
 ) -> list[dict]:
-    """One table of history rows followed by forecast rows.
+    """One table of history rows followed by forecast rows, as records.
 
-    Columns: date, observed (null on forecast rows), predicted (null on
-    history rows), scale (the scale-transformed display value of whichever
-    of the two is present; log maps v to log10(v + 1) so zeros plot).
-    ``target`` picks the observed column.
+    Columns: date (a ``date``), observed (None on forecast rows), predicted
+    (None on history rows), scale (the scale-transformed display value of
+    whichever of the two is present; log maps v to log10(v + 1) so zeros
+    plot). ``target`` picks the observed column.
     """
     if scale not in SCALES:
         raise InputError(f"unknown scale {scale!r}; use linear or log")
@@ -187,7 +189,7 @@ def emit_plot_series(
     for day, obs in zip(history.dates, history.column(target)):
         rows.append(
             {
-                "date": day.isoformat(),
+                "date": day,
                 "observed": obs,
                 "predicted": None,
                 "scale": None if obs is None else display(obs),
@@ -196,7 +198,7 @@ def emit_plot_series(
     for d, v in report.predictions:
         rows.append(
             {
-                "date": d.isoformat(),
+                "date": d,
                 "observed": None,
                 "predicted": v,
                 "scale": display(v),

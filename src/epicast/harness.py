@@ -21,14 +21,7 @@ from .dataset import CaseSeries, fingerprint, horizon_dates
 from .errors import EpicastError, InputError, NoValidCell
 from .linear import LinRegConfig
 from .mlp import MlpConfig
-from .models import (
-    FamilyConfig,
-    TrainedModel,
-    lookup_family,
-    plain,
-    predict_raw,
-    train_on_split,
-)
+from .models import FamilyConfig, TrainedModel, predict_raw, train_on_split
 from .preprocess import (
     SplitSpec,
     StandardizedSplit,
@@ -65,7 +58,8 @@ class GridCell:
 
     flagged cells are failures (exception: scores None) or non-converged
     fits (scores present, reason "not_converged"); either way the grid
-    completed. Unflagged cells always carry scores.
+    completed. Unflagged cells always carry scores. config is the slot's
+    own config object, which select_best hands back as the winning slot's.
     """
 
     slot: int
@@ -75,7 +69,7 @@ class GridCell:
     mse: float | None
     flagged: bool
     flag_reason: str | None
-    config: dict
+    config: FamilyConfig
 
 
 @dataclass(frozen=True)
@@ -91,13 +85,6 @@ class ScoreTable:
 
     def family_cells(self, family: str) -> list[GridCell]:
         return [c for c in self.cells if c.family == family]
-
-    def as_dict(self) -> dict:
-        return {
-            "cells": plain(self.cells),
-            "metadata": self.metadata,
-            "reference_best_r2": REFERENCE_BEST_R2,
-        }
 
 
 def default_grid(
@@ -186,7 +173,7 @@ def _run_cell(
         mse=mse,
         flagged=flag_reason is not None,
         flag_reason=flag_reason,
-        config=plain(slot.config),
+        config=slot.config,
     )
     return cell, fit
 
@@ -211,7 +198,7 @@ def _run_shared(
     if key in early and early[key][0] <= budget:
         _, cell, fit = early[key]
         return (
-            dataclasses.replace(cell, slot=slot.slot, config=plain(slot.config)),
+            dataclasses.replace(cell, slot=slot.slot, config=slot.config),
             dataclasses.replace(fit, config=slot.config, train_meta=dict(fit.train_meta)),
         )
     cell, fit = _run_cell(std, slot, target)
@@ -250,7 +237,7 @@ def run_grid(
     ]
     cells = sorted((c for c, _ in runs), key=lambda c: (c.family, c.slot, c.target))
     metadata = {
-        "split": plain(split_spec),
+        "split": split_spec,
         "seed": split_spec.seed,
         "targets": list(GRID_TARGETS),
         "standardized": True,  # every cell fits on standardized data
@@ -279,8 +266,7 @@ def select_best(table: ScoreTable, family: str) -> RegressorSlot:
     ]
     scored.sort(key=lambda pair: (-pair[0], pair[1]))
     best_slot = scored[0][1]
-    cell = by_slot[best_slot][0]
-    config = lookup_family(family).config_from_dict(cell.config)
+    config = by_slot[best_slot][0].config
     return RegressorSlot(slot=best_slot, model_family=family, config=config)
 
 
@@ -323,8 +309,7 @@ def compare_models(
         models[family] = table.fits[(family, slot.slot, target)]
         if isinstance(models[family], EpicastError):
             raise models[family]
-    split_spec = SplitSpec(**table.metadata["split"])
-    _, test_rows = split_indices(len(series), split_spec)
+    _, test_rows = split_indices(len(series), table.metadata["split"])
     first = int(np.min(test_rows))
     dates = series.dates[first:] + horizon_dates(series.last_date, horizon)
     observed = series.column(target)[first:] + (None,) * horizon
@@ -339,7 +324,7 @@ def compare_models(
         "split": table.metadata["split"],
         "horizon": horizon,
         "slots": {f: s.slot for f, s in best_slots.items()},
-        "configs": {f: plain(s.config) for f, s in best_slots.items()},
+        "configs": {f: s.config for f, s in best_slots.items()},
         "dataset": table.metadata["dataset"],
         "reference_best_r2": REFERENCE_BEST_R2,
     }

@@ -979,7 +979,8 @@ class TestUnreadableInput:
 
 
 # Output locations that cannot be created: each builds argv from a readable
-# CSV named in.csv, a regular file standing where a directory must go.
+# CSV named in.csv, a regular file standing where a directory must go. No
+# command writes a file then, not even a model file whose --out is writable.
 UNWRITABLE = {
     "out-dir-is-a-file": lambda f: ["stats", str(f), "--out-dir", str(f)],
     "csv-table-out-dir-is-a-file": lambda f: [
@@ -988,6 +989,10 @@ UNWRITABLE = {
     "model-out-under-a-file": lambda f: [
         "train", str(f), "--model", "linreg", "--out", str(f / "m.json"),
         "--out-dir", str(f.parent / "o"),
+    ],
+    "out-dir-under-a-file": lambda f: [
+        "train", str(f), "--model", "linreg", "--out", str(f.parent / "m" / "m.json"),
+        "--out-dir", str(f / "o"),
     ],
 }
 
@@ -1001,6 +1006,7 @@ class TestUnwritableOutput:
         err = json.loads(capsys.readouterr().err)
         assert err["error"] == "input"
         assert "in.csv" in err["message"]
+        assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
 
 
 # name -> the train flags of a model fit on short.csv.

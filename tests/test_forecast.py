@@ -261,8 +261,8 @@ class TestEmitPlotSeries:
             assert row["observed"] is not None and row["predicted"] is None
         for row in rows[4:]:
             assert row["observed"] is None and row["predicted"] is not None
-        assert rows[0]["date"] == "2021-01-01"
-        assert rows[4]["date"] == "2021-01-05"
+        assert plain(rows[0]["date"]) == "2021-01-01"
+        assert plain(rows[4]["date"]) == "2021-01-05"
 
     def test_linear_scale_passthrough(self):
         history = tiny_series([7])

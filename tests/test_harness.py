@@ -136,7 +136,7 @@ class TestRunGrid:
                 assert c.r2 is None and c.mse is None
 
     def test_metadata_records_run_inputs(self, grid_table, series):
-        md = grid_table.metadata
+        md = plain(grid_table.metadata)
         assert md["split"]["mode"] == "chronological"
         assert md["standardized"] is True
         assert md["targets"] == ["confirmed", "deaths"]
@@ -189,9 +189,11 @@ class TestRunGrid:
         assert hot.r2 is None
         assert not cell(table, "linreg", 2, "confirmed").flagged
 
-    def test_as_dict_layout(self, grid_table):
-        doc = grid_table.as_dict()
-        assert set(doc) == {"cells", "metadata", "reference_best_r2"}
+    def test_as_dict_layout(self, grid_table, grid_reports):
+        # the grid command writes the table of the same series and split
+        doc = json.loads((grid_reports / "scoretable.json").read_text())
+        assert set(doc) == {"cells", "metadata", "reference_best_r2", "manifest"}
+        assert doc["cells"] == plain(grid_table.cells)
         assert len(doc["cells"]) == 30
         assert set(doc["reference_best_r2"]) == {"mlp", "svr", "linreg"}
 
@@ -241,7 +243,7 @@ class TestBudgetOnlySlotsShareOneFit:
             )),
             metadata=table.metadata,
         )
-        assert json.dumps(table.as_dict()) == json.dumps(alone.as_dict())
+        assert json.dumps(plain(table.cells)) == json.dumps(plain(alone.cells))
         assert {key: fit_text(fit) for key, fit in table.fits.items()} == {
             (c.family, c.slot, c.target): fit_text(fit) for c, fit in runs
         }
@@ -420,7 +422,7 @@ class TestCompareModels:
         spec = SplitSpec(mode="chronological", train_fraction=0.8, seed=0)
         report = compare(series, spec, best_slots)
         assert report.metadata["slots"] == {"mlp": 1, "svr": 1, "linreg": 1}
-        assert report.metadata["configs"]["svr"]["kernel"]["kind"] == "rbf"
+        assert plain(report.metadata)["configs"]["svr"]["kernel"]["kind"] == "rbf"
         assert report.metadata["horizon"] == 0
 
     @pytest.mark.parametrize("target", ["confirmed", "deaths"])

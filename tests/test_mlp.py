@@ -240,6 +240,10 @@ class TestInitParams:
         for b in p.biases:
             assert np.all(b == 0.0)
 
+    def test_no_features_rejected(self):
+        with pytest.raises(DimensionMismatch, match="at least one feature"):
+            init_params(MlpConfig(hidden_layers=1, neurons_per_layer=2), 0)
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             MlpConfig(hidden_layers=0)

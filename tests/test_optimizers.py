@@ -317,9 +317,38 @@ class TestAdam:
         assert res.iterations == 25
         assert len(res.trace) == 26
 
+    def test_negative_lr_rejected(self):
+        with pytest.raises(ValueError):
+            adam_minimize(quadratic([0.0]), np.zeros(1), -0.1, 10)
+
     def test_determinism(self, rng):
         theta0 = rng.normal(size=4)
         obj = quadratic(rng.normal(size=4))
         r1 = adam_minimize(obj, theta0.copy(), iterations=300)
         r2 = adam_minimize(obj, theta0.copy(), iterations=300)
         assert r1.trace == r2.trace
+
+
+class TestCubicStep:
+    """_cubic_step returns None, and _zoom bisects instead, when the
+    endpoint data pin down no interior minimum."""
+
+    def test_non_finite_endpoint(self):
+        assert optimizers._cubic_step(0.0, np.nan, -1.0, 1.0, 0.0, 1.0) is None
+
+    def test_negative_discriminant(self):
+        # d1 = 0 and g_lo * g_hi = 1, so d1^2 - g_lo g_hi < 0
+        assert optimizers._cubic_step(0.0, 0.0, 1.0, 1.0, 2.0 / 3.0, 1.0) is None
+
+    def test_vanishing_denominator(self):
+        # flat ends: every derivative and the discriminant are zero
+        assert optimizers._cubic_step(0.0, 1.0, 0.0, 1.0, 1.0, 0.0) is None
+
+
+class TestZoom:
+    def test_collapsed_bracket_fails_without_an_evaluation(self):
+        obj = quadratic([1.0])
+        f0, g0 = obj(np.zeros(1))
+        search = optimizers._LineSearch(obj, np.zeros(1), -g0, f0, -float(g0 @ g0))
+        assert search._zoom(0.5, 0.125, -0.5, 0.5, 0.125, -0.5) is None
+        assert search.evals == 0

@@ -21,8 +21,14 @@ from epicast.errors import (
     MissingValuesPresent,
 )
 from epicast.models import model_from_dict, model_to_dict
-from epicast.preprocess import EPSILON_FLOOR, MAX_SCALE, SupervisedSet, column_product
-from epicast import parse_csv
+from epicast.preprocess import (
+    EPSILON_FLOOR,
+    MAX_SCALE,
+    SupervisedSet,
+    as_design,
+    column_product,
+)
+from epicast import CaseSeries, parse_csv
 
 CSV = """date,tests,confirmed,deaths
 2021-01-01,100,10,1
@@ -61,6 +67,28 @@ class TestBuildSupervised:
             SupervisedSet(
                 x=np.zeros((3, 2)), y=np.zeros(3), feature_names=("a",), target_name="t"
             )
+
+    @pytest.mark.parametrize(
+        "x, y, message",
+        [
+            (np.zeros(3), np.zeros(3), "x must be 2-D"),
+            (np.zeros((3, 1)), np.zeros((3, 1)), "y must be 1-D"),
+        ],
+        ids=["x-1d", "y-2d"],
+    )
+    def test_array_ranks(self, x, y, message):
+        with pytest.raises(DimensionMismatch, match=message):
+            SupervisedSet(x=x, y=y, feature_names=("a",), target_name="t")
+
+    def test_empty_series(self):
+        with pytest.raises(EmptyInput, match="no rows"):
+            build_supervised(CaseSeries(), ("day_index",), "confirmed")
+
+
+class TestAsDesign:
+    def test_three_dimensional_input_rejected(self):
+        with pytest.raises(DimensionMismatch, match="1-D or 2-D"):
+            as_design(np.zeros((2, 2, 2)))
 
 
 class TestScaler:

@@ -185,6 +185,11 @@ class TestGramMatrix:
         with pytest.raises(DimensionMismatch):
             gram_matrix(KernelSpec(kind="linear"), np.zeros((2, 2)), np.zeros((2, 3)))
 
+    @pytest.mark.parametrize("kind", ["rbf", "poly"])
+    def test_unresolved_gamma_rejected(self, kind):
+        with pytest.raises(ValueError, match="gamma unresolved"):
+            gram_matrix(KernelSpec(kind=kind), np.zeros((2, 1)), np.zeros((2, 1)))
+
     @pytest.mark.parametrize(
         "spec",
         [
@@ -454,6 +459,27 @@ class TestSvrFit:
         assert params.passes == 1
         assert not np.any(params.alphas)
         assert params.bias == float(np.mean(y))
+
+    @pytest.mark.parametrize("sign", [1.0, -1.0], ids=["none-can-rise", "none-can-fall"])
+    def test_one_sided_bias(self, sign):
+        # With c = 0.75 ZERO_TOL a coefficient can rise only below
+        # c - ZERO_TOL = -0.25e-12 and fall only above 0.25e-12: of
+        # sign * (0.4, -0.2, -0.2)e-12 only the first can move, in one
+        # direction, so the loop stops at once and the bias comes from
+        # that coefficient's side alone.
+        c = 0.75 * ZERO_TOL
+        x = np.array([[0.0], [1.0], [2.0]])
+        y = np.array([0.5, 1.0, 2.0])
+        beta = [sign * 0.4e-12, sign * -0.2e-12, sign * -0.2e-12]
+        kernel = KernelSpec(kind="linear")
+        q = gram_matrix(kernel, x, x) @ np.array(beta)
+        cfg = SvrConfig(kernel=kernel, c=c, epsilon=0.1)
+        params = svr._pair_loop(kernel, x, y, cfg, list(beta), q.copy(), 3)
+        assert params.converged is True
+        assert params.passes == 1
+        # -d_down[0] = y - q - eps when only it can fall; -d_up[0] = y - q + eps
+        # when only it can rise
+        assert params.bias == y[0] - q[0] - sign * 0.1
 
     def test_matches_reference_loop(self):
         rng = np.random.default_rng(17)
