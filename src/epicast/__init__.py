@@ -66,7 +66,6 @@ from .models import (
     train_on_split,
 )
 from .optimizers import (
-    LbfgsConfig,
     MinimizeResult,
     adam_minimize,
     lbfgs_minimize,

@@ -11,7 +11,9 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
+import os
 import sys
 from contextlib import contextmanager
 from datetime import date as Date, datetime, timezone
@@ -44,12 +46,11 @@ from .harness import (
     run_grid,
     select_best,
 )
-from .linear import LinRegConfig
 from .metrics import EvalResult, evaluate
-from .mlp import ACTIVATIONS, OPTIMIZERS, MlpConfig
+from .mlp import MlpConfig
 from .models import (
     FAMILIES,
-    FamilyConfig,
+    FAMILY_TABLE,
     TrainedModel,
     json_text,
     load_model,
@@ -66,7 +67,6 @@ from .preprocess import (
     standardized_split,
     transform,
 )
-from .svr import KERNELS, KernelSpec, SvrConfig
 
 STAT_COLUMNS = ("day_index",) + COUNT_COLUMNS
 GRID_COLUMNS = ("family", "slot", "target", "r2", "mse", "flagged", "flag_reason")
@@ -78,7 +78,7 @@ Records = list[dict]
 @contextmanager
 def _output(path: Path):
     """An OSError in the block, which makes the directory of the output file
-    at path or opens or writes that file, is an InputError that names it."""
+    at path or writes or renames that file, is an InputError that names it."""
     try:
         yield
     except OSError as err:
@@ -89,7 +89,7 @@ def _write_csv(path: Path, records: Records) -> None:
     """Write records under a header of the first record's keys, one cell
     rule for every table: None is an empty cell, a date its ISO form (the
     ``str`` of a date) and a bool 0 or 1."""
-    with _output(path), open(path, "w", encoding="utf-8", newline="") as fh:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.DictWriter(fh, list(records[0]), lineterminator="\n")
         writer.writeheader()
         writer.writerows(
@@ -110,36 +110,45 @@ def _emit(
     tables: dict[str, Records],
     model: tuple[TrainedModel, Path] | None = None,
 ) -> None:
-    """Write every file a command leaves, then print its document.
+    """Write every file a command leaves, all or none, then print its document.
 
     ``document`` is the command's result as values; ``models.plain`` turns
     it into JSON here, once. Finish the run manifest that ``main`` started
-    and form ``<name>.json`` (the document plus that manifest); then create
-    the directory of every file to write; then save ``model`` to its path,
-    if given, and write the report and the CSV tables that --format selects
-    under --out-dir. A report or model document holding a non-finite number
-    raises NumericError, and a directory that cannot be created an
-    InputError, before any file is written."""
+    and form ``<name>.json`` (the document plus that manifest). The files
+    are ``model`` saved to its path, if given, and the report and the CSV
+    tables that --format selects under --out-dir. Each is written to a
+    temporary sibling, its directory made first, and only once all are
+    written does ``os.replace`` move each onto its name. A target that is a
+    directory, a file that cannot be written (InputError) or a model
+    document holding a non-finite number (NumericError) leaves every target
+    as it was; only a failure among the renames can leave a mix."""
     manifest = args._manifest
     manifest["input_fingerprint"] = fp
     manifest["timestamps"]["finished"] = _now()
     document = plain(document)
     text = json_text({**document, "manifest": manifest})
     out = Path(args.out_dir)
-    models = [model] if model is not None else []
-    reports = [out / f"{name}.json"] if args.format != "csv" else []
-    csvs = {out / file: t for file, t in tables.items()} if args.format != "json" else {}
-    for path in [*(path for _, path in models), *reports, *csvs]:
-        with _output(path):
-            path.parent.mkdir(parents=True, exist_ok=True)
-    for trained, path in models:
-        with _output(path):
-            save_model(trained, str(path))
-    for path in reports:
-        with _output(path), open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    for path, records in csvs.items():
-        _write_csv(path, records)
+    files = [(model[1], lambda tmp: save_model(model[0], str(tmp)))] if model else []
+    if args.format != "csv":
+        files.append((out / f"{name}.json", lambda tmp: tmp.write_text(text, "utf-8")))
+    if args.format != "json":
+        files += [(out / f, lambda tmp, r=r: _write_csv(tmp, r)) for f, r in tables.items()]
+    for path, _ in files:
+        if path.is_dir():
+            raise InputError(f"cannot write {path}: it is a directory")
+    temps: list[Path] = []
+    try:
+        for path, write in files:
+            with _output(path):
+                path.parent.mkdir(parents=True, exist_ok=True)
+                temps.append(path.with_name(f".{path.name}.{os.getpid()}.{len(temps)}.tmp"))
+                write(temps[-1])
+        for (path, _), tmp in zip(files, temps):
+            with _output(path):
+                os.replace(tmp, path)
+    finally:
+        for tmp in temps:
+            tmp.unlink(missing_ok=True)
     print(json.dumps(document, indent=2))
 
 
@@ -182,36 +191,48 @@ def _parse_date(text: str, flag: str) -> Date:
         raise InputError(f"{flag} must be an ISO date (YYYY-MM-DD), got {text!r}")
 
 
-def _model_config(family: str, args: argparse.Namespace) -> FamilyConfig:
-    """The config the family's flags select; a rejected value is an input error."""
+def _flag(f: dataclasses.Field) -> tuple[str | None, str | None]:
+    """A config field's flag, ``metadata["flag"]`` or else --field-name, and
+    its dest, ``metadata["dest"]`` or else the flag's; None for none."""
+    flag = f.metadata.get("flag", "--" + f.name.replace("_", "-"))
+    return flag, f.metadata.get("dest", flag and flag[2:].replace("-", "_"))
+
+
+def _add_config_flags(p: argparse.ArgumentParser, cls: type) -> None:
+    """A flag for each field of the config class cls, in field order, with
+    the field's default; a field that holds a config (SvrConfig.kernel)
+    adds that config's flags. The field's metadata may give the flag's
+    choices, its type (else the default's, or none with choices) and a
+    flag_default in place of the field's default."""
+    for f in dataclasses.fields(cls):
+        meta, (flag, dest) = f.metadata, _flag(f)
+        if dataclasses.is_dataclass(f.default):
+            _add_config_flags(p, type(f.default))
+        elif flag is not None:
+            p.add_argument(
+                flag,
+                dest=dest,
+                type=meta.get("type", None if "choices" in meta else type(f.default)),
+                choices=meta.get("choices"),
+                default=meta.get("flag_default", f.default),
+                help=f"{cls.__name__}.{f.name}",
+            )
+
+
+def _config(cls: type, args: argparse.Namespace):
+    """The config of class cls that the parsed flags select: a field with a
+    dest takes its value there unless that is None, a field that holds a
+    config is built the same way, and the rest keep their defaults. A value
+    the config rejects is an input error."""
+    values = {}
+    for f in dataclasses.fields(cls):
+        dest = _flag(f)[1]
+        if dataclasses.is_dataclass(f.default):
+            values[f.name] = _config(type(f.default), args)
+        elif dest is not None and getattr(args, dest) is not None:
+            values[f.name] = getattr(args, dest)
     try:
-        if family == "mlp":
-            return MlpConfig(
-                hidden_layers=args.hidden_layers,
-                neurons_per_layer=args.neurons,
-                activation=args.activation,
-                optimizer=args.optimizer,
-                max_iterations=args.max_iterations,
-                seed=args.seed,
-                tolerance=args.tolerance,
-                learning_rate=args.learning_rate,
-            )
-        if family == "svr":
-            return SvrConfig(
-                kernel=KernelSpec(
-                    kind=args.kernel,
-                    gamma=args.gamma,
-                    degree=args.degree,
-                    coef0=args.coef0,
-                ),
-                c=args.c,
-                epsilon=args.epsilon,
-                max_passes=args.max_passes,
-            )
-        return LinRegConfig(
-            learning_rate=args.lr if args.lr is not None else 0.5,
-            iterations=args.iterations,
-        )
+        return cls(**values)
     except ValueError as err:
         raise InputError(str(err)) from None
 
@@ -255,7 +276,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    config = _model_config(args.model, args)
+    config = _config(FAMILY_TABLE[args.model].config, args)
     series = _load_series(args)
     features = tuple(args.features.split(","))
     data = build_supervised(series, features, args.target)
@@ -380,7 +401,7 @@ def cmd_compare(args: argparse.Namespace) -> int:
 
 
 def cmd_scenario(args: argparse.Namespace) -> int:
-    config = _model_config("mlp", args)
+    config = _config(MlpConfig, args)
     series = _load_series(args)
     result = scenario_run(
         series,
@@ -445,18 +466,8 @@ def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--workers", type=int, default=1, help="ignored: cells always run serially"
     )
-    p.add_argument("--mlp-hidden-layers", dest="mlp_hidden_layers", type=int, default=2)
-    p.add_argument("--mlp-neurons", dest="mlp_neurons", type=int, default=16)
-
-
-def _add_mlp_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--hidden-layers", dest="hidden_layers", type=int, default=2)
-    p.add_argument("--neurons", type=int, default=16)
-    p.add_argument("--activation", choices=ACTIVATIONS, default="tanh")
-    p.add_argument("--optimizer", choices=OPTIMIZERS, default="lbfgs")
-    p.add_argument("--max-iterations", dest="max_iterations", type=int, default=1000)
-    p.add_argument("--tolerance", type=float, default=1e-6)
-    p.add_argument("--learning-rate", dest="learning_rate", type=float, default=1e-3)
+    p.add_argument("--mlp-hidden-layers", type=int, default=MlpConfig.hidden_layers)
+    p.add_argument("--mlp-neurons", type=int, default=MlpConfig.neurons_per_layer)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -488,16 +499,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--features", default="day_index")
     p.add_argument("--out", default=None, help="model file path")
     p.add_argument("--strict", action="store_true", help="exit 4 on non-convergence")
-    _add_mlp_flags(p)
-    p.add_argument("--kernel", choices=KERNELS, default="rbf")
-    p.add_argument("--gamma", type=float, default=None)
-    p.add_argument("--degree", type=int, default=3)
-    p.add_argument("--coef0", type=float, default=1.0)
-    p.add_argument("--c", type=float, default=1.0)
-    p.add_argument("--epsilon", type=float, default=0.1)
-    p.add_argument("--max-passes", dest="max_passes", type=int, default=10000)
-    p.add_argument("--lr", type=float, default=None, help="linreg learning rate")
-    p.add_argument("--iterations", type=int, default=2500, help="linreg iterations")
+    for family in FAMILY_TABLE.values():
+        _add_config_flags(p, family.config)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="score a saved model on a CSV")
@@ -538,7 +541,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=int, default=30)
     p.add_argument("--label", default="critical")
     p.add_argument("--scale", choices=SCALES, default="linear")
-    _add_mlp_flags(p)
+    _add_config_flags(p, MlpConfig)
     p.set_defaults(func=cmd_scenario)
 
     return parser

@@ -89,17 +89,15 @@ class ScoreTable:
 
 def default_grid(
     *,
-    mlp_hidden_layers: int = 2,
-    mlp_neurons: int = 16,
+    mlp_hidden_layers: int = MlpConfig.hidden_layers,
+    mlp_neurons: int = MlpConfig.neurons_per_layer,
     seed: int = 0,
 ) -> list[RegressorSlot]:
     """The fixed 15-slot grid: 5 configurations for each family.
 
     SVR slots sweep kernels, MLP slots sweep optimizer/activation/budget,
     linreg slots sweep the learning-rate/iteration trade-off. Depth and
-    width of the MLP slots default to a shallow, trainable shape; the
-    deep 100x64 default of MlpConfig stays available to callers who want
-    it.
+    width of the MLP slots default to MlpConfig's shallow, trainable 2x16.
     """
 
     def mlp(activation: str, optimizer: str, iters: int) -> MlpConfig:

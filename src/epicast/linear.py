@@ -13,7 +13,7 @@ a pass over the n rows, and follows the residual form up to rounding.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -23,7 +23,8 @@ from .preprocess import as_design, as_xy
 
 @dataclass(frozen=True)
 class LinRegConfig:
-    learning_rate: float = 0.5
+    # --lr defaults to None, which stands for this default
+    learning_rate: float = field(default=0.5, metadata={"flag": "--lr", "flag_default": None})
     iterations: int = 2500
 
     def __post_init__(self) -> None:

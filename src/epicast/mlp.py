@@ -18,18 +18,12 @@ backprop are column_product's fixed-order sums, the rest BLAS matmuls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import DimensionMismatch, InputError
-from .optimizers import (
-    LbfgsConfig,
-    MinimizeResult,
-    adam_minimize,
-    lbfgs_minimize,
-    sgd_minimize,
-)
+from .optimizers import MinimizeResult, adam_minimize, lbfgs_minimize, sgd_minimize
 from .preprocess import as_design, as_xy, column_product
 
 ACTIVATIONS = ("tanh", "relu", "logistic")
@@ -69,7 +63,7 @@ class ActivationKind:
         if out is None:
             out = np.empty_like(h, dtype=float)
         if self.kind == "tanh":
-            np.multiply(h, h, out=out)
+            np.square(h, out=out)
             return np.subtract(1.0, out, out=out)
         if self.kind == "relu":
             return np.greater(h, 0.0, out=out)
@@ -80,12 +74,13 @@ class ActivationKind:
 
 @dataclass(frozen=True)
 class MlpConfig:
-    hidden_layers: int = 100
-    neurons_per_layer: int = 64
-    activation: str = "tanh"
-    optimizer: str = "lbfgs"
+    hidden_layers: int = 2
+    neurons_per_layer: int = field(default=16, metadata={"flag": "--neurons"})
+    activation: str = field(default="tanh", metadata={"choices": ACTIVATIONS})
+    optimizer: str = field(default="lbfgs", metadata={"choices": OPTIMIZERS})
     max_iterations: int = 1000
-    seed: int = 0
+    # no flag of its own: the CLI's split --seed seeds the MLP too
+    seed: int = field(default=0, metadata={"flag": None, "dest": "seed"})
     # early stop after 10 steps in a row that each move the loss, up or
     # down, by less than this; 0 never stops
     tolerance: float = 1e-6
@@ -310,7 +305,7 @@ def train_mlp(
             result = lbfgs_minimize(
                 eval_flat,
                 theta0,
-                LbfgsConfig(max_iterations=cfg.max_iterations),
+                max_iterations=cfg.max_iterations,
                 tolerance=cfg.tolerance,
             )
         else:

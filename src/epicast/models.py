@@ -62,15 +62,15 @@ class TrainedModel:
 class Family:
     """Everything that differs between model families.
 
-    ``fit`` maps (config, standardized train set) to (params, train_meta);
-    ``predict`` maps (model, standardized 2-D features) to standardized
-    predictions. The dict converters read the "config" and "params"
-    sections of the model document; ``params_from_dict`` also takes the
-    number of features and raises ValueError unless the arrays fit a
-    design that wide.
+    ``config`` is the family's config class, ``fit`` maps (config,
+    standardized train set) to (params, train_meta) and ``predict`` maps
+    (model, standardized 2-D features) to standardized predictions.
+    ``params_from_dict`` reads the "params" section of the model document
+    for the given number of features and raises ValueError unless the
+    arrays fit a design that wide.
     """
 
-    config_from_dict: Callable[[dict], Any]
+    config: type
     fit: Callable[[Any, SupervisedSet], tuple[Any, dict]]
     predict: Callable[[TrainedModel, np.ndarray], np.ndarray]
     params_from_dict: Callable[[dict, int], Any]
@@ -135,6 +135,17 @@ def plain(value: Any) -> Any:
     if isinstance(value, Date):
         return value.isoformat()
     return value
+
+
+def config_from_dict(cls: type, d: dict) -> Any:
+    """The config of class cls from the "config" section of a model
+    document; a field that holds a config (SvrConfig.kernel) is built the
+    same way, and an absent field keeps its default."""
+    values = {**d}
+    for f in dataclasses.fields(cls):
+        if dataclasses.is_dataclass(f.default) and f.name in values:
+            values[f.name] = config_from_dict(type(f.default), values[f.name])
+    return cls(**values)
 
 
 def _mlp_params_from_dict(p: dict, width: int) -> MlpParams:
@@ -202,7 +213,7 @@ def _scaler_from_dict(doc: dict, name: str, width: int) -> ScalerParams:
 
 FAMILY_TABLE: dict[str, Family] = {
     "mlp": Family(
-        config_from_dict=lambda d: MlpConfig(**d),
+        config=MlpConfig,
         fit=_fit_mlp,
         predict=lambda m, xs: forward(
             m.params, ActivationKind(m.config.activation), xs
@@ -210,15 +221,13 @@ FAMILY_TABLE: dict[str, Family] = {
         params_from_dict=_mlp_params_from_dict,
     ),
     "svr": Family(
-        config_from_dict=lambda d: SvrConfig(
-            **{**d, "kernel": KernelSpec(**d["kernel"])}
-        ),
+        config=SvrConfig,
         fit=_fit_svr,
         predict=lambda m, xs: svr_predict(m.params, xs),
         params_from_dict=_svr_params_from_dict,
     ),
     "linreg": Family(
-        config_from_dict=lambda d: LinRegConfig(**d),
+        config=LinRegConfig,
         fit=_fit_linreg,
         predict=lambda m, xs: linreg_predict(m.params, xs),
         params_from_dict=_linreg_params_from_dict,
@@ -317,7 +326,7 @@ def model_from_dict(doc: dict) -> TrainedModel:
             raise ValueError('train_meta needs a boolean "converged"')
         return TrainedModel(
             family=name,
-            config=family.config_from_dict(doc["config"]),
+            config=config_from_dict(family.config, doc["config"]),
             params=family.params_from_dict(doc["params"], width),
             x_scaler=_scaler_from_dict(doc, "x_scaler", width),
             y_scaler=_scaler_from_dict(doc, "y_scaler", 1),

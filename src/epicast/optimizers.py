@@ -42,18 +42,6 @@ ADAM_EPS = 1e-8
 Objective = Callable[[np.ndarray], tuple[float, np.ndarray]]
 
 
-@dataclass(frozen=True)
-class LbfgsConfig:
-    max_iterations: int = 500
-    grad_tolerance: float = 1e-6
-
-    def __post_init__(self) -> None:
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if not 0.0 <= self.grad_tolerance < np.inf:
-            raise ValueError("grad_tolerance must be nonnegative and finite")
-
-
 @dataclass
 class MinimizeResult:
     theta: np.ndarray
@@ -201,20 +189,25 @@ class _LineSearch:
 def lbfgs_minimize(
     obj: Objective,
     theta0: np.ndarray,
-    cfg: LbfgsConfig = LbfgsConfig(),
     *,
+    max_iterations: int,
+    grad_tolerance: float = 1e-6,
     tolerance: float = 0.0,
 ) -> MinimizeResult:
     """L-BFGS with a strong-Wolfe line search.
 
-    Stops when the gradient inf-norm is at most cfg.grad_tolerance, the
-    iteration budget runs out, or PATIENCE consecutive accepted steps each
-    move the loss by less than ``tolerance``; a tolerance of 0 never stops.
-    A failed line search falls back to the steepest-descent direction once;
-    if that also fails, the best point so far is returned flagged with
-    status "line_search_failed". The trace of accepted losses never
-    increases.
+    Stops when the gradient inf-norm is at most ``grad_tolerance``, after
+    ``max_iterations`` steps, or once PATIENCE consecutive accepted steps
+    each move the loss by less than ``tolerance``; a tolerance of 0 never
+    stops. A failed line search falls back to the steepest-descent
+    direction once; if that also fails, the best point so far is returned
+    flagged with status "line_search_failed". The trace of accepted losses
+    never increases.
     """
+    if max_iterations < 1:
+        raise ValueError("max_iterations must be at least 1")
+    if not 0.0 <= grad_tolerance < np.inf:
+        raise ValueError("grad_tolerance must be nonnegative and finite")
     theta, f, g = _start(obj, theta0)
     trace = [f]
     s_pairs: deque[np.ndarray] = deque(maxlen=MEMORY)
@@ -223,10 +216,10 @@ def lbfgs_minimize(
     iterations = 0
 
     while True:
-        if float(np.max(np.abs(g))) <= cfg.grad_tolerance:
+        if float(np.max(np.abs(g))) <= grad_tolerance:
             status = "converged"
             break
-        if iterations == cfg.max_iterations:
+        if iterations == max_iterations:
             status = "max_iterations"
             break
         d = two_loop_direction(g, list(s_pairs), list(y_pairs))

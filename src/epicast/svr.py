@@ -49,7 +49,7 @@ from __future__ import annotations
 import functools
 import math
 from collections.abc import Callable
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -84,8 +84,8 @@ class KernelSpec:
     heuristic 1 / (n_features * var(x)).
     """
 
-    kind: str = "rbf"
-    gamma: float | None = None
+    kind: str = field(default="rbf", metadata={"flag": "--kernel", "choices": KERNELS})
+    gamma: float | None = field(default=None, metadata={"type": float})
     degree: int = 3
     coef0: float = 1.0
 
@@ -115,7 +115,8 @@ class SvrConfig:
     kernel: KernelSpec = KernelSpec()
     c: float = 1.0
     epsilon: float = 0.1
-    tolerance: float = 1e-3  # KKT violation below this counts as optimal
+    # KKT violation below this counts as optimal; no flag: --tolerance is the MLP's
+    tolerance: float = field(default=1e-3, metadata={"flag": None})
     max_passes: int = 10000  # one pass = one pairwise update
 
     def __post_init__(self) -> None:

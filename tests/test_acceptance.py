@@ -16,7 +16,6 @@ import pytest
 from epicast import (
     ActivationKind,
     KernelSpec,
-    LbfgsConfig,
     LinRegConfig,
     MlpConfig,
     MlpParams,
@@ -120,7 +119,6 @@ def test_criterion_02_lbfgs_quadratics_and_rosenbrock():
     iterations; Rosenbrock from (-1.2, 1) to (1, 1) within 1e-6; under 5 s."""
     started = time.perf_counter()
     rng = np.random.default_rng(202)
-    cfg = LbfgsConfig(max_iterations=50, grad_tolerance=1e-8)
     for _ in range(10):
         dim = int(rng.integers(2, 21))
         root = rng.normal(size=(dim, dim))
@@ -136,7 +134,9 @@ def test_criterion_02_lbfgs_quadratics_and_rosenbrock():
             delta = theta - target
             return 0.5 * delta @ (a @ delta), a @ delta
 
-        result = lbfgs_minimize(quad, rng.normal(size=dim), cfg)
+        result = lbfgs_minimize(
+            quad, rng.normal(size=dim), max_iterations=50, grad_tolerance=1e-8
+        )
         assert result.iterations <= 50
         assert result.grad_norm < 1e-8, f"dim {dim}: grad {result.grad_norm:.3e}"
         assert np.max(np.abs(result.theta - target)) < 1e-6
@@ -152,7 +152,8 @@ def test_criterion_02_lbfgs_quadratics_and_rosenbrock():
     result = lbfgs_minimize(
         rosenbrock,
         np.array([-1.2, 1.0]),
-        LbfgsConfig(max_iterations=200, grad_tolerance=1e-12),
+        max_iterations=200,
+        grad_tolerance=1e-12,
     )
     assert np.max(np.abs(result.theta - 1.0)) < 1e-6
     assert time.perf_counter() - started < 5.0

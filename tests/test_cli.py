@@ -1,6 +1,8 @@
+import argparse
 import copy
 import csv
 import dataclasses
+import errno
 import json
 import os
 import subprocess
@@ -15,7 +17,11 @@ from jsonschema import Draft202012Validator, ValidationError
 from referencing import Registry, Resource
 
 from epicast import (
+    LinRegConfig,
+    MlpConfig,
+    SvrConfig,
     SyntheticSpec,
+    default_grid,
     load_model,
     predict_raw,
     replay_manifest,
@@ -25,6 +31,7 @@ from epicast import (
 )
 from epicast import cli, harness
 from epicast.cli import main
+from epicast.models import FAMILY_TABLE
 
 import numpy as np
 
@@ -1007,6 +1014,114 @@ class TestUnwritableOutput:
         assert err["error"] == "input"
         assert "in.csv" in err["message"]
         assert [p for p in tmp_path.rglob("*") if p.is_file()] == [path]
+
+
+# Output targets that already exist as directories: only the move onto
+# them would fail, after the command's other files were written. Each case
+# names that target under the out-dir o and builds argv from in.csv and o.
+DIRECTORY_TARGETS = {
+    "train-report": ("train_eval.json", lambda f, o: [
+        "train", str(f), "--model", "linreg", "--out-dir", str(o),
+    ]),
+    "stats-table": ("stats.csv", lambda f, o: ["stats", str(f), "--out-dir", str(o)]),
+}
+
+
+class TestAllFilesOrNone:
+    @pytest.mark.parametrize(
+        "target, argv_of", DIRECTORY_TARGETS.values(), ids=DIRECTORY_TARGETS.keys()
+    )
+    def test_a_directory_target_leaves_the_out_dir_as_it_was(
+        self, target, argv_of, short_csv, tmp_path, capsys
+    ):
+        path = tmp_path / "in.csv"
+        path.write_bytes(short_csv.read_bytes())
+        (tmp_path / "o" / target).mkdir(parents=True)
+        before = sorted(tmp_path.rglob("*"))
+        assert main(argv_of(path, tmp_path / "o")) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert err["message"].endswith(f"{target}: it is a directory")
+        assert sorted(tmp_path.rglob("*")) == before
+
+    def test_a_failed_table_write_keeps_every_earlier_byte(
+        self, short_csv, tmp_path, monkeypatch, capsys
+    ):
+        out = tmp_path / "o"
+        argv = ["stats", str(short_csv), "--out-dir", str(out)]
+        assert main(argv) == 0
+        before = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert sorted(before) == ["stats.csv", "stats.json"]
+
+        class FullDisk(csv.DictWriter):
+            def writerows(self, rows):
+                raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(cli.csv, "DictWriter", FullDisk)
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert "stats.csv" in err["message"] and "No space left" in err["message"]
+        # the new report would differ in its manifest timestamps
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == before
+
+
+def parser_table(parser: argparse.ArgumentParser) -> list[list]:
+    """(subcommand, option strings, dest, default, type name, choices,
+    required) for each argument of each subcommand, in order."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return [
+        [
+            name, a.option_strings, a.dest, a.default, a.type and a.type.__name__,
+            a.choices and list(a.choices), a.required,
+        ]
+        for name, p in sub.choices.items()
+        for a in p._actions
+    ]
+
+
+class TestParserDeclarations:
+    """The flags the config fields declare are the flags the parser had when
+    they were still written out one by one: parser_golden.json is that
+    parser's table."""
+
+    def test_every_argument_matches_the_golden_table(self):
+        golden = json.loads((Path(__file__).parent / "parser_golden.json").read_text())
+        assert parser_table(cli.build_parser()) == golden
+
+    @pytest.mark.parametrize("family", FAMILY_TABLE)
+    def test_no_flags_give_the_family_default(self, family):
+        config = FAMILY_TABLE[family].config
+        args = cli.build_parser().parse_args(["train", "in.csv", "--model", family])
+        assert cli._config(config, args) == config()
+
+    def test_no_flags_give_the_default_mlp_elsewhere(self):
+        args = cli.build_parser().parse_args(["scenario", "in.csv"])
+        assert cli._config(MlpConfig, args) == MlpConfig()
+        # the grid's MLP slots; the golden table holds --mlp-hidden-layers 2
+        # and --mlp-neurons 16
+        shapes = {
+            (s.config.hidden_layers, s.config.neurons_per_layer)
+            for s in default_grid()
+            if s.model_family == "mlp"
+        }
+        assert shapes == {(MlpConfig().hidden_layers, MlpConfig().neurons_per_layer)} == {(2, 16)}
+
+    def test_flag_values_reach_their_fields(self):
+        parse = cli.build_parser().parse_args
+        args = parse([
+            "train", "in.csv", "--model", "mlp", "--seed", "3", "--neurons", "5",
+            "--lr", "0.25", "--kernel", "poly", "--gamma", "0.5", "--tolerance", "0.5",
+        ])
+        assert cli._config(MlpConfig, args) == MlpConfig(
+            neurons_per_layer=5, seed=3, tolerance=0.5
+        )
+        assert cli._config(LinRegConfig, args) == LinRegConfig(learning_rate=0.25)
+        svr = cli._config(SvrConfig, args)
+        assert (svr.kernel.kind, svr.kernel.gamma) == ("poly", 0.5)
+        # --tolerance is the MLP's; SvrConfig.tolerance has no flag
+        assert svr.tolerance == SvrConfig().tolerance
 
 
 # name -> the train flags of a model fit on short.csv.

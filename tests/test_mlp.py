@@ -15,7 +15,6 @@ from epicast import (
 from epicast.errors import DimensionMismatch, InputError, NonFiniteObjective
 from epicast.mlp import Workspace
 from epicast.optimizers import (
-    LbfgsConfig,
     lbfgs_minimize,
     sgd_minimize,
 )
@@ -201,6 +200,14 @@ class TestActivations:
         h = 1e-7
         fd = (act.f(b + h) - act.f(b - h)) / (2.0 * h)
         assert act.f_prime(act.f(b)) == pytest.approx(fd, abs=1e-5)
+
+    def test_tanh_derivative_is_one_minus_h_times_h_bit_for_bit(self, rng):
+        # f_prime squares h with np.square; every bit must match 1 - h*h
+        act = ActivationKind("tanh")
+        h = act.f(rng.normal(scale=3.0, size=(16, 400)))
+        out = np.empty_like(h)
+        assert act.f_prime(h, out=out) is out
+        assert out.tobytes() == (1.0 - h * h).tobytes()
 
 
 class TestInitParams:
@@ -503,7 +510,7 @@ class TestTrainMlp:
         with np.errstate(over="ignore", invalid="ignore"):
             if optimizer == "lbfgs":
                 want = lbfgs_minimize(
-                    reference_flat, theta0, LbfgsConfig(max_iterations=60), tolerance=0.0
+                    reference_flat, theta0, max_iterations=60, tolerance=0.0
                 )
             else:
                 want = sgd_minimize(reference_flat, theta0, 0.05, 60, tolerance=0.0)

@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from epicast import (
-    LbfgsConfig,
     adam_minimize,
     lbfgs_minimize,
     sgd_minimize,
@@ -55,7 +54,9 @@ def random_spd(rng, dim, cond=10.0):
 class TestLbfgs:
     def test_isotropic_quadratic_fast(self):
         obj = quadratic([3.0, -1.0, 2.0])
-        res = lbfgs_minimize(obj, np.zeros(3), LbfgsConfig(grad_tolerance=1e-10))
+        res = lbfgs_minimize(
+            obj, np.zeros(3), max_iterations=500, grad_tolerance=1e-10
+        )
         assert res.status == "converged"
         assert res.iterations <= 5
         assert res.grad_norm < 1e-10
@@ -65,14 +66,15 @@ class TestLbfgs:
         res = lbfgs_minimize(
             rosenbrock(),
             np.array([-1.2, 1.0]),
-            LbfgsConfig(max_iterations=200, grad_tolerance=1e-9),
+            max_iterations=200,
+            grad_tolerance=1e-9,
         )
         assert res.theta == pytest.approx([1.0, 1.0], abs=1e-6)
         assert res.iterations <= 200
 
     def test_already_optimal(self):
         obj = quadratic([1.0, 2.0])
-        res = lbfgs_minimize(obj, np.array([1.0, 2.0]))
+        res = lbfgs_minimize(obj, np.array([1.0, 2.0]), max_iterations=500)
         assert res.status == "converged"
         assert res.iterations == 0
         assert res.theta == pytest.approx([1.0, 2.0])
@@ -80,7 +82,10 @@ class TestLbfgs:
     def test_stationary_start_at_zero_tolerance(self):
         # g = 0 meets a zero tolerance; no step is sized by 1 / sum|g|
         res = lbfgs_minimize(
-            lambda t: (float(t @ t), 2 * t), np.zeros(2), LbfgsConfig(grad_tolerance=0.0)
+            lambda t: (float(t @ t), 2 * t),
+            np.zeros(2),
+            max_iterations=500,
+            grad_tolerance=0.0,
         )
         assert (res.status, res.iterations) == ("converged", 0)
 
@@ -88,20 +93,22 @@ class TestLbfgs:
     def test_config_rejects_bad_grad_tolerance(self, tol):
         # no gradient norm is at most a negative or NaN tolerance
         with pytest.raises(ValueError, match="grad_tolerance"):
-            LbfgsConfig(grad_tolerance=tol)
+            lbfgs_minimize(
+                quadratic([1.0]), np.zeros(1), max_iterations=500, grad_tolerance=tol
+            )
 
     @pytest.mark.parametrize("iterations", [0, -1])
     def test_config_rejects_fewer_than_one_iteration(self, iterations):
         # a budget below one would return max_iterations without a step
         with pytest.raises(ValueError, match="max_iterations"):
-            LbfgsConfig(max_iterations=iterations)
+            lbfgs_minimize(quadratic([1.0]), np.zeros(1), max_iterations=iterations)
 
     def test_trace_non_increasing(self, rng):
         for _ in range(10):
             dim = int(rng.integers(2, 12))
             a = random_spd(rng, dim, cond=50.0)
             obj = spd_quadratic(a, rng.normal(size=dim))
-            res = lbfgs_minimize(obj, rng.normal(size=dim))
+            res = lbfgs_minimize(obj, rng.normal(size=dim), max_iterations=500)
             diffs = np.diff(res.trace)
             assert np.all(diffs <= 1e-12)
 
@@ -117,7 +124,7 @@ class TestLbfgs:
         for obj, theta0 in zip(objs, starts):
             thetas = [theta0]
             for k in range(1, 31):
-                res = lbfgs_minimize(obj, theta0, LbfgsConfig(max_iterations=k))
+                res = lbfgs_minimize(obj, theta0, max_iterations=k)
                 if res.iterations < k:
                     break
                 thetas.append(res.theta)
@@ -165,8 +172,7 @@ class TestLbfgs:
                 optimizers, "two_loop_direction", lambda g, s, y: sign * g
             )
             res = lbfgs_minimize(
-                fn, np.array([-1.2, 1.0]),
-                LbfgsConfig(max_iterations=40),
+                fn, np.array([-1.2, 1.0]), max_iterations=40
             )
             return res, evals
 
@@ -184,7 +190,7 @@ class TestLbfgs:
         def fn(theta):
             return float(-theta[0]), np.array([-1.0])
 
-        res = lbfgs_minimize(fn, np.zeros(1))
+        res = lbfgs_minimize(fn, np.zeros(1), max_iterations=500)
         assert res.status == "line_search_failed"
         assert res.status != "converged"
         assert np.isfinite(res.theta).all()
@@ -198,7 +204,7 @@ class TestLbfgs:
                 return np.inf, np.array([np.nan])
             return -np.log(1.0 - x) + 0.5 * x * x, np.array([1.0 / (1.0 - x) + x])
 
-        res = lbfgs_minimize(fn, np.array([0.0]))
+        res = lbfgs_minimize(fn, np.array([0.0]), max_iterations=500)
         assert np.all(np.isfinite(res.trace))
         assert np.all(np.diff(res.trace) <= 1e-12)
 
@@ -207,14 +213,14 @@ class TestLbfgs:
             return np.nan, theta
 
         with pytest.raises(NonFiniteObjective):
-            lbfgs_minimize(fn, np.zeros(2))
+            lbfgs_minimize(fn, np.zeros(2), max_iterations=500)
 
     def test_determinism(self, rng):
         a = random_spd(rng, 5)
         b = rng.normal(size=5)
         theta0 = rng.normal(size=5)
-        r1 = lbfgs_minimize(spd_quadratic(a, b), theta0.copy())
-        r2 = lbfgs_minimize(spd_quadratic(a, b), theta0.copy())
+        r1 = lbfgs_minimize(spd_quadratic(a, b), theta0.copy(), max_iterations=500)
+        r2 = lbfgs_minimize(spd_quadratic(a, b), theta0.copy(), max_iterations=500)
         assert r1.trace == r2.trace
         assert np.array_equal(r1.theta, r2.theta)
 
@@ -226,7 +232,8 @@ class TestLbfgs:
         res = lbfgs_minimize(
             fn,
             np.array([1.0]),
-            LbfgsConfig(max_iterations=500, grad_tolerance=1e-30),
+            max_iterations=500,
+            grad_tolerance=1e-30,
             tolerance=1e-9,
         )
         assert res.status in ("stalled", "line_search_failed")
