@@ -118,10 +118,11 @@ def _emit(
     are ``model`` saved to its path, if given, and the report and the CSV
     tables that --format selects under --out-dir. Each is written to a
     temporary sibling, its directory made first, and only once all are
-    written does ``os.replace`` move each onto its name. A target that is a
-    directory, a file that cannot be written (InputError) or a model
-    document holding a non-finite number (NumericError) leaves every target
-    as it was; only a failure among the renames can leave a mix."""
+    written does ``os.replace`` move each onto its name. Two files with one
+    target, a target that is a directory, a file that cannot be written
+    (InputError) or a model document holding a non-finite number
+    (NumericError) leave every target as it was; only a failure among the
+    renames can leave a mix."""
     manifest = args._manifest
     manifest["input_fingerprint"] = fp
     manifest["timestamps"]["finished"] = _now()
@@ -133,9 +134,12 @@ def _emit(
         files.append((out / f"{name}.json", lambda tmp: tmp.write_text(text, "utf-8")))
     if args.format != "json":
         files += [(out / f, lambda tmp, r=r: _write_csv(tmp, r)) for f, r in tables.items()]
-    for path, _ in files:
+    targets = [path.resolve() for path, _ in files]
+    for (path, _), target in zip(files, targets):
         if path.is_dir():
             raise InputError(f"cannot write {path}: it is a directory")
+        if targets.count(target) > 1:
+            raise InputError(f"cannot write two files to {path}")
     temps: list[Path] = []
     try:
         for path, write in files:

@@ -4,7 +4,10 @@ method with Mehrotra's predictor-corrector (Mehrotra 1992, SIAM J. Optim.
 
 svr_fit starts its pair loop from this solution. The method sees the Gram
 only through its factor f, K = f' f with f of shape (r, n), so each Newton
-step costs O(n r^2) and memory O(n r).
+step costs O(n r^2) and memory O(n r). A step is plain numpy expressions on
+(2, n) arrays whose rows are alpha and alpha*; only z, w, v and lam are kept
+from one step to the next. The order of each expression's operands fixes
+the bits of the result: a reassociated sum gives other coefficients.
 """
 
 from __future__ import annotations
@@ -19,6 +22,11 @@ import numpy as np
 # finishing passes where 1e-8 needs at most 8.
 ITERATIONS = 100
 GAP = 1e-8
+# the signs of alpha and alpha* in beta = alpha - alpha* (x + -1 y is x - y)
+SIGNS = np.array([[1.0], [-1.0]])
+# M is summed over blocks of f's columns: f * e never holds a second r x n
+# array next to f, and one unblocked product would round differently
+BLOCK = 512
 
 
 def solve_svr_dual(
@@ -44,127 +52,67 @@ def solve_svr_dual(
     z = np.full((2, n), 0.5 * c)
     w, v = np.ones((2, n)), np.ones((2, n))
     lam = 0.0
-    # per-fit buffers: c - z, D^-1, the dual residual, the right-hand side,
-    # the direction, its complementarity targets p and t, scratch, and the
-    # solution for the equality's column b = (1, -1)
-    gap, inv, res, rho, dz, dw, dv, p, t, tmp, xb = np.empty((11, 2, n))
-    k_beta, e, ft = np.empty((3, n))
-    # M is summed over blocks of f's columns, so the product (f * e) never
-    # holds a second r x n array next to f
-    block = 512
 
-    def solve(rhs: np.ndarray) -> float:
-        """dz = (D + V V')^-1 (rhs - b dlam) with b' dz = -sum(beta); returns
-        dlam."""
-        np.multiply(rhs, inv, out=dz)
-        np.subtract(dz[0], dz[1], out=ft)
-        np.dot(f.T, np.linalg.solve(m, f @ ft), out=ft)
-        np.subtract(rhs[0], ft, out=dz[0])
-        np.add(rhs[1], ft, out=dz[1])
-        np.multiply(dz, inv, out=dz)
+    def solve(rhs: np.ndarray) -> tuple[np.ndarray, float]:
+        """(dz, dlam): dz = (D + V V')^-1 (rhs - b dlam) for the equality's
+        column b = (1, -1), with b' dz = -sum(beta)."""
+        ft = f.T @ np.linalg.solve(m, f @ (rhs[0] * inv[0] - rhs[1] * inv[1]))
+        dz = (rhs - SIGNS * ft) * inv
         dlam = (float(dz[0].sum()) - float(dz[1].sum()) + primal) / sb
-        np.multiply(xb, dlam, out=tmp)
-        np.subtract(dz, tmp, out=dz)
-        return dlam
+        return dz - xb * dlam, dlam
 
-    def direction(target: float, cw: np.ndarray | float, cv: np.ndarray | float) -> float:
-        """The Newton step to z w = target - cw, (c - z) v = target + cv in
-        (dz, dw, dv); returns dlam."""
-        np.multiply(z, w, out=p)
-        np.subtract(target, p, out=p)
-        np.subtract(p, cw, out=p)
-        np.multiply(gap, v, out=t)
-        np.subtract(target, t, out=t)
-        np.add(t, cv, out=t)
-        np.divide(p, z, out=rho)
-        np.divide(t, gap, out=tmp)
-        np.subtract(rho, tmp, out=rho)
-        np.subtract(rho, res, out=rho)
-        dlam = solve(rho)
-        np.multiply(w, dz, out=dw)  # dw = (p - w dz) / z
-        np.subtract(p, dw, out=dw)
-        np.divide(dw, z, out=dw)
-        np.multiply(v, dz, out=dv)  # dv = (t + v dz) / (c - z)
-        np.add(t, dv, out=dv)
-        np.divide(dv, gap, out=dv)
-        return dlam
+    def direction(target: float, cw: np.ndarray | float, cv: np.ndarray | float):
+        """(dz, dw, dv, dlam): the Newton step to z w = target - cw and
+        (c - z) v = target + cv."""
+        p = target - z * w - cw
+        t = target - gap * v + cv
+        dz, dlam = solve(p / z - t / gap - res)
+        return dz, (p - w * dz) / z, (t + v * dz) / gap, dlam
 
-    def longest_step() -> float:
+    def longest_step(dz: np.ndarray, dw: np.ndarray, dv: np.ndarray) -> float:
         """The longest step up to 1 along (dz, dw, dv) that stays inside."""
-        top = 1.0
-        for num, den, sign in ((dz, z, -1.0), (dz, gap, 1.0), (dw, w, -1.0), (dv, v, -1.0)):
-            np.divide(num, den, out=tmp)
-            top = max(top, float(tmp.max()) if sign > 0.0 else -float(tmp.min()))
-        return 1.0 / top
+        return 1.0 / max(
+            1.0, -float((dz / z).min()), float((dz / gap).max()),
+            -float((dw / w).min()), -float((dv / v).min()),
+        )
 
     stop = GAP * tolerance
     for _ in range(ITERATIONS):
-        np.subtract(z[0], z[1], out=k_beta)
-        primal = float(k_beta.sum())
-        np.dot(f.T, f @ k_beta, out=k_beta)
-        k_beta -= ys
-        k_beta += lam
-        np.subtract(c, z, out=gap)
-        # res = (K beta - y + lam, -(K beta - y + lam)) + eps - w + v
-        np.subtract(v, w, out=res)
-        res += eps
-        res[0] += k_beta
-        res[1] -= k_beta
-        np.multiply(z, w, out=tmp)
-        mu = float(tmp.sum())
-        np.multiply(gap, v, out=tmp)
-        mu = (mu + float(tmp.sum())) / (4 * n)
+        beta = z[0] - z[1]
+        primal = float(beta.sum())
+        gap = c - z
+        res = v - w + eps + SIGNS * (f.T @ (f @ beta) - ys + lam)
+        mu = (float((z * w).sum()) + float((gap * v).sum())) / (4 * n)
         if mu <= max(stop, 1e-3 * max(float(np.abs(res).max()), abs(primal))):
             break
-        np.divide(w, z, out=inv)
-        np.divide(v, gap, out=tmp)
-        inv += tmp
-        np.reciprocal(inv, out=inv)
-        np.add(inv[0], inv[1], out=e)
+        inv = 1.0 / (w / z + v / gap)
+        e = inv[0] + inv[1]
         m = np.eye(r)
-        for start in range(0, n, block):
-            fc = f[:, start:start + block]
-            m += (fc * e[start:start + block]) @ fc.T
+        for start in range(0, n, BLOCK):
+            fc = f[:, start:start + BLOCK]
+            m += (fc * e[start:start + BLOCK]) @ fc.T
         # (D + V V')^-1 b = (1 - f' M^-1 f e) * (inv_alpha, -inv_alpha*)
-        np.dot(f.T, np.linalg.solve(m, f @ e), out=ft)
-        np.subtract(1.0, ft, out=ft)
-        np.multiply(ft, inv[0], out=xb[0])
-        np.multiply(ft, inv[1], out=xb[1])
-        np.negative(xb[1], out=xb[1])
+        xb = SIGNS * ((1.0 - f.T @ np.linalg.solve(m, f @ e)) * inv)
         sb = float(xb[0].sum()) - float(xb[1].sum())
 
         # predictor: the affine step, to z w = 0
-        direction(0.0, 0.0, 0.0)
-        step = longest_step()
-        np.multiply(dz, step, out=tmp)
-        tmp += z
-        np.multiply(dw, step, out=p)
-        p += w
-        tmp *= p
-        mu_aff = float(tmp.sum())
-        np.multiply(dz, -step, out=tmp)
-        tmp += gap
-        np.multiply(dv, step, out=p)
-        p += v
-        tmp *= p
-        mu_aff = (mu_aff + float(tmp.sum())) / (4 * n)
+        dz, dw, dv, _ = direction(0.0, 0.0, 0.0)
+        step = longest_step(dz, dw, dv)
+        mu_aff = float(((z + step * dz) * (w + step * dw)).sum())
+        mu_aff = (mu_aff + float(((gap - step * dz) * (v + step * dv)).sum())) / (4 * n)
         # corrector: centred on mu (mu_aff / mu)^3, with the predictor's
         # second-order terms dz dw and dz dv
         dw *= dz
         dv *= dz
-        dlam = direction(mu * (mu_aff / mu) ** 3, dw, dv)
-        step = min(1.0, 0.99 * longest_step())  # 0.99: stay strictly inside
+        dz, dw, dv, dlam = direction(mu * (mu_aff / mu) ** 3, dw, dv)
+        step = min(1.0, 0.99 * longest_step(dz, dw, dv))  # 0.99: stay strictly inside
         if not math.isfinite(step * dlam + float(dz.sum() + dw.sum() + dv.sum())):
             break
-        dz *= step
-        z += dz
-        dw *= step
-        w += dw
-        dv *= step
-        v += dv
+        z += step * dz
+        w += step * dw
+        v += step * dv
         lam += step * dlam
 
     z[z < w] = 0.0
-    np.subtract(c, z, out=gap)
-    z[gap < v] = c
+    z[c - z < v] = c
     return z[0] - z[1]

@@ -164,16 +164,29 @@ def _mlp_params_from_dict(p: dict, width: int) -> MlpParams:
     return params
 
 
+def _number(value: Any) -> int | float:
+    """value, if it is a JSON number: not a bool or a string that float()
+    would also read."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{value!r} is not a number")
+    return value
+
+
 def _svr_params_from_dict(p: dict, width: int) -> SvrParams:
+    if not isinstance(p["converged"], bool):
+        raise ValueError(f"converged {p['converged']!r} is not a boolean")
+    passes = _number(p["passes"])
+    if passes < 0 or passes != int(passes):
+        raise ValueError(f"passes {passes!r} is not a count")
     sv = _array(p["support_vectors"])
     params = SvrParams(
         alphas=_array(p["alphas"]),
-        bias=float(p["bias"]),
+        bias=float(_number(p["bias"])),
         support_vectors=sv if sv.ndim == 2 else sv.reshape(0, width),
         support_coefs=_array(p["support_coefs"]),
         kernel=KernelSpec(**p["kernel"]),
-        converged=bool(p["converged"]),
-        passes=int(p["passes"]),
+        converged=p["converged"],
+        passes=int(passes),
     )
     rows, columns = params.support_vectors.shape
     if columns != width or params.support_coefs.shape != (rows,):

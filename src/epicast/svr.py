@@ -390,9 +390,7 @@ def _start(
         del f
         keep = beta != 0.0
         q = svr_predict(SvrParams(beta, 0.0, xs[keep], beta[keep], kernel), xs)
-    # equal coefficients share one float, as the zero start's all do
-    shared: dict[float, float] = {}
-    return [shared.setdefault(b, b) for b in beta.tolist()], q
+    return beta.tolist(), q
 
 
 def _pair_loop(
@@ -492,9 +490,10 @@ def svr_fit(x: np.ndarray, y: np.ndarray, cfg: SvrConfig) -> SvrParams:
     n = 512), and the factor is freed before the pair loop starts, so a fit
     never holds the n x n matrix. converged and passes are the pair loop's:
     converged when no pair violates the KKT conditions beyond
-    cfg.tolerance, False after cfg.max_passes updates. The interior point's iterations are not passes;
-    interior_point.ITERATIONS caps them. DegenerateKernelMatrix is raised
-    when any entry of the full Gram would be non-finite.
+    cfg.tolerance, False after cfg.max_passes updates. The interior point's
+    iterations are not passes; interior_point.ITERATIONS caps them.
+    DegenerateKernelMatrix is raised when any entry of the full Gram would
+    be non-finite.
     """
     xs, ys = as_xy(x, y, min_rows=2)
     kernel = resolve_gamma(cfg.kernel, xs)

@@ -1044,6 +1044,21 @@ class TestAllFilesOrNone:
         assert err["message"].endswith(f"{target}: it is a directory")
         assert sorted(tmp_path.rglob("*")) == before
 
+    @pytest.mark.parametrize("model", ["train_eval.json", "new/../train_eval.json"])
+    def test_a_model_on_the_report_path_leaves_the_out_dir_as_it_was(
+        self, model, short_csv, tmp_path, capsys
+    ):
+        out = tmp_path / "q"
+        argv = ["train", str(short_csv), "--model", "linreg", "--out-dir", str(out)]
+        assert main(argv) == 0
+        before = {p: p.read_bytes() for p in out.rglob("*")}
+        capsys.readouterr()
+        assert main([*argv, "--out", str(out / model)]) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert err["message"] == f"cannot write two files to {out / model}"
+        assert {p: p.read_bytes() for p in out.rglob("*")} == before
+
     def test_a_failed_table_write_keeps_every_earlier_byte(
         self, short_csv, tmp_path, monkeypatch, capsys
     ):

@@ -223,6 +223,14 @@ INCONSISTENT = {
             row.append(0.0) for row in d["params"]["support_vectors"]
         ],
         "gamma unresolved": lambda d: d["params"]["kernel"].update(gamma=None),
+        "converged a string": lambda d: d["params"].update(converged="false"),
+        "converged a number": lambda d: d["params"].update(converged=1),
+        "passes fractional": lambda d: d["params"].update(passes=3.7),
+        "passes negative": lambda d: d["params"].update(passes=-1),
+        "passes a string": lambda d: d["params"].update(passes="3"),
+        "passes a boolean": lambda d: d["params"].update(passes=True),
+        "bias a string": lambda d: d["params"].update(bias="1.5"),
+        "bias a boolean": lambda d: d["params"].update(bias=False),
     },
     "linreg": {
         "slope longer than features": lambda d: d["params"]["slope"].append(1.0),

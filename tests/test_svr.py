@@ -816,6 +816,27 @@ class TestInteriorPointStart:
         solved = dual_objective(np.zeros((4, 4)), y, params.alphas, cfg.epsilon)
         assert solved == pytest.approx(qp_oracle(x, y, cfg), abs=1e-6)
 
+    def test_solve_at_the_factor_cap_holds_less_than_the_factor(self):
+        # the widest factor a fit makes (63 rows at n = 4160): an unblocked
+        # f * e would alone hold f.nbytes (about 0.59 f.nbytes measured)
+        from epicast.interior_point import solve_svr_dual
+
+        n = 4160
+        rng = np.random.default_rng(4)
+        x = rng.normal(size=(n, 3))
+        y = np.sin(x[:, 0]) + 0.1 * rng.normal(size=n)
+        spec = resolve_gamma(KernelSpec(kind="rbf"), x)
+        f, scale, _ = svr._factor(spec, x, svr._cache_rows(n))
+        assert f.shape == (63, n)
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            solve_svr_dual(f, y / scale, 1.0, 0.1 / scale, 1e-3 / scale)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < f.nbytes
+
     def test_failed_solve_starts_from_zero(self, monkeypatch):
         # an interior point that ends in NaN is replaced by beta = 0, q = 0,
         # so the fit is the pair loop from zero (246 passes here, where the
