@@ -68,7 +68,6 @@ from .preprocess import (
     transform,
 )
 
-STAT_COLUMNS = ("day_index",) + COUNT_COLUMNS
 GRID_COLUMNS = ("family", "slot", "target", "r2", "mse", "flagged", "flag_reason")
 
 # A CSV table as records: one dict per row, keyed by column in column order.
@@ -263,10 +262,9 @@ def _eval_section(model: TrainedModel, result: EvalResult) -> dict:
 
 def cmd_stats(args: argparse.Namespace) -> int:
     series = _load_series(args, impute=False)
-    stats = summarize_series(series)
-    columns = {col: plain(stats[col]) for col in STAT_COLUMNS}
+    columns = plain(summarize_series(series))
     rows = [
-        {"statistic": stat, **{col: columns[col][stat] for col in STAT_COLUMNS}}
+        {"statistic": stat, **{col: values[stat] for col, values in columns.items()}}
         for stat in columns["day_index"]
     ]
     _emit(

@@ -23,6 +23,7 @@ import numpy as np
 from .errors import InputError
 
 COUNT_COLUMNS = ("tests", "confirmed", "deaths")
+NUMERIC_COLUMNS = ("day_index",) + COUNT_COLUMNS
 IMPUTE_POLICIES = ("mean", "forward-fill")
 
 
@@ -264,7 +265,7 @@ def summarize_series(series: CaseSeries) -> dict[str, SummaryStats]:
     """Per-column summaries; count columns use present values only."""
     return {
         col: summarize([float(v) for v in series.column(col) if v is not None])
-        for col in ("day_index",) + COUNT_COLUMNS
+        for col in NUMERIC_COLUMNS
     }
 
 

@@ -5,7 +5,8 @@ names it was trained against, so prediction from raw feature values and
 faithful save/load round trips are possible without extra context. The
 on-disk form is a JSON envelope, version 1, with all arrays as nested
 row-major lists. ``plain`` is the one way from a result to JSON: it writes
-model documents and every command's report, field by field.
+model documents and every command's report, field by field. ``read`` is the
+way back for model documents, typed by the dataclass annotations.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import date as Date
-from typing import Any, Callable, NoReturn
+from typing import Any, Callable, NoReturn, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -34,7 +35,7 @@ from .preprocess import (
     inverse_transform,
     transform,
 )
-from .svr import KernelSpec, SvrConfig, SvrParams, svr_fit, svr_predict
+from .svr import SvrConfig, SvrParams, svr_fit, svr_predict
 
 MODEL_DOC_VERSION = 1
 
@@ -62,18 +63,18 @@ class TrainedModel:
 class Family:
     """Everything that differs between model families.
 
-    ``config`` is the family's config class, ``fit`` maps (config,
+    ``config`` and ``params`` are the family's classes, ``fit`` maps (config,
     standardized train set) to (params, train_meta) and ``predict`` maps
-    (model, standardized 2-D features) to standardized predictions.
-    ``params_from_dict`` reads the "params" section of the model document
-    for the given number of features and raises ValueError unless the
-    arrays fit a design that wide.
+    (model, standardized 2-D features) to standardized predictions. ``check``
+    returns params read from a model document for the given number of
+    features, raising ValueError unless their arrays fit a design that wide.
     """
 
     config: type
+    params: type
     fit: Callable[[Any, SupervisedSet], tuple[Any, dict]]
     predict: Callable[[TrainedModel, np.ndarray], np.ndarray]
-    params_from_dict: Callable[[dict, int], Any]
+    check: Callable[[Any, int], Any]
 
 
 # The fit helpers call the solvers through this module's globals at call
@@ -109,10 +110,6 @@ def _fit_linreg(
     }
 
 
-def _array(value: Any) -> np.ndarray:
-    return np.asarray(value, dtype=float)
-
-
 def plain(value: Any) -> Any:
     """value as the reports and model documents write it, walked in turn: a
     dataclass as a dict of its fields in order, each keyed by its
@@ -137,22 +134,39 @@ def plain(value: Any) -> Any:
     return value
 
 
-def config_from_dict(cls: type, d: dict) -> Any:
-    """The config of class cls from the "config" section of a model
-    document; a field that holds a config (SvrConfig.kernel) is built the
-    same way, and an absent field keeps its default."""
-    values = {**d}
-    for f in dataclasses.fields(cls):
-        if dataclasses.is_dataclass(f.default) and f.name in values:
-            values[f.name] = config_from_dict(type(f.default), values[f.name])
-    return cls(**values)
+def read(cls: Any, value: Any, partial: bool = False) -> Any:
+    """The cls that ``plain`` writes as value, read back by cls's
+    annotations: a dataclass from an object of its fields, all of them or,
+    with partial (a config section), any, the rest keeping their defaults;
+    ``T | None`` from null or a T; ``tuple[T, ...]`` from a list of T; an
+    ndarray from nested lists of numbers; a float from a number, an int
+    from a whole number, and a bool or a str only from that JSON type. Any
+    other value raises TypeError, and an unknown or missing key ValueError."""
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if cls in (float, int) and number and (cls is float or value == int(value)):
+        return cls(value)
+    if cls in (bool, str) and isinstance(value, cls):
+        return value
+    args = get_args(cls)
+    if dataclasses.is_dataclass(cls):
+        if not isinstance(value, dict):
+            raise TypeError(f"{cls.__name__} needs a JSON object, not {value!r}")
+        fields = get_type_hints(cls)
+        if value.keys() - fields.keys() or not partial and value.keys() != fields.keys():
+            raise ValueError(f"{cls.__name__} takes {list(fields)}, not {list(value)}")
+        return cls(**{k: read(fields[k], v, partial) for k, v in value.items()})
+    if type(None) in args:
+        return None if value is None else read(args[0], value, partial)
+    if get_origin(cls) is tuple and isinstance(value, list):
+        return tuple(read(args[0], v, partial) for v in value)
+    if cls is np.ndarray and isinstance(value, list):
+        items = [read(cls if isinstance(v, list) else float, v) for v in value]
+        return np.array(items, dtype=float)
+    kind = {float: "number", int: "whole number", bool: "boolean", str: "string"}
+    raise TypeError(f"{value!r} is not a {kind.get(cls, 'list')}")
 
 
-def _mlp_params_from_dict(p: dict, width: int) -> MlpParams:
-    params = MlpParams(
-        weights=tuple(_array(w) for w in p["weights"]),
-        biases=tuple(_array(b) for b in p["biases"]),
-    )
+def _check_mlp(params: MlpParams, width: int) -> MlpParams:
     broken = ValueError(f"MLP layers do not chain {width} input columns to one output")
     rows = width
     for w, b in zip(params.weights, params.biases):
@@ -164,42 +178,23 @@ def _mlp_params_from_dict(p: dict, width: int) -> MlpParams:
     return params
 
 
-def _number(value: Any) -> int | float:
-    """value, if it is a JSON number: not a bool or a string that float()
-    would also read."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ValueError(f"{value!r} is not a number")
-    return value
-
-
-def _svr_params_from_dict(p: dict, width: int) -> SvrParams:
-    if not isinstance(p["converged"], bool):
-        raise ValueError(f"converged {p['converged']!r} is not a boolean")
-    passes = _number(p["passes"])
-    if passes < 0 or passes != int(passes):
-        raise ValueError(f"passes {passes!r} is not a count")
-    sv = _array(p["support_vectors"])
-    params = SvrParams(
-        alphas=_array(p["alphas"]),
-        bias=float(_number(p["bias"])),
-        support_vectors=sv if sv.ndim == 2 else sv.reshape(0, width),
-        support_coefs=_array(p["support_coefs"]),
-        kernel=KernelSpec(**p["kernel"]),
-        converged=p["converged"],
-        passes=int(passes),
-    )
+def _check_svr(params: SvrParams, width: int) -> SvrParams:
+    if params.passes < 0:
+        raise ValueError(f"passes {params.passes} is not a count")
+    if params.support_vectors.shape == (0,):  # [] is no rows of any width
+        params = dataclasses.replace(params, support_vectors=np.empty((0, width)))
     rows, columns = params.support_vectors.shape
-    if columns != width or params.support_coefs.shape != (rows,):
+    if columns != width or params.support_coefs.shape != (rows,) or params.alphas.ndim != 1:
         raise ValueError(
-            f"support vectors need {width} columns and one support coef per row"
+            f"support vectors need {width} columns and one support coef per row,"
+            " and alphas one entry per training row"
         )
     if params.kernel.kind != "linear" and params.kernel.gamma is None:
         raise ValueError("the kernel's gamma is unresolved")
     return params
 
 
-def _linreg_params_from_dict(p: dict, width: int) -> LinRegParams:
-    params = LinRegParams(slope=_array(p["slope"]), intercept=float(p["intercept"]))
+def _check_linreg(params: LinRegParams, width: int) -> LinRegParams:
     if params.slope.shape != (width,):
         raise ValueError(f"slope needs {width} entries")
     return params
@@ -209,8 +204,7 @@ def _scaler_from_dict(doc: dict, name: str, width: int) -> ScalerParams:
     """The scaler ``doc[name]``: its scales must lie between the floor that
     fit_scaler writes for a constant column and MAX_SCALE, and its means
     within MAX_SCALE of zero."""
-    d = doc[name]
-    scaler = ScalerParams(mean=_array(d["mean"]), scale=_array(d["scale"]))
+    scaler = read(ScalerParams, doc[name])
     if scaler.mean.shape != (width,):
         raise ValueError(f"{name} needs {width} columns")
     if not np.all((scaler.scale >= EPSILON_FLOOR) & (scaler.scale <= MAX_SCALE)):
@@ -227,23 +221,26 @@ def _scaler_from_dict(doc: dict, name: str, width: int) -> ScalerParams:
 FAMILY_TABLE: dict[str, Family] = {
     "mlp": Family(
         config=MlpConfig,
+        params=MlpParams,
         fit=_fit_mlp,
         predict=lambda m, xs: forward(
             m.params, ActivationKind(m.config.activation), xs
         ),
-        params_from_dict=_mlp_params_from_dict,
+        check=_check_mlp,
     ),
     "svr": Family(
         config=SvrConfig,
+        params=SvrParams,
         fit=_fit_svr,
         predict=lambda m, xs: svr_predict(m.params, xs),
-        params_from_dict=_svr_params_from_dict,
+        check=_check_svr,
     ),
     "linreg": Family(
         config=LinRegConfig,
+        params=LinRegParams,
         fit=_fit_linreg,
         predict=lambda m, xs: linreg_predict(m.params, xs),
-        params_from_dict=_linreg_params_from_dict,
+        check=_check_linreg,
     ),
 }
 
@@ -325,26 +322,29 @@ def model_from_dict(doc: dict) -> TrainedModel:
     one column per feature name, and the y scaler one column."""
     if not isinstance(doc, dict):
         raise InputError("model document must be a JSON object")
-    if doc.get("version") != MODEL_DOC_VERSION:
-        raise InputError(
-            f"unsupported model document version {doc.get('version')!r}"
-        )
+    version = doc.get("version")
+    if isinstance(version, bool) or version != MODEL_DOC_VERSION:
+        raise InputError(f"unsupported model document version {version!r}")
     name = doc.get("family")
     family = lookup_family(name)
     try:
-        feature_names = tuple(doc["feature_names"])
+        if doc.keys() - {"version", *get_type_hints(TrainedModel)}:
+            raise ValueError(f"{list(doc)} are not the keys of a model document")
+        feature_names = read(tuple[str, ...], doc["feature_names"])
+        if not feature_names:
+            raise ValueError("feature_names is empty")
         width = len(feature_names)
         meta = doc["train_meta"]
         if not isinstance(meta, dict) or not isinstance(meta.get("converged"), bool):
             raise ValueError('train_meta needs a boolean "converged"')
         return TrainedModel(
             family=name,
-            config=config_from_dict(family.config, doc["config"]),
-            params=family.params_from_dict(doc["params"], width),
+            config=read(family.config, doc["config"], partial=True),
+            params=family.check(read(family.params, doc["params"]), width),
             x_scaler=_scaler_from_dict(doc, "x_scaler", width),
             y_scaler=_scaler_from_dict(doc, "y_scaler", 1),
             feature_names=feature_names,
-            target_name=doc["target_name"],
+            target_name=read(str, doc["target_name"]),
             train_meta=dict(meta),
         )
     except (KeyError, TypeError, ValueError, OverflowError) as err:

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .dataset import CaseSeries, COUNT_COLUMNS
+from .dataset import CaseSeries, NUMERIC_COLUMNS
 from .errors import (
     ConstantTarget,
     DegenerateSplit,
@@ -32,7 +32,6 @@ EPSILON_FLOOR = 1e-12
 # is finite; also the largest scaler mean magnitude.
 MAX_SCALE = float(np.sqrt(np.finfo(float).max))
 
-VALID_FEATURES = ("day_index",) + COUNT_COLUMNS
 SPLIT_MODES = ("chronological", "shuffled")
 
 
@@ -160,8 +159,8 @@ def build_supervised(
     """
     feature_names = tuple(feature_names)
     for name in feature_names + (target_name,):
-        if name not in VALID_FEATURES:
-            raise InputError(f"unknown column {name!r}; valid: {VALID_FEATURES}")
+        if name not in NUMERIC_COLUMNS:
+            raise InputError(f"unknown column {name!r}; valid: {NUMERIC_COLUMNS}")
     if not feature_names:
         raise EmptyInput("at least one feature column is required")
     if len(series) == 0:

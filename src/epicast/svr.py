@@ -149,8 +149,8 @@ class SvrParams:
     support_vectors: np.ndarray
     support_coefs: np.ndarray
     kernel: KernelSpec
-    converged: bool = True
-    passes: int = 0
+    converged: bool
+    passes: int
 
 
 def gram_matrix(k: KernelSpec, xa: np.ndarray, xb: np.ndarray) -> np.ndarray:
@@ -389,7 +389,7 @@ def _start(
     else:
         del f
         keep = beta != 0.0
-        q = svr_predict(SvrParams(beta, 0.0, xs[keep], beta[keep], kernel), xs)
+        q = svr_predict(SvrParams(beta, 0.0, xs[keep], beta[keep], kernel, True, 0), xs)
     return beta.tolist(), q
 
 

@@ -176,6 +176,22 @@ MALFORMED = {
     "ill-typed config field": lambda d: d["config"].update(iterations="many"),
     "ill-typed params field": lambda d: d["params"].update(slope="steep"),
     "unhashable family": lambda d: d.update(family=["linreg"]),
+    "version a boolean": lambda d: d.update(version=True),
+    "unknown top-level key": lambda d: d.update(notes="retrained"),
+    "no feature names": lambda d: (
+        d.update(feature_names=[]),
+        d["params"].update(slope=[]),
+        d["x_scaler"].update(mean=[], scale=[]),
+    ),
+    "feature name a number": lambda d: d.update(feature_names=[1]),
+    "target name a number": lambda d: d.update(target_name=7),
+    "config not an object": lambda d: d.update(config=[]),
+    "iterations fractional": lambda d: d["config"].update(iterations=2.5),
+    "iterations a boolean": lambda d: d["config"].update(iterations=True),
+    "slope a string": lambda d: d["params"].update(slope=["2.0"]),
+    "slope a boolean": lambda d: d["params"].update(slope=[True]),
+    "intercept a string": lambda d: d["params"].update(intercept="1.5"),
+    "scaler mean a string": lambda d: d["x_scaler"].update(mean=["0.5"]),
 }
 
 
@@ -204,8 +220,8 @@ def _pop_last(items):
     items.pop()
 
 
-# family -> breakages that leave a well-formed document whose arrays do
-# not fit together.
+# family -> breakages of that family's document: arrays that do not fit
+# together, or a value of the wrong JSON type.
 INCONSISTENT = {
     "mlp": {
         "weight row dropped": lambda d: _pop_last(d["params"]["weights"][1]),
@@ -216,6 +232,9 @@ INCONSISTENT = {
             d["params"]["weights"][-1].append(d["params"]["weights"][-1][0]),
             d["params"]["biases"][-1].append(0.0),
         ),
+        "weight a string": lambda d: d["params"]["weights"][0][0].__setitem__(0, "0.5"),
+        "hidden_layers a boolean": lambda d: d["config"].update(hidden_layers=True),
+        "max_iterations fractional": lambda d: d["config"].update(max_iterations=2.5),
     },
     "svr": {
         "support coef dropped": lambda d: _pop_last(d["params"]["support_coefs"]),
@@ -231,6 +250,10 @@ INCONSISTENT = {
         "passes a boolean": lambda d: d["params"].update(passes=True),
         "bias a string": lambda d: d["params"].update(bias="1.5"),
         "bias a boolean": lambda d: d["params"].update(bias=False),
+        "passes missing": lambda d: d["params"].pop("passes"),
+        "converged missing": lambda d: d["params"].pop("converged"),
+        "kernel degree missing": lambda d: d["params"]["kernel"].pop("degree"),
+        "alphas a matrix": lambda d: d["params"].update(alphas=[d["params"]["alphas"]]),
     },
     "linreg": {
         "slope longer than features": lambda d: d["params"]["slope"].append(1.0),

@@ -1,9 +1,10 @@
 """Property tests: the parser and the model-document reader accept any
 input and either return a value or raise an InputError subclass, never a
-raw Python error; a model the reader returns predicts a row or raises an
-EpicastError, and eval never blames the CSV for what is wrong with it. An
-MLP fit that stops before its iteration budget is the fit of every larger
-budget, which lets the grid share one fit between budget-only slots."""
+raw Python error; a document the reader loads follows model.schema.json,
+and the model predicts a row or raises an EpicastError; and eval never
+blames the CSV for what is wrong with a model it loads. An MLP fit that
+stops before its iteration budget is the fit of every larger budget, which
+lets the grid share one fit between budget-only slots."""
 
 import copy
 import dataclasses
@@ -17,6 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
+from jsonschema import Draft202012Validator
 
 from epicast import (
     CaseSeries,
@@ -157,10 +159,17 @@ def _with(family: str, section: str, key: str, value) -> dict:
     return doc
 
 
+MODEL_SCHEMA = Draft202012Validator(json.loads(
+    (Path(__file__).resolve().parents[1] / "docs/schemas/model.schema.json").read_text()
+))
+
+
 @PROPERTY
 @given(mutated_documents())
 @example(_with("svr", "params", "passes", float("inf")))
 @example(_with("linreg", "params", "intercept", 10**400))
+@example(_with("linreg", "params", "intercept", "1.5"))
+@example(_with("linreg", "params", "slope", ["2.0"]))
 @example(_with("svr", "params", "support_coefs", []))
 @example(_with("mlp", "params", "biases", [[0.0], [0.0]]))
 @example(_with("svr", "params", "kernel", {"kind": "poly", "gamma": 10**400}))
@@ -173,6 +182,7 @@ def test_model_from_dict_returns_model_or_raises_input_error(doc):
     except InputError:
         return
     assert isinstance(model, TrainedModel)
+    MODEL_SCHEMA.validate(doc)
     try:
         predictions = predict_raw(model, np.zeros((1, len(model.feature_names))))
     except EpicastError:

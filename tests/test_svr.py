@@ -734,7 +734,7 @@ class TestSvrFit:
 def exact_dual(params, x, y, eps):
     """The dual objective of a fit, with K beta built in blocks."""
     beta = params.alphas
-    k_beta = svr_predict(SvrParams(beta, 0.0, x, beta, params.kernel), x)
+    k_beta = svr_predict(SvrParams(beta, 0.0, x, beta, params.kernel, True, 0), x)
     return float(-0.5 * beta @ k_beta + y @ beta - eps * np.sum(np.abs(beta)))
 
 
@@ -918,6 +918,7 @@ class TestSvrPredict:
         params = SvrParams(
             alphas=np.full(n_sv, 0.5), bias=0.25, support_vectors=x,
             support_coefs=np.full(n_sv, 0.5), kernel=KernelSpec(kind="rbf", gamma=0.5),
+            converged=True, passes=0,
         )
         x_new = rng.normal(size=(m, 1))
         tracemalloc.start()
