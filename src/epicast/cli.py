@@ -155,22 +155,18 @@ def _emit(
     print(json.dumps(document, indent=2))
 
 
-def _load_series(args: argparse.Namespace, *, impute: bool = True) -> CaseSeries:
+def _load_series(args: argparse.Namespace) -> CaseSeries:
     path = Path(args.csv)
-    schema = CsvSchema(
-        date=args.date_column,
-        tests=args.tests_column,
-        confirmed=args.confirmed_column,
-        deaths=args.deaths_column,
-    )
     series = parse_csv(
         read_text(path),
-        schema,
+        _config(CsvSchema, args),
         fill_gaps=args.fill_gaps,
         source_label=path.name,
     )
-    if impute and args.impute != "none" and len(series):
-        series = impute_missing(series, args.impute)
+    # stats has no --impute: it describes the missing cells as the file has them
+    policy = getattr(args, "impute", "none")
+    if policy != "none" and len(series):
+        series = impute_missing(series, policy)
     return series
 
 
@@ -205,17 +201,17 @@ def _add_config_flags(p: argparse.ArgumentParser, cls: type) -> None:
     """A flag for each field of the config class cls, in field order, with
     the field's default; a field that holds a config (SvrConfig.kernel)
     adds that config's flags. The field's metadata may give the flag's
-    choices, its type (else the default's, or none with choices) and a
-    flag_default in place of the field's default."""
+    choices, its type (else the default's, or none with choices or for a
+    str) and a flag_default in place of the field's default."""
     for f in dataclasses.fields(cls):
-        meta, (flag, dest) = f.metadata, _flag(f)
+        meta, (flag, dest), kind = f.metadata, _flag(f), type(f.default)
         if dataclasses.is_dataclass(f.default):
-            _add_config_flags(p, type(f.default))
+            _add_config_flags(p, kind)
         elif flag is not None:
             p.add_argument(
                 flag,
                 dest=dest,
-                type=meta.get("type", None if "choices" in meta else type(f.default)),
+                type=meta.get("type", None if "choices" in meta or kind is str else kind),
                 choices=meta.get("choices"),
                 default=meta.get("flag_default", f.default),
                 help=f"{cls.__name__}.{f.name}",
@@ -261,7 +257,7 @@ def _eval_section(model: TrainedModel, result: EvalResult) -> dict:
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    series = _load_series(args, impute=False)
+    series = _load_series(args)
     columns = plain(summarize_series(series))
     rows = [
         {"statistic": stat, **{col: values[stat] for col, values in columns.items()}}
@@ -446,10 +442,7 @@ def _add_io_flags(
     p.add_argument("--out-dir", dest="out_dir", default=".")
     p.add_argument("--format", choices=["json", "csv", "both"], default="both")
     p.add_argument("--fill-gaps", dest="fill_gaps", action="store_true")
-    p.add_argument("--date-column", dest="date_column", default="date")
-    p.add_argument("--tests-column", dest="tests_column", default="tests")
-    p.add_argument("--confirmed-column", dest="confirmed_column", default="confirmed")
-    p.add_argument("--deaths-column", dest="deaths_column", default="deaths")
+    _add_config_flags(p, CsvSchema)
 
 
 def _add_split_flags(p: argparse.ArgumentParser) -> None:

@@ -31,10 +31,10 @@ IMPUTE_POLICIES = ("mean", "forward-fill")
 class CsvSchema:
     """Maps the canonical column names onto the header names of a file."""
 
-    date: str = "date"
-    tests: str = "tests"
-    confirmed: str = "confirmed"
-    deaths: str = "deaths"
+    date: str = field(default="date", metadata={"flag": "--date-column"})
+    tests: str = field(default="tests", metadata={"flag": "--tests-column"})
+    confirmed: str = field(default="confirmed", metadata={"flag": "--confirmed-column"})
+    deaths: str = field(default="deaths", metadata={"flag": "--deaths-column"})
 
 
 DEFAULT_SCHEMA = CsvSchema()

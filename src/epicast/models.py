@@ -66,15 +66,16 @@ class Family:
     ``config`` and ``params`` are the family's classes, ``fit`` maps (config,
     standardized train set) to (params, train_meta) and ``predict`` maps
     (model, standardized 2-D features) to standardized predictions. ``check``
-    returns params read from a model document for the given number of
-    features, raising ValueError unless their arrays fit a design that wide.
+    maps (config, params, number of features) read from a model document to
+    the params, raising ValueError unless they are what a fit of that
+    config on a design that wide gives: its array shapes and its kernel.
     """
 
     config: type
     params: type
     fit: Callable[[Any, SupervisedSet], tuple[Any, dict]]
     predict: Callable[[TrainedModel, np.ndarray], np.ndarray]
-    check: Callable[[Any, int], Any]
+    check: Callable[[Any, Any, int], Any]
 
 
 # The fit helpers call the solvers through this module's globals at call
@@ -166,19 +167,23 @@ def read(cls: Any, value: Any, partial: bool = False) -> Any:
     raise TypeError(f"{value!r} is not a {kind.get(cls, 'list')}")
 
 
-def _check_mlp(params: MlpParams, width: int) -> MlpParams:
-    broken = ValueError(f"MLP layers do not chain {width} input columns to one output")
-    rows = width
-    for w, b in zip(params.weights, params.biases):
-        if w.ndim != 2 or w.shape[1] != rows or b.shape != w.shape[:1]:
-            raise broken
-        rows = w.shape[0]
-    if not params.weights or len(params.biases) != len(params.weights) or rows != 1:
-        raise broken
+def _check_mlp(config: MlpConfig, params: MlpParams, width: int) -> MlpParams:
+    # the counts first, so that a document's hidden_layers never sizes a list
+    layers = config.hidden_layers + 1
+    shapes = [(w.shape, b.shape) for w, b in zip(params.weights, params.biases)]
+    if len(params.weights) != layers or len(params.biases) != layers or shapes != [
+        (shape, shape[:1]) for shape in MlpParams.shapes(config, width)
+    ]:
+        raise ValueError(f"MLP layers do not have the shapes of config on {width} input columns")
     return params
 
 
-def _check_svr(params: SvrParams, width: int) -> SvrParams:
+def _check_svr(config: SvrConfig, params: SvrParams, width: int) -> SvrParams:
+    kernel = config.kernel
+    if kernel.kind != "linear" and kernel.gamma is None:  # what resolve_gamma fills
+        kernel = dataclasses.replace(kernel, gamma=params.kernel.gamma)
+    if params.kernel != kernel:
+        raise ValueError("params.kernel must be config.kernel with gamma resolved")
     if params.passes < 0:
         raise ValueError(f"passes {params.passes} is not a count")
     if params.support_vectors.shape == (0,):  # [] is no rows of any width
@@ -194,7 +199,7 @@ def _check_svr(params: SvrParams, width: int) -> SvrParams:
     return params
 
 
-def _check_linreg(params: LinRegParams, width: int) -> LinRegParams:
+def _check_linreg(config: LinRegConfig, params: LinRegParams, width: int) -> LinRegParams:
     if params.slope.shape != (width,):
         raise ValueError(f"slope needs {width} entries")
     return params
@@ -337,10 +342,11 @@ def model_from_dict(doc: dict) -> TrainedModel:
         meta = doc["train_meta"]
         if not isinstance(meta, dict) or not isinstance(meta.get("converged"), bool):
             raise ValueError('train_meta needs a boolean "converged"')
+        config = read(family.config, doc["config"], partial=True)
         return TrainedModel(
             family=name,
-            config=read(family.config, doc["config"], partial=True),
-            params=family.check(read(family.params, doc["params"]), width),
+            config=config,
+            params=family.check(config, read(family.params, doc["params"]), width),
             x_scaler=_scaler_from_dict(doc, "x_scaler", width),
             y_scaler=_scaler_from_dict(doc, "y_scaler", 1),
             feature_names=feature_names,

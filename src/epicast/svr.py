@@ -28,9 +28,9 @@ Each pass reads two contiguous rows of the exactly symmetric Gram to
 update K beta. The eps shift that each coefficient adds to its KKT
 derivatives (_eps_shift) is kept in a (2, n) array, and a pass recomputes
 only the two entries it moved. The length-n vectors a pass forms
-(residuals, KKT derivatives, the update of K beta) go into buffers
-allocated once per fit; the coefficients, which a pass reads and writes
-one at a time, are Python floats until the fit ends.
+(residuals, KKT derivatives, the update of K beta) are plain array
+expressions; the coefficients, which a pass reads and writes one at a
+time, are Python floats until the fit ends.
 
 A fit never builds the n x n Gram. The factor builds its pivot rows, and
 the pair loop builds row i as gram_matrix(kernel, xs[i:i+1], xs)[0] when a
@@ -228,22 +228,15 @@ def _eps_shift(b: float, c: float, eps: float) -> tuple[float, float]:
     return up, down
 
 
-def _working_pair(
-    resid: np.ndarray,
-    shifts: np.ndarray,
-    d: np.ndarray,
-    d_up: np.ndarray,
-    d_down: np.ndarray,
-) -> tuple[int, float, int, float]:
+def _working_pair(resid: np.ndarray, shifts: np.ndarray) -> tuple[int, float, int, float]:
     """The maximal KKT-violating pair (i, lo, j, hi); it violates by hi - lo.
 
     lo = d_up[i] is the least over the coefficients that can rise (+inf if
     none can), hi = d_down[j] the greatest over those that can fall (-inf
     if none can). shifts stacks the up and down of _eps_shift for every
-    coefficient; one add forms the derivatives in the (2, n) buffer d,
-    whose rows are d_up and d_down.
+    coefficient, so one add forms both rows of derivatives.
     """
-    np.add(resid, shifts, out=d)
+    d_up, d_down = resid + shifts
     # the array methods skip np.argmin's dispatch, about 1 us of a pass
     i = d_up.argmin()
     j = d_down.argmax()
@@ -406,6 +399,8 @@ def _pair_loop(
     with q = K beta, until no pair violates the KKT conditions beyond
     cfg.tolerance (converged) or cfg.max_passes updates are spent. Both
     are updated in place; the row cache keeps up to capacity Gram rows.
+    beta, q, the eps-shift rows and the cache are all that one pass hands
+    to the next; its residuals, derivatives and step are array expressions.
 
     A pass reads and writes single coefficients, which Python floats do
     without numpy's per-element dispatch, so beta is a list; it becomes an
@@ -424,17 +419,11 @@ def _pair_loop(
     ).reshape(n, 2).T.copy()
     up, down = shifts
     row = _row_cache(kernel, xs, capacity)
-    # per-fit buffers of the pass: resid = q - ys, the derivatives d (rows
-    # d_up, d_down) and step = t (ri - rj)
-    resid, step = np.empty(n), np.empty(n)
-    d = np.empty((2, n))
-    d_up, d_down = d
     converged = False
     passes = 0
 
     for passes in range(1, cfg.max_passes + 1):
-        np.subtract(q, ys, out=resid)
-        i, lo, j, hi = _working_pair(resid, shifts, d, d_up, d_down)
+        i, lo, j, hi = _working_pair(q - ys, shifts)
         violation = hi - lo  # -inf when one side is empty: nothing can move
         if violation <= tolerance:
             converged = True
@@ -450,14 +439,11 @@ def _pair_loop(
         bi += t
         bj -= t
         beta[i], beta[j] = bi, bj
-        np.subtract(ri, rj, out=step)
-        step *= t
-        q += step
+        q += t * (ri - rj)
         up[i], down[i] = _eps_shift(bi, c, eps)
         up[j], down[j] = _eps_shift(bj, c, eps)
 
-    np.subtract(q, ys, out=resid)
-    _, lo, _, hi = _working_pair(resid, shifts, d, d_up, d_down)
+    _, lo, _, hi = _working_pair(q - ys, shifts)
     if math.isinf(lo) and math.isinf(hi):
         bias = float(np.mean(ys - q))
     elif math.isinf(lo):

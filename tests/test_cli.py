@@ -17,6 +17,7 @@ from jsonschema import Draft202012Validator, ValidationError
 from referencing import Registry, Resource
 
 from epicast import (
+    CsvSchema,
     LinRegConfig,
     MlpConfig,
     SvrConfig,
@@ -1128,7 +1129,9 @@ class TestParserDeclarations:
         args = parse([
             "train", "in.csv", "--model", "mlp", "--seed", "3", "--neurons", "5",
             "--lr", "0.25", "--kernel", "poly", "--gamma", "0.5", "--tolerance", "0.5",
+            "--date-column", "Day",
         ])
+        assert cli._config(CsvSchema, args) == CsvSchema(date="Day")
         assert cli._config(MlpConfig, args) == MlpConfig(
             neurons_per_layer=5, seed=3, tolerance=0.5
         )

@@ -221,7 +221,7 @@ def _pop_last(items):
 
 
 # family -> breakages of that family's document: arrays that do not fit
-# together, or a value of the wrong JSON type.
+# together or the config, or a value of the wrong JSON type.
 INCONSISTENT = {
     "mlp": {
         "weight row dropped": lambda d: _pop_last(d["params"]["weights"][1]),
@@ -235,6 +235,10 @@ INCONSISTENT = {
         "weight a string": lambda d: d["params"]["weights"][0][0].__setitem__(0, "0.5"),
         "hidden_layers a boolean": lambda d: d["config"].update(hidden_layers=True),
         "max_iterations fractional": lambda d: d["config"].update(max_iterations=2.5),
+        "config hidden_layers disagrees": lambda d: d["config"].update(hidden_layers=5),
+        "config neurons_per_layer disagrees": lambda d: d["config"].update(
+            neurons_per_layer=64
+        ),
     },
     "svr": {
         "support coef dropped": lambda d: _pop_last(d["params"]["support_coefs"]),
@@ -254,6 +258,10 @@ INCONSISTENT = {
         "converged missing": lambda d: d["params"].pop("converged"),
         "kernel degree missing": lambda d: d["params"]["kernel"].pop("degree"),
         "alphas a matrix": lambda d: d["params"].update(alphas=[d["params"]["alphas"]]),
+        "config kernel kind disagrees": lambda d: d["config"]["kernel"].update(kind="poly"),
+        "config gamma disagrees": lambda d: d["config"]["kernel"].update(
+            gamma=2 * d["params"]["kernel"]["gamma"]
+        ),
     },
     "linreg": {
         "slope longer than features": lambda d: d["params"]["slope"].append(1.0),

@@ -671,8 +671,8 @@ class TestSvrFit:
     )
     def test_fit_holds_the_row_cache_and_vectors(self, spec):
         # the row cache's rows plus at most 16 length-n vectors: the data,
-        # beta, K beta, the eps shifts, the pass buffers, the row being built
-        # and the support vectors (about 14 measured on one feature)
+        # beta, K beta, the eps shifts, a pass's temporaries, the row being
+        # built and the support vectors (about 14 measured on one feature)
         n = 4000
         rng = np.random.default_rng(4)
         x = rng.normal(size=(n, 1))
