@@ -6,7 +6,9 @@ faithful save/load round trips are possible without extra context. The
 on-disk form is a JSON envelope, version 1, with all arrays as nested
 row-major lists. ``plain`` is the one way from a result to JSON: it writes
 model documents and every command's report, field by field. ``read`` is the
-way back for model documents, typed by the dataclass annotations.
+way back for model documents, typed by the dataclass annotations, and
+``schema`` the third walk over them: the JSON Schema of what ``read``
+takes, from which ``model_schema`` builds docs/schemas/model.schema.json.
 """
 
 from __future__ import annotations
@@ -16,7 +18,8 @@ import json
 import math
 from dataclasses import dataclass
 from datetime import date as Date
-from typing import Any, Callable, NoReturn, get_args, get_origin, get_type_hints
+from typing import AbstractSet, Any, Callable, NoReturn, TypedDict, is_typeddict
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -43,6 +46,20 @@ FamilyConfig = MlpConfig | SvrConfig | LinRegConfig
 FamilyParams = MlpParams | SvrParams | LinRegParams
 
 
+class _FitOutcome(TypedDict):
+    status: str
+    converged: bool
+
+
+class FitMeta(_FitOutcome, total=False):
+    """What a fit says about itself, a model's ``train_meta``: how it ended,
+    whether that counts as converged, and the counts its family keeps."""
+
+    iterations: int
+    final_loss: float  # MLP
+    support_vectors: int  # SVR
+
+
 @dataclass(frozen=True)
 class TrainedModel:
     family: str
@@ -52,7 +69,7 @@ class TrainedModel:
     y_scaler: ScalerParams
     feature_names: tuple[str, ...]
     target_name: str
-    train_meta: dict
+    train_meta: FitMeta
 
     @property
     def converged(self) -> bool:
@@ -73,14 +90,14 @@ class Family:
 
     config: type
     params: type
-    fit: Callable[[Any, SupervisedSet], tuple[Any, dict]]
+    fit: Callable[[Any, SupervisedSet], tuple[Any, FitMeta]]
     predict: Callable[[TrainedModel, np.ndarray], np.ndarray]
     check: Callable[[Any, Any, int], Any]
 
 
 # The fit helpers call the solvers through this module's globals at call
 # time, so a caller that rebinds e.g. ``models.svr_fit`` sees every fit.
-def _fit_mlp(config: MlpConfig, train: SupervisedSet) -> tuple[MlpParams, dict]:
+def _fit_mlp(config: MlpConfig, train: SupervisedSet) -> tuple[MlpParams, FitMeta]:
     params, result = train_mlp(config, train.x, train.y)
     return params, {
         "status": result.status,
@@ -90,7 +107,7 @@ def _fit_mlp(config: MlpConfig, train: SupervisedSet) -> tuple[MlpParams, dict]:
     }
 
 
-def _fit_svr(config: SvrConfig, train: SupervisedSet) -> tuple[SvrParams, dict]:
+def _fit_svr(config: SvrConfig, train: SupervisedSet) -> tuple[SvrParams, FitMeta]:
     params = svr_fit(train.x, train.y, config)
     return params, {
         "status": "converged" if params.converged else "pass_budget_exhausted",
@@ -102,7 +119,7 @@ def _fit_svr(config: SvrConfig, train: SupervisedSet) -> tuple[SvrParams, dict]:
 
 def _fit_linreg(
     config: LinRegConfig, train: SupervisedSet
-) -> tuple[LinRegParams, dict]:
+) -> tuple[LinRegParams, FitMeta]:
     params = linreg_fit(train.x, train.y, config)
     return params, {
         "status": "completed",
@@ -135,25 +152,35 @@ def plain(value: Any) -> Any:
     return value
 
 
+def _fields(cls: Any, partial: bool) -> tuple[dict[str, Any], AbstractSet[str]]:
+    """The annotated fields of a dataclass or TypedDict cls, and those of them
+    that a JSON object of cls must hold: none if partial, a TypedDict's
+    required keys, else all."""
+    fields = get_type_hints(cls)
+    return fields, frozenset() if partial else getattr(cls, "__required_keys__", fields.keys())
+
+
 def read(cls: Any, value: Any, partial: bool = False) -> Any:
     """The cls that ``plain`` writes as value, read back by cls's
     annotations: a dataclass from an object of its fields, all of them or,
     with partial (a config section), any, the rest keeping their defaults;
-    ``T | None`` from null or a T; ``tuple[T, ...]`` from a list of T; an
-    ndarray from nested lists of numbers; a float from a number, an int
-    from a whole number, and a bool or a str only from that JSON type. Any
-    other value raises TypeError, and an unknown or missing key ValueError."""
+    a TypedDict, as a plain dict, from an object of its keys, the required
+    ones at least; ``T | None`` from null or a T; ``tuple[T, ...]`` from a
+    list of T; an ndarray from nested lists of numbers; a float from a
+    number, an int from a whole number, and a bool or a str only from that
+    JSON type. Any other value raises TypeError, and an unknown or missing
+    key ValueError."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
     if cls in (float, int) and number and (cls is float or value == int(value)):
         return cls(value)
     if cls in (bool, str) and isinstance(value, cls):
         return value
     args = get_args(cls)
-    if dataclasses.is_dataclass(cls):
+    if dataclasses.is_dataclass(cls) or is_typeddict(cls):
         if not isinstance(value, dict):
             raise TypeError(f"{cls.__name__} needs a JSON object, not {value!r}")
-        fields = get_type_hints(cls)
-        if value.keys() - fields.keys() or not partial and value.keys() != fields.keys():
+        fields, required = _fields(cls, partial)
+        if value.keys() - fields.keys() or not value.keys() >= required:
             raise ValueError(f"{cls.__name__} takes {list(fields)}, not {list(value)}")
         return cls(**{k: read(fields[k], v, partial) for k, v in value.items()})
     if type(None) in args:
@@ -165,6 +192,44 @@ def read(cls: Any, value: Any, partial: bool = False) -> Any:
         return np.array(items, dtype=float)
     kind = {float: "number", int: "whole number", bool: "boolean", str: "string"}
     raise TypeError(f"{value!r} is not a {kind.get(cls, 'list')}")
+
+
+JSON_TYPES = {float: "number", int: "integer", bool: "boolean", str: "string"}
+
+
+def schema(cls: Any, partial: bool = False) -> dict:
+    """The JSON Schema of the values that ``read(cls, value, partial)``
+    takes, by the same walk of cls's annotations: a dataclass or TypedDict
+    as an object of its fields in order, those that read needs required and
+    no others allowed, and a field's ``metadata["choices"]`` as an enum;
+    ``T | None`` as a T or null; ``tuple[T, ...]`` as an array of T; an
+    ndarray as ``#/$defs/ndarray``, nested arrays of numbers of any depth
+    (``model_schema`` defines it); float, int, bool and str as number,
+    integer, boolean and string. Ranges, shapes and the agreement of one
+    field with another are left to the reader."""
+    if cls in JSON_TYPES:
+        return {"type": JSON_TYPES[cls]}
+    args = get_args(cls)
+    if dataclasses.is_dataclass(cls) or is_typeddict(cls):
+        fields, required = _fields(cls, partial)
+        choices = {
+            f.name: {"enum": list(f.metadata["choices"])}
+            for f in (dataclasses.fields(cls) if dataclasses.is_dataclass(cls) else ())
+            if "choices" in f.metadata
+        }
+        return {
+            "type": "object",
+            "properties": {k: choices.get(k) or schema(t, partial) for k, t in fields.items()},
+            "required": [k for k in fields if k in required],
+            "additionalProperties": False,
+        }
+    if type(None) in args:
+        return {"anyOf": [schema(args[0], partial), {"type": "null"}]}
+    if get_origin(cls) is tuple:
+        return {"type": "array", "items": schema(args[0], partial)}
+    if cls is np.ndarray:
+        return {"$ref": "#/$defs/ndarray"}
+    raise TypeError(f"read takes no {cls!r}")
 
 
 def _check_mlp(config: MlpConfig, params: MlpParams, width: int) -> MlpParams:
@@ -250,6 +315,43 @@ FAMILY_TABLE: dict[str, Family] = {
 }
 
 FAMILIES = tuple(FAMILY_TABLE)
+
+
+def model_schema() -> dict:
+    """The JSON Schema of a model document, committed as
+    docs/schemas/model.schema.json: the envelope's fields by ``schema``,
+    and config (partial) and params by the classes of the family the
+    document names, one ``oneOf`` branch per family."""
+    fields = get_type_hints(TrainedModel)
+    per_family = {"family": {"enum": list(FAMILIES)}, "config": {}, "params": {}}
+    return {
+        "$schema": "https://json-schema.org/draft/2020-12/schema",
+        "$id": "https://epicast.example/schemas/model.schema.json",
+        "title": f"saved model document, version {MODEL_DOC_VERSION}",
+        "type": "object",
+        "properties": {
+            "version": {"const": MODEL_DOC_VERSION},
+            **{k: per_family[k] if k in per_family else schema(t) for k, t in fields.items()},
+        },
+        "required": ["version", *fields],
+        "additionalProperties": False,
+        "oneOf": [
+            {
+                "properties": {
+                    "family": {"const": name},
+                    "config": schema(family.config, partial=True),
+                    "params": schema(family.params),
+                }
+            }
+            for name, family in FAMILY_TABLE.items()
+        ],
+        "$defs": {
+            "ndarray": {
+                "type": "array",
+                "items": {"anyOf": [{"type": "number"}, {"$ref": "#/$defs/ndarray"}]},
+            }
+        },
+    }
 
 
 def lookup_family(name: str) -> Family:
@@ -339,9 +441,10 @@ def model_from_dict(doc: dict) -> TrainedModel:
         if not feature_names:
             raise ValueError("feature_names is empty")
         width = len(feature_names)
-        meta = doc["train_meta"]
-        if not isinstance(meta, dict) or not isinstance(meta.get("converged"), bool):
-            raise ValueError('train_meta needs a boolean "converged"')
+        try:
+            meta = read(FitMeta, doc["train_meta"])
+        except (TypeError, ValueError) as err:
+            raise type(err)(f"train_meta: {err}") from None
         config = read(family.config, doc["config"], partial=True)
         return TrainedModel(
             family=name,
@@ -351,7 +454,7 @@ def model_from_dict(doc: dict) -> TrainedModel:
             y_scaler=_scaler_from_dict(doc, "y_scaler", 1),
             feature_names=feature_names,
             target_name=read(str, doc["target_name"]),
-            train_meta=dict(meta),
+            train_meta=meta,
         )
     except (KeyError, TypeError, ValueError, OverflowError) as err:
         raise InputError(f"malformed model document: {err!r}") from None

@@ -1211,20 +1211,23 @@ class TestInconsistentModelFile:
         assert not (tmp_path / "o").exists()
 
 
-# train_meta sections that do not say whether the fit converged; a model
-# loaded from one used to read as converged.
-NO_CONVERGED_FLAG = {
+# train_meta sections that do not say how the fit ended, a string status
+# and a boolean converged; a model loaded from one of the first four used
+# to read as converged, and from the last two it loaded.
+BAD_TRAIN_META = {
     "train-meta-missing": None,
     "train-meta-empty": {},
     "train-meta-list-of-pairs": [["converged", True]],
     "converged-not-boolean": {"status": "converged", "converged": "true"},
+    "status-missing": {"converged": True},
+    "status-not-a-string": {"status": 7, "converged": True},
 }
 
 
 class TestTrainMetaWithoutConvergedFlag:
     @pytest.mark.parametrize("command", MODEL_COMMANDS)
     @pytest.mark.parametrize(
-        "meta", NO_CONVERGED_FLAG.values(), ids=NO_CONVERGED_FLAG.keys()
+        "meta", BAD_TRAIN_META.values(), ids=BAD_TRAIN_META.keys()
     )
     def test_exit_2_with_json_error(
         self, meta, command, short_model_docs, short_csv, tmp_path, capsys,
@@ -1241,6 +1244,33 @@ class TestTrainMetaWithoutConvergedFlag:
         assert "train_meta" in err["message"]
         assert not (tmp_path / "o").exists()
         # the schema rejects what the reader rejects
+        with pytest.raises(ValidationError):
+            check(doc, "model.schema.json", registry)
+
+
+# MLP config entries of the wrong JSON type or under an unknown key.
+UNTYPED_CONFIG = {
+    "hidden-layers-a-string": {"hidden_layers": "x"},
+    "unknown-config-key": {"momentum": 0.9},
+}
+
+
+class TestUntypedConfig:
+    @pytest.mark.parametrize("command", MODEL_COMMANDS)
+    @pytest.mark.parametrize(
+        "entry", UNTYPED_CONFIG.values(), ids=UNTYPED_CONFIG.keys()
+    )
+    def test_exit_2_with_json_error(
+        self, entry, command, short_model_docs, short_csv, tmp_path, capsys,
+        check, registry,
+    ):
+        doc = copy.deepcopy(short_model_docs["mlp"])
+        doc["config"].update(entry)
+        assert _run_on_model(doc, command, short_csv, tmp_path) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err["error"] == "input"
+        assert "malformed model document" in err["message"]
+        assert not (tmp_path / "o").exists()
         with pytest.raises(ValidationError):
             check(doc, "model.schema.json", registry)
 

@@ -1,5 +1,6 @@
 import json
 from datetime import date as Date
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,7 +28,15 @@ from epicast.forecast import ForecastReport, Prediction
 from epicast.harness import ComparisonReport, GridCell
 from epicast.linear import LinRegParams
 from epicast.metrics import EvalResult
-from epicast.models import TrainedModel, json_text, plain
+from epicast.models import (
+    FamilyConfig,
+    FitMeta,
+    TrainedModel,
+    json_text,
+    model_schema,
+    plain,
+    schema,
+)
 from epicast.preprocess import ScalerParams
 
 
@@ -214,6 +223,29 @@ class TestMalformedDocuments:
         path.write_bytes(content)
         with pytest.raises(InputError):
             load_model(str(path))
+
+
+SCHEMA_DIR = Path(__file__).resolve().parents[1] / "docs" / "schemas"
+REGENERATE = (
+    "PYTHONPATH=src python -c \"from epicast import models; "
+    "open('docs/schemas/model.schema.json', 'w')"
+    ".write(models.json_text(models.model_schema()))\""
+)
+
+
+class TestSchema:
+    def test_model_schema_file_is_model_schema(self):
+        text = (SCHEMA_DIR / "model.schema.json").read_text(encoding="utf-8")
+        assert text == json_text(model_schema()), f"regenerate it: {REGENERATE}"
+
+    def test_report_train_meta_is_the_model_train_meta(self):
+        report = json.loads((SCHEMA_DIR / "train_eval.schema.json").read_text(encoding="utf-8"))
+        assert report["properties"]["train_meta"] == schema(FitMeta)
+
+    def test_union_of_records_has_no_schema(self):
+        # read takes none either: model_from_dict picks the family's classes
+        with pytest.raises(TypeError):
+            schema(FamilyConfig)
 
 
 def _pop_last(items):

@@ -1,15 +1,18 @@
 """Property tests: the parser and the model-document reader accept any
 input and either return a value or raise an InputError subclass, never a
 raw Python error; a document the reader loads follows model.schema.json,
-and the model predicts a row or raises an EpicastError; and eval never
-blames the CSV for what is wrong with a model it loads. An MLP fit that
-stops before its iteration budget is the fit of every larger budget, which
-lets the grid share one fit between budget-only slots."""
+and the model predicts a row or raises an EpicastError; a document that
+follows the schema loads unless a check on shapes, ranges or the agreement
+of fields rejects it; and eval never blames the CSV for what is wrong with
+a model it loads. An MLP fit that stops before its iteration budget is
+the fit of every larger budget, which lets the grid share one fit between
+budget-only slots."""
 
 import copy
 import dataclasses
 import io
 import json
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import date as Date, timedelta
@@ -188,6 +191,37 @@ def test_model_from_dict_returns_model_or_raises_input_error(doc):
     except EpicastError:
         return
     assert predictions.shape == (1,)
+
+
+# What the reader checks and model.schema.json leaves to it: the shapes
+# and ranges of values and the agreement of one field with another.
+READER_ONLY = {
+    "ragged array": "inhomogeneous shape",
+    "integer beyond the float range": "int too large to convert to float",
+    "scaler shape": r"must be equal 1-D shapes|_scaler needs \d+ columns",
+    "scaler range": r"_scaler (scales|means) must lie between",
+    "MLP shapes": "MLP layers do not have the shapes",
+    "slope width": "slope needs",
+    "SVR shapes": "support vectors need",
+    "kernel mismatch": "params.kernel must be config.kernel|gamma is unresolved",
+    "empty feature_names": "feature_names is empty",
+    "setting out of range": (
+        r"must be (at least|positive|nonnegative|non-negative|finite|a whole)|is not a count"
+    ),
+}
+
+
+@PROPERTY
+@given(mutated_documents())
+@example(_with("mlp", "config", "max_iterations", 0))
+@example(_with("linreg", "params", "intercept", 10**400))
+def test_schema_valid_document_loads_unless_a_reader_only_check_rejects_it(doc):
+    if not MODEL_SCHEMA.is_valid(doc):
+        return
+    try:
+        model_from_dict(doc)
+    except InputError as err:
+        assert re.search("|".join(READER_ONLY.values()), str(err)), err
 
 
 # Model files as train writes them, one per family and SVR kernel.
