@@ -5,6 +5,11 @@ command reads CSV input, writes machine-readable outputs (JSON and/or
 aligned CSV) under --out-dir, and prints its main JSON payload to stdout.
 Exit codes: 0 ok (including completed runs with flagged grid cells),
 2 input problem, 3 numeric failure, 4 non-convergence under --strict.
+
+A command runs OpenBLAS on one thread unless OPENBLAS_NUM_THREADS or
+OMP_NUM_THREADS says otherwise: this module sets OPENBLAS_NUM_THREADS=1
+before it imports numpy, unless the user set either variable or numpy was
+already loaded (and so read them).
 """
 
 from __future__ import annotations
@@ -18,6 +23,10 @@ import sys
 from contextlib import contextmanager
 from datetime import date as Date, datetime, timezone
 from pathlib import Path
+
+# OpenBLAS reads its thread count once, when numpy loads it
+if "numpy" not in sys.modules and not {"OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS"} & set(os.environ):
+    os.environ["OPENBLAS_NUM_THREADS"] = "1"
 
 import numpy as np
 
@@ -459,7 +468,7 @@ def _add_split_flags(p: argparse.ArgumentParser) -> None:
 
 def _add_grid_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument(
-        "--workers", type=int, default=1, help="ignored: cells always run serially"
+        "--workers", type=int, default=1, help="ignored: run_grid decides its own threads"
     )
     p.add_argument("--mlp-hidden-layers", type=int, default=MlpConfig.hidden_layers)
     p.add_argument("--mlp-neurons", type=int, default=MlpConfig.neurons_per_layer)

@@ -7,11 +7,16 @@ always total. Identical seed and data give an identical table. MLP slots
 that differ only in their iteration budget share one fit per target when
 the fit stops before its budget: the optimizers read the budget only to
 stop, so every larger budget would take the same steps.
+
+The two targets share nothing but the day-index column, so on long series
+each target's cells run on a thread of their own (``_fit_targets_concurrently``
+says when).
 """
 
 from __future__ import annotations
 
 import dataclasses
+import os
 from dataclasses import dataclass, field
 from datetime import date as Date
 
@@ -32,6 +37,18 @@ from .preprocess import (
 from .svr import KernelSpec, SvrConfig
 
 GRID_TARGETS = ("confirmed", "deaths")
+
+# Train rows from which each target's cells run on a thread of their own.
+# Numpy releases the GIL in BLAS calls, not in the per-iteration Python of
+# the solvers, which the smaller fits spend most of their time in: two
+# threads lost at 832 rows, broke even at 1664 and won at 4160 (2 CPUs).
+CONCURRENT_ROWS = 2048
+
+# OpenBLAS reads its thread count from the environment once, when numpy
+# loads it, and numpy is loaded by the time this module is (above). Two
+# fitting threads gain only over a one-thread BLAS: over two BLAS threads
+# each, they were slower than one fit at a time.
+BLAS_PINNED = os.environ.get("OPENBLAS_NUM_THREADS", os.environ.get("OMP_NUM_THREADS")) == "1"
 
 # External benchmark bests (infected/confirmed target, deaths target) shown
 # in report footers for orientation; they are display references, not
@@ -176,9 +193,10 @@ def _run_cell(
     return cell, fit
 
 
-# (target, MLP config with its budget erased) -> (budget, cell, fit) of the
-# smallest-budget fit of that trajectory that stopped before its budget
-EarlyStops = dict[tuple[str, MlpConfig], tuple[int, GridCell, TrainedModel]]
+# MLP config with its budget erased -> (budget, cell, fit) of the
+# smallest-budget fit of that trajectory on one target that stopped before
+# its budget
+EarlyStops = dict[MlpConfig, tuple[int, GridCell, TrainedModel]]
 
 
 def _run_shared(
@@ -187,12 +205,13 @@ def _run_shared(
     slot: RegressorSlot,
     target: str,
 ) -> tuple[GridCell, TrainedModel | EpicastError]:
-    """_run_cell, except that an MLP slot whose trajectory is in ``early``
-    under a budget no larger than its own takes that cell and fit."""
+    """_run_cell, except that an MLP slot whose trajectory is in ``early``,
+    the table of target's fits, under a budget no larger than its own takes
+    that cell and fit."""
     if slot.model_family != "mlp":
         return _run_cell(std, slot, target)
     budget = slot.config.max_iterations
-    key = target, dataclasses.replace(slot.config, max_iterations=1)
+    key = dataclasses.replace(slot.config, max_iterations=1)
     if key in early and early[key][0] <= budget:
         _, cell, fit = early[key]
         return (
@@ -205,6 +224,20 @@ def _run_shared(
     return cell, fit
 
 
+def _fit_targets_concurrently(prepared: list[StandardizedSplit | EpicastError]) -> bool:
+    """Whether run_grid fits each target's cells on a thread of their own:
+    only if every target's train half has at least CONCURRENT_ROWS rows,
+    OpenBLAS runs one thread (BLAS_PINNED) and the process may use at
+    least two CPUs."""
+    usable = getattr(os, "sched_getaffinity", None)  # the CPUs this process may use
+    cpus = len(usable(0)) if usable else os.cpu_count() or 1
+    return (
+        all(isinstance(p, StandardizedSplit) and len(p.train) >= CONCURRENT_ROWS for p in prepared)
+        and BLAS_PINNED
+        and cpus >= 2
+    )
+
+
 def run_grid(
     series: CaseSeries,
     split_spec: SplitSpec,
@@ -215,8 +248,10 @@ def run_grid(
     The series must be imputed (no missing values in used columns). Each
     target's split is built once; if that fails, every cell of the target
     is flagged. The cells run in order on the calling thread, one fit at a
-    time, and the output is sorted by (family, slot, target). The table
-    keeps every cell's fit for ``compare_models``.
+    time, unless ``_fit_targets_concurrently`` holds: then each target's
+    cells run in order on a thread of their own. Either way the output is
+    the same and sorted by (family, slot, target). The table keeps every
+    cell's fit for ``compare_models``.
 
     An MLP fit that stops before its budget (any status but
     "max_iterations") took the steps every larger budget would take, so a
@@ -229,10 +264,19 @@ def run_grid(
     if slots is None:
         slots = default_grid(seed=split_spec.seed)
     prepared = {t: _prepare(series, split_spec, t) for t in GRID_TARGETS}
-    early: EarlyStops = {}
-    runs = [
-        _run_shared(early, prepared[t], slot, t) for slot in slots for t in GRID_TARGETS
-    ]
+    early: dict[str, EarlyStops] = {t: {} for t in GRID_TARGETS}
+
+    def run(slot: RegressorSlot, target: str):
+        return _run_shared(early[target], prepared[target], slot, target)
+
+    if _fit_targets_concurrently(list(prepared.values())):
+        from concurrent.futures import ThreadPoolExecutor  # paid only on this path
+
+        with ThreadPoolExecutor(len(GRID_TARGETS)) as pool:
+            by_target = pool.map(lambda t: [run(slot, t) for slot in slots], GRID_TARGETS)
+            runs = [r for slot_runs in zip(*by_target) for r in slot_runs]
+    else:
+        runs = [run(slot, t) for slot in slots for t in GRID_TARGETS]
     cells = sorted((c for c, _ in runs), key=lambda c: (c.family, c.slot, c.target))
     metadata = {
         "split": split_spec,

@@ -160,7 +160,7 @@ def _fields(cls: Any, partial: bool) -> tuple[dict[str, Any], AbstractSet[str]]:
     return fields, frozenset() if partial else getattr(cls, "__required_keys__", fields.keys())
 
 
-def read(cls: Any, value: Any, partial: bool = False) -> Any:
+def read(cls: Any, value: Any, path: str, partial: bool = False) -> Any:
     """The cls that ``plain`` writes as value, read back by cls's
     annotations: a dataclass from an object of its fields, all of them or,
     with partial (a config section), any, the rest keeping their defaults;
@@ -168,37 +168,48 @@ def read(cls: Any, value: Any, partial: bool = False) -> Any:
     ones at least; ``T | None`` from null or a T; ``tuple[T, ...]`` from a
     list of T; an ndarray from nested lists of numbers; a float from a
     number, an int from a whole number, and a bool or a str only from that
-    JSON type. Any other value raises TypeError, and an unknown or missing
-    key ValueError."""
+    JSON type. Any other value raises TypeError, an unknown or missing key
+    ValueError, and so does a dataclass that rejects its fields (an
+    InputError such as a scaler's DimensionMismatch included). Each error
+    begins with the dotted path of the value it rejects, ``path`` for value
+    itself, then a field's name or a list's index per level."""
     number = isinstance(value, (int, float)) and not isinstance(value, bool)
-    if cls in (float, int) and number and (cls is float or value == int(value)):
+    whole = number and (isinstance(value, int) or value.is_integer())
+    if cls in (float, int) and number and (cls is float or whole):
         return cls(value)
     if cls in (bool, str) and isinstance(value, cls):
         return value
     args = get_args(cls)
     if dataclasses.is_dataclass(cls) or is_typeddict(cls):
         if not isinstance(value, dict):
-            raise TypeError(f"{cls.__name__} needs a JSON object, not {value!r}")
+            raise TypeError(f"{path}: {cls.__name__} needs a JSON object, not {value!r}")
         fields, required = _fields(cls, partial)
         if value.keys() - fields.keys() or not value.keys() >= required:
-            raise ValueError(f"{cls.__name__} takes {list(fields)}, not {list(value)}")
-        return cls(**{k: read(fields[k], v, partial) for k, v in value.items()})
+            raise ValueError(f"{path}: {cls.__name__} takes {list(fields)}, not {list(value)}")
+        items = {k: read(fields[k], v, f"{path}.{k}", partial) for k, v in value.items()}
+        try:
+            return cls(**items)
+        except (ValueError, InputError) as err:
+            raise ValueError(f"{path}: {err}") from None
     if type(None) in args:
-        return None if value is None else read(args[0], value, partial)
+        return None if value is None else read(args[0], value, path, partial)
     if get_origin(cls) is tuple and isinstance(value, list):
-        return tuple(read(args[0], v, partial) for v in value)
+        return tuple(read(args[0], v, f"{path}.{i}", partial) for i, v in enumerate(value))
     if cls is np.ndarray and isinstance(value, list):
-        items = [read(cls if isinstance(v, list) else float, v) for v in value]
+        items = [
+            read(cls if isinstance(v, list) else float, v, f"{path}.{i}")
+            for i, v in enumerate(value)
+        ]
         return np.array(items, dtype=float)
     kind = {float: "number", int: "whole number", bool: "boolean", str: "string"}
-    raise TypeError(f"{value!r} is not a {kind.get(cls, 'list')}")
+    raise TypeError(f"{path}: {value!r} is not a {kind.get(cls, 'list')}")
 
 
 JSON_TYPES = {float: "number", int: "integer", bool: "boolean", str: "string"}
 
 
 def schema(cls: Any, partial: bool = False) -> dict:
-    """The JSON Schema of the values that ``read(cls, value, partial)``
+    """The JSON Schema of the values that ``read(cls, value, path, partial)``
     takes, by the same walk of cls's annotations: a dataclass or TypedDict
     as an object of its fields in order, those that read needs required and
     no others allowed, and a field's ``metadata["choices"]`` as an enum;
@@ -239,7 +250,9 @@ def _check_mlp(config: MlpConfig, params: MlpParams, width: int) -> MlpParams:
     if len(params.weights) != layers or len(params.biases) != layers or shapes != [
         (shape, shape[:1]) for shape in MlpParams.shapes(config, width)
     ]:
-        raise ValueError(f"MLP layers do not have the shapes of config on {width} input columns")
+        raise ValueError(
+            f"params: MLP layers do not have the shapes of config on {width} input columns"
+        )
     return params
 
 
@@ -250,23 +263,23 @@ def _check_svr(config: SvrConfig, params: SvrParams, width: int) -> SvrParams:
     if params.kernel != kernel:
         raise ValueError("params.kernel must be config.kernel with gamma resolved")
     if params.passes < 0:
-        raise ValueError(f"passes {params.passes} is not a count")
+        raise ValueError(f"params.passes: {params.passes} is not a count")
     if params.support_vectors.shape == (0,):  # [] is no rows of any width
         params = dataclasses.replace(params, support_vectors=np.empty((0, width)))
     rows, columns = params.support_vectors.shape
     if columns != width or params.support_coefs.shape != (rows,) or params.alphas.ndim != 1:
         raise ValueError(
-            f"support vectors need {width} columns and one support coef per row,"
+            f"params: support vectors need {width} columns and one support coef per row,"
             " and alphas one entry per training row"
         )
     if params.kernel.kind != "linear" and params.kernel.gamma is None:
-        raise ValueError("the kernel's gamma is unresolved")
+        raise ValueError("params.kernel.gamma is unresolved")
     return params
 
 
 def _check_linreg(config: LinRegConfig, params: LinRegParams, width: int) -> LinRegParams:
     if params.slope.shape != (width,):
-        raise ValueError(f"slope needs {width} entries")
+        raise ValueError(f"params.slope needs {width} entries")
     return params
 
 
@@ -274,7 +287,7 @@ def _scaler_from_dict(doc: dict, name: str, width: int) -> ScalerParams:
     """The scaler ``doc[name]``: its scales must lie between the floor that
     fit_scaler writes for a constant column and MAX_SCALE, and its means
     within MAX_SCALE of zero."""
-    scaler = read(ScalerParams, doc[name])
+    scaler = read(ScalerParams, doc[name], name)
     if scaler.mean.shape != (width,):
         raise ValueError(f"{name} needs {width} columns")
     if not np.all((scaler.scale >= EPSILON_FLOOR) & (scaler.scale <= MAX_SCALE)):
@@ -437,27 +450,26 @@ def model_from_dict(doc: dict) -> TrainedModel:
     try:
         if doc.keys() - {"version", *get_type_hints(TrainedModel)}:
             raise ValueError(f"{list(doc)} are not the keys of a model document")
-        feature_names = read(tuple[str, ...], doc["feature_names"])
+        feature_names = read(tuple[str, ...], doc["feature_names"], "feature_names")
         if not feature_names:
             raise ValueError("feature_names is empty")
         width = len(feature_names)
-        try:
-            meta = read(FitMeta, doc["train_meta"])
-        except (TypeError, ValueError) as err:
-            raise type(err)(f"train_meta: {err}") from None
-        config = read(family.config, doc["config"], partial=True)
+        meta = read(FitMeta, doc["train_meta"], "train_meta")
+        config = read(family.config, doc["config"], "config", partial=True)
         return TrainedModel(
             family=name,
             config=config,
-            params=family.check(config, read(family.params, doc["params"]), width),
+            params=family.check(config, read(family.params, doc["params"], "params"), width),
             x_scaler=_scaler_from_dict(doc, "x_scaler", width),
             y_scaler=_scaler_from_dict(doc, "y_scaler", 1),
             feature_names=feature_names,
-            target_name=read(str, doc["target_name"]),
+            target_name=read(str, doc["target_name"], "target_name"),
             train_meta=meta,
         )
-    except (KeyError, TypeError, ValueError, OverflowError) as err:
-        raise InputError(f"malformed model document: {err!r}") from None
+    except KeyError as err:
+        raise InputError(f"malformed model document: no {err} section") from None
+    except (TypeError, ValueError, OverflowError) as err:
+        raise InputError(f"malformed model document: {err}") from None
 
 
 def _non_finite(node: Any, path: str = "") -> str | None:

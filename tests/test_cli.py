@@ -1275,6 +1275,45 @@ class TestUntypedConfig:
             check(doc, "model.schema.json", registry)
 
 
+# family, where in the document (section, key), the bad value, and the
+# message that names where it sits.
+MISPLACED_VALUES = {
+    "mlp-hidden-layers-a-string": (
+        "mlp", ("config", "hidden_layers"), "x",
+        "malformed model document: config.hidden_layers: 'x' is not a whole number",
+    ),
+    "linreg-intercept-a-list": (
+        "linreg", ("params", "intercept"), [1.0],
+        "malformed model document: params.intercept: [1.0] is not a number",
+    ),
+    "x-scaler-shapes-differ": (
+        "linreg", ("x_scaler", "scale"), [],
+        "malformed model document: x_scaler: mean shape (1,) and scale shape (0,)"
+        " must be equal 1-D shapes",
+    ),
+    "y-scaler-shapes-differ": (
+        "svr", ("y_scaler", "mean"), [0.0, 1.0],
+        "malformed model document: y_scaler: mean shape (2,) and scale shape (1,)"
+        " must be equal 1-D shapes",
+    ),
+}
+
+
+class TestModelErrorsNameTheirPath:
+    @pytest.mark.parametrize(
+        "family, where, value, message", MISPLACED_VALUES.values(), ids=MISPLACED_VALUES.keys()
+    )
+    def test_eval_exit_2(
+        self, family, where, value, message, short_model_docs, short_csv, tmp_path, capsys
+    ):
+        doc = copy.deepcopy(short_model_docs[family])
+        doc[where[0]][where[1]] = value
+        assert _run_on_model(doc, "eval", short_csv, tmp_path) == 2
+        err = json.loads(capsys.readouterr().err)
+        assert err == {"error": "input", "message": message}
+        assert not (tmp_path / "o").exists()
+
+
 class TestOutOfRangeModelFile:
     @pytest.mark.parametrize("command", MODEL_COMMANDS)
     def test_fractional_poly_degree_exit_2(

@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import threading
 from datetime import date as Date, timedelta
 
 import numpy as np
@@ -288,6 +289,80 @@ class TestBudgetOnlySlotsShareOneFit:
         )
         assert count == fitted
         self.assert_equals_each_slot_alone(table, short_series, chrono_split, slots)
+
+
+def allow_concurrent_targets(monkeypatch, rows, cpus=2):
+    """Let run_grid fit targets concurrently from ``rows`` train rows, as if
+    OpenBLAS ran one thread and the process could use ``cpus`` CPUs."""
+    monkeypatch.setattr(harness, "CONCURRENT_ROWS", rows)
+    monkeypatch.setattr(harness, "BLAS_PINNED", True)
+    monkeypatch.setattr(
+        harness.os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False
+    )
+
+
+class TestConcurrentTargets:
+    def test_table_equals_the_serial_table(
+        self, short_series, chrono_split, monkeypatch
+    ):
+        slots = default_grid(seed=chrono_split.seed)
+        serial = run_grid(short_series, chrono_split, slots)
+        threads = {target: set() for target in harness.GRID_TARGETS}
+        fit = harness.train_on_split
+
+        def spy(*args):
+            threads[args[4]].add(threading.get_ident())
+            return fit(*args)
+
+        allow_concurrent_targets(monkeypatch, rows=1)
+        monkeypatch.setattr(harness, "train_on_split", spy)
+        table = run_grid(short_series, chrono_split, slots)
+        # each target's cells on one thread of their own, not the caller's
+        assert [len(ids) for ids in threads.values()] == [1, 1]
+        ids = set.union(*threads.values())
+        assert len(ids) == 2 and threading.get_ident() not in ids
+        assert json.dumps(plain(table.cells)) == json.dumps(plain(serial.cells))
+        assert table.metadata == serial.metadata
+        # same keys in the same order, and the same fits with their train_meta
+        assert list(table.fits) == list(serial.fits)
+        assert [fit_text(f) for f in table.fits.values()] == [
+            fit_text(f) for f in serial.fits.values()
+        ]
+
+    @pytest.mark.parametrize(
+        "rows, pinned, cpus, concurrent",
+        [
+            (0, True, 2, True),
+            (1, True, 2, False),  # a train half one row short
+            (0, False, 2, False),
+            (0, True, 1, False),
+        ],
+        ids=["all-met", "too-few-rows", "blas-not-pinned", "one-cpu"],
+    )
+    def test_decision(
+        self, short_series, chrono_split, monkeypatch, rows, pinned, cpus, concurrent
+    ):
+        prepared = [harness._prepare(short_series, chrono_split, t) for t in harness.GRID_TARGETS]
+        allow_concurrent_targets(
+            monkeypatch, rows=len(prepared[0].train) + rows, cpus=cpus
+        )
+        monkeypatch.setattr(harness, "BLAS_PINNED", pinned)
+        assert harness._fit_targets_concurrently(prepared) is concurrent
+
+    @pytest.mark.parametrize("cpus, concurrent", [(1, False), (4, True)])
+    def test_decision_without_cpu_affinity(
+        self, short_series, chrono_split, monkeypatch, cpus, concurrent
+    ):
+        prepared = [harness._prepare(short_series, chrono_split, t) for t in harness.GRID_TARGETS]
+        allow_concurrent_targets(monkeypatch, rows=1)
+        monkeypatch.delattr(harness.os, "sched_getaffinity")
+        monkeypatch.setattr(harness.os, "cpu_count", lambda: cpus)
+        assert harness._fit_targets_concurrently(prepared) is concurrent
+
+    def test_a_failed_split_keeps_the_serial_loop(self, monkeypatch):
+        prepared = [InputError("no rows"), InputError("no rows")]
+        allow_concurrent_targets(monkeypatch, rows=0)
+        assert not harness._fit_targets_concurrently(prepared)
 
 
 class TestSelectBest:
